@@ -5,9 +5,12 @@ Dekker/Knuth ones; addition uses the accurate variant that stays precise under
 cancellation.  A value is a normalized pair (hi, lo) with |lo| <= ulp(hi)/2;
 comparisons of normalized pairs are therefore plain lexicographic comparisons.
 
-Scalar functions take/return (hi, lo) tuples.  The v_* functions are the same
-formulas applied elementwise to numpy arrays; they exist because the nested
-interval construction touches 2^n endpoints per level.
+The kernels take and return (hi, lo) pairs whose parts are floats or numpy
+arrays alike: the formulas are plain elementwise arithmetic, so one kernel
+serves a single value and the 2^n endpoints of a whole refinement level with
+the same bits.  le compares pairs with | and &, so it yields a bool or a bool
+array.  Only sqrt is scalar, because of math.sqrt and its zero test; v_sqrt
+is its array form.
 """
 
 import math
@@ -49,6 +52,11 @@ def add(xh, xl, yh, yl):
     return quick_sum(vh, vl + te)
 
 
+def le(xh, xl, yh, yl):
+    # lexicographic (hi, lo) comparison; | and & work on bools and bool arrays
+    return (xh < yh) | ((xh == yh) & (xl <= yl))
+
+
 def sub(xh, xl, yh, yl):
     return add(xh, xl, -yh, -yl)
 
@@ -77,45 +85,11 @@ def sqrt(xh, xl):
     return quick_sum(q, rh / (2.0 * q))
 
 
-def v_two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def v_quick_sum(a, b):
-    s = a + b
-    return s, b - (s - a)
-
-
-def v_two_prod(a, b):
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def v_add(xh, xl, yh, yl):
-    sh, se = v_two_sum(xh, yh)
-    th, te = v_two_sum(xl, yl)
-    vh, vl = v_quick_sum(sh, se + th)
-    return v_quick_sum(vh, vl + te)
-
-
-def v_mul(xh, xl, yh, yl):
-    p, e = v_two_prod(xh, yh)
-    return v_quick_sum(p, e + (xh * yl + xl * yh))
-
-
 def v_sqrt(xh, xl):
     with np.errstate(divide="ignore", invalid="ignore"):
         q = np.sqrt(xh)
-        rh, _ = v_add(xh, xl, *v_mul(q, np.zeros_like(q), -q, np.zeros_like(q)))
-        out_h, out_l = v_quick_sum(q, rh / (2.0 * q))
+        rh, _ = add(xh, xl, *mul(q, 0.0, -q, 0.0))
+        out_h, out_l = quick_sum(q, rh / (2.0 * q))
     zero = xh == 0.0
     if np.any(zero):
         out_h = np.where(zero, 0.0, out_h)

@@ -190,8 +190,8 @@ def build_model_system(params, depth):
         # Preimages of the gaps just consumed become the next level's gaps:
         # the positive branch [sqrt(u-c), sqrt(v-c)] in order, the negative
         # branch mirrored and reversed.
-        puh, pul = _dd.v_sqrt(*_dd.v_add(gch, gcl, -c, 0.0))
-        pvh, pvl = _dd.v_sqrt(*_dd.v_add(gdh, gdl, -c, 0.0))
+        puh, pul = _dd.v_sqrt(*_dd.add(gch, gcl, -c, 0.0))
+        pvh, pvl = _dd.v_sqrt(*_dd.add(gdh, gdl, -c, 0.0))
         gch = np.concatenate([-pvh[::-1], puh])
         gcl = np.concatenate([-pvl[::-1], pul])
         gdh = np.concatenate([-puh[::-1], pvh])

@@ -8,6 +8,19 @@ refinement C*_0 ⊇ C*_1 ⊇ ... removes, from each segment, a gap meeting its
 middle third, which certifies that level-n segments shrink like (2/3)^n times
 the hull regardless of where the natural gaps sit.  Endpoint arithmetic is
 double-double throughout so stored endpoints are correctly rounded members.
+
+build_target_system refines a level at a time on arrays, with one lane per
+segment.  Natural mode applies the split formulas to the whole level at
+once.  Strict mode runs the scalar middle-third search and tightening
+(_find_gap_dd, _tighten_dd) as masked descents that make the same
+double-double operations in the same branch order per lane, so it stores
+the bits of a per-segment loop.  A lane starts its descents not at the hull
+but at the deepest tree node already known to contain its segment: the
+matching child of the parent's gap node when a comparison confirms the
+containment, else the parent's own start node.  Every gap above such a node
+lies wholly left or right of the segment, so a descent from the hull would
+pass those nodes without changing state; starting below them saves a
+descent of length ~n per segment at level n.
 """
 
 from dataclasses import dataclass, field
@@ -133,9 +146,31 @@ def middle_thirds(hull=(0.0, 1.0)):
     return MiddleAlpha(alpha=ah, hull=hull, alpha_lo=al)
 
 
-def _le(x, y):
-    # normalized double-double comparison is lexicographic on (hi, lo)
-    return x <= y
+def _fractions(spec, count):
+    """Removed proportions of the centred splits at tree levels 0..count-1,
+    as double-double pairs."""
+    if isinstance(spec, MiddleAlpha):
+        return [(spec.alpha, spec.alpha_lo)] * count
+    fracs = [(spec.gap0, 0.0)]
+    while len(fracs) < count:
+        fracs.append(_dd.mul(*fracs[-1], spec.ratio, 0.0))
+    return fracs
+
+
+def _cut(spec, U, V, frac):
+    """Principal gap (G, H) of [U, V] for the formula families; frac is the
+    centred proportion (unused for AffineIFS2).  Parts may be arrays."""
+    L = _dd.sub(*V, *U)
+    if isinstance(spec, AffineIFS2):
+        G = _dd.add(*U, *_dd.mul(*L, spec.r1, 0.0))
+        H = _dd.sub(*V, *_dd.mul(*L, spec.r2, 0.0))
+        return G, H
+    # centered gap of proportion frac: children have length L * (1 - frac) / 2
+    rh, rl = _dd.sub(1.0, 0.0, *frac)
+    half = _dd.mul(*L, rh / 2.0, rl / 2.0)
+    G = _dd.add(*U, *half)
+    H = _dd.sub(*V, *half)
+    return G, H
 
 
 def _split(spec, U, V, n, j):
@@ -146,25 +181,11 @@ def _split(spec, U, V, n, j):
             return None
         g, h = spec.levels[n][j]
         return (float(g), 0.0), (float(h), 0.0)
-    L = _dd.sub(*V, *U)
     if isinstance(spec, AffineIFS2):
-        G = _dd.add(*U, *_dd.mul(*L, spec.r1, 0.0))
-        H = _dd.sub(*V, *_dd.mul(*L, spec.r2, 0.0))
-        return G, H
-    if isinstance(spec, MiddleAlpha):
-        frac = (spec.alpha, spec.alpha_lo)
-    elif isinstance(spec, FatCantor):
-        frac = (spec.gap0, 0.0)
-        for _ in range(n):
-            frac = _dd.mul(*frac, spec.ratio, 0.0)
-    else:
-        raise DomainError(f"unsupported spec type {type(spec).__name__}")
-    # centered gap of proportion frac: children have length L * (1 - frac) / 2
-    rh, rl = _dd.sub(1.0, 0.0, *frac)
-    half = _dd.mul(*L, rh / 2.0, rl / 2.0)
-    G = _dd.add(*U, *half)
-    H = _dd.sub(*V, *half)
-    return G, H
+        return _cut(spec, U, V, None)
+    if isinstance(spec, (MiddleAlpha, FatCantor)):
+        return _cut(spec, U, V, _fractions(spec, n + 1)[n])
+    raise DomainError(f"unsupported spec type {type(spec).__name__}")
 
 
 def _hull_dd(spec):
@@ -228,16 +249,16 @@ def _find_gap_dd(spec, c, d):
                 f"[{c[0]!r}, {d[0]!r}]"
             )
         G, H = gap
-        if _le(_dd.sub(*lo, *G), slack) and _le(_dd.sub(*H, *hi), slack):
+        if _dd.le(*_dd.sub(*lo, *G), *slack) and _dd.le(*_dd.sub(*H, *hi), *slack):
             return G, H  # gap (essentially) inside the window
-        if _le(_dd.sub(*G, *lo), slack) and _le(_dd.sub(*hi, *H), slack):
+        if _dd.le(*_dd.sub(*G, *lo), *slack) and _dd.le(*_dd.sub(*hi, *H), *slack):
             # gap swallows the window; report the overlap
-            return (lo if _le(G, lo) else G), (hi if _le(hi, H) else H)
-        if _le(H, lo):  # gap left of the window
+            return (lo if _dd.le(*G, *lo) else G), (hi if _dd.le(*hi, *H) else H)
+        if _dd.le(*H, *lo):  # gap left of the window
             U, n, j = H, n + 1, 2 * j + 1
-        elif _le(hi, G):  # gap right of the window
+        elif _dd.le(*hi, *G):  # gap right of the window
             V, n, j = G, n + 1, 2 * j
-        elif _le(G, lo):  # gap straddles the left edge; keep (H, hi)
+        elif _dd.le(*G, *lo):  # gap straddles the left edge; keep (H, hi)
             U, n, j = H, n + 1, 2 * j + 1
             lo = H
         else:  # gap straddles the right edge; keep (lo, G)
@@ -284,11 +305,11 @@ def _tighten_dd(spec, e, f, slack=(0.0, 0.0)):
                 f"({e[0]!r}, {f[0]!r})"
             )
         G, H = gap
-        if _le(_dd.sub(*G, *e), slack) and _le(_dd.sub(*f, *H), slack):
+        if _dd.le(*_dd.sub(*G, *e), *slack) and _dd.le(*_dd.sub(*f, *H), *slack):
             return G, H
-        if _le(f, G):
+        if _dd.le(*f, *G):
             V, j = G, 2 * j
-        elif _le(H, e):
+        elif _dd.le(*H, *e):
             U, j = H, 2 * j + 1
         else:
             raise DomainError(
@@ -368,42 +389,194 @@ def build_target_system(spec, depth, mode="strict"):
                 f"depth {depth} naturally"
             )
     a, b = _check_hull(spec.hull)
+    split = _NodeSplitter(spec)
 
-    segs = [((a, 0.0), (b, 0.0))]
-    level_a, a_lo = [np.array([a])], [np.array([0.0])]
-    level_b, b_lo = [np.array([b])], [np.array([0.0])]
+    A = np.array([a]), np.array([0.0])
+    B = np.array([b]), np.array([0.0])
+    start = (*A, *B, np.zeros(1, np.int64), np.zeros(1, np.int64))  # the hull
+    level_a, a_lo = [A[0]], [A[1]]
+    level_b, b_lo = [B[0]], [B[1]]
     gap_c, c_lo = [np.empty(0)], [np.empty(0)]
     gap_d, d_lo = [np.empty(0)], [np.empty(0)]
 
     for n in range(depth):
-        gaps = []
-        nxt = []
-        for j, (U, V) in enumerate(segs):
+        # overflow and NaN stay silent, as in float arithmetic; the split
+        # check below refuses what they produce
+        with np.errstate(over="ignore", invalid="ignore"):
             if mode == "strict":
-                raw = _find_gap_dd(spec, U, V)
-                G, H = _tighten_dd(spec, *raw)
+                G, H, start, failed = _strict_gaps(split, A, B, start)
             else:
-                got = _split(spec, U, V, n, j)
-                if got is None:
-                    raise SpecError(f"gap tree has no data at level {n}")
-                G, H = got
-            if not (U < G and H < V):
-                raise SpecError(
-                    f"level {n + 1} split degenerated: segment "
-                    f"[{U[0]!r}, {V[0]!r}] with gap ({G[0]!r}, {H[0]!r})"
-                )
-            gaps.append((G, H))
-            nxt.append((U, G))
-            nxt.append((H, V))
-        segs = nxt
-        gap_c.append(np.array([g[0][0] for g in gaps]))
-        c_lo.append(np.array([g[0][1] for g in gaps]))
-        gap_d.append(np.array([g[1][0] for g in gaps]))
-        d_lo.append(np.array([g[1][1] for g in gaps]))
-        level_a.append(np.array([s[0][0] for s in segs]))
-        a_lo.append(np.array([s[0][1] for s in segs]))
-        level_b.append(np.array([s[1][0] for s in segs]))
-        b_lo.append(np.array([s[1][1] for s in segs]))
+                m = A[0].size
+                G, H = split(A, B, np.full(m, n), np.arange(m))
+                failed = np.zeros(m, bool)
+            _check_splits(spec, mode, n, A, B, G, H, failed)
+        # children of segment i are [A_i, G_i] (index 2i) and [H_i, B_i] (2i + 1)
+        A = tuple(_interleave(u, g) for u, g in zip(A, H))
+        B = tuple(_interleave(g, v) for g, v in zip(G, B))
+        gap_c.append(G[0])
+        c_lo.append(G[1])
+        gap_d.append(H[0])
+        d_lo.append(H[1])
+        level_a.append(A[0])
+        a_lo.append(A[1])
+        level_b.append(B[0])
+        b_lo.append(B[1])
 
     return TargetSystem(spec, mode, depth, level_a, level_b, gap_c, gap_d,
                         a_lo, b_lo, c_lo, d_lo)
+
+
+def _interleave(even, odd):
+    out = np.empty(2 * even.size, even.dtype)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
+def _pick(mask, x, y):
+    """Elementwise x where mask else y, over matching tuples of arrays."""
+    return tuple(np.where(mask, u, v) for u, v in zip(x, y))
+
+
+def _put(out, lane, mask, x):
+    """Store the masked lanes of a tuple of arrays into lane slots of out."""
+    for o, u in zip(out, x):
+        o[lane[mask]] = u[mask]
+
+
+def _check_splits(spec, mode, n, U, V, G, H, failed):
+    """Raise the scalar build's error for the first failing segment: its own
+    descent error in strict mode, else a degenerate split."""
+    # strict U < G and H < V, false on NaN like tuple comparison
+    ok = (_dd.le(*U, *G) & ~_dd.le(*G, *U)) & (_dd.le(*H, *V) & ~_dd.le(*V, *H))
+    bad = failed | ~ok
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    Uk, Vk, Gk, Hk = ((float(x[0][k]), float(x[1][k])) for x in (U, V, G, H))
+    if mode == "strict":
+        Gk, Hk = _tighten_dd(spec, *_find_gap_dd(spec, Uk, Vk))
+    raise SpecError(
+        f"level {n + 1} split degenerated: segment "
+        f"[{Uk[0]!r}, {Vk[0]!r}] with gap ({Gk[0]!r}, {Hk[0]!r})"
+    )
+
+
+class _NodeSplitter:
+    """_split for many tree nodes at once.
+
+    A call takes dd pairs of arrays U, V and int arrays n, j (level and
+    index), one node per lane, and applies the scalar formulas elementwise,
+    so every lane gets the bits _split would give it.  `limit` is the first
+    level the scalar descents cannot visit: 64, or an explicit tree's stored
+    depth when that is smaller (where _split runs out of data).
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.limit = 64
+        if isinstance(spec, ExplicitGapTree):
+            self.limit = min(64, len(spec.levels))
+            # gaps in heap order: node (n, j) sits at 2^n - 1 + j
+            flat = [gap for level in spec.levels for gap in level]
+            gaps = np.array(flat, dtype=float).reshape(len(flat), 2)
+            self.g, self.h = gaps[:, 0], gaps[:, 1]
+        elif isinstance(spec, (MiddleAlpha, FatCantor)):
+            self.fracs = np.array(_fractions(spec, 64)).T
+
+    def __call__(self, U, V, n, j):
+        spec = self.spec
+        if isinstance(spec, ExplicitGapTree):
+            k = (1 << n) - 1 + j
+            zero = np.zeros(k.size)
+            return (self.g[k], zero), (self.h[k], zero)
+        if isinstance(spec, AffineIFS2):
+            return _cut(spec, U, V, None)
+        if isinstance(spec, (MiddleAlpha, FatCantor)):
+            return _cut(spec, U, V, (self.fracs[0][n], self.fracs[1][n]))
+        raise DomainError(f"unsupported spec type {type(spec).__name__}")
+
+
+def _strict_gaps(split, C, D, start):
+    """_tighten_dd(_find_gap_dd(segment)) for every segment [C_i, D_i] of a
+    level, as masked descents with one lane per segment.
+
+    Each lane begins at its start node (U, V, n, j) instead of the hull (see
+    the module docstring).  Returns the gaps G, H, the start nodes of the 2m
+    children and a mask of the lanes whose scalar descents raise.
+    """
+    w = _dd.sub(*D, *C)
+    third = _dd.div(*w, 3.0, 0.0)
+    lo = _dd.add(*C, *third)
+    hi = _dd.sub(*D, *third)
+    m = w[0].size
+    failed = np.zeros(m, bool)
+
+    def lanes(state):
+        # drop lanes whose node level (state[5]) the scalar descents cannot visit
+        stop = state[5] >= split.limit
+        failed[state[0][stop]] = True
+        return tuple(x[~stop] for x in state)
+
+    # _find_gap_dd: (lane, Uh, Ul, Vh, Vl, n, j, loh, lol, hih, hil, slack)
+    E, F = _blank(m, 2), _blank(m, 2)
+    state = lanes((np.arange(m), *start, *lo, *hi, 1e-12 * w[0]))
+    while state[0].size:
+        lane, Uh, Ul, Vh, Vl, n, j, loh, lol, hih, hil, sl = state
+        lo, hi = (loh, lol), (hih, hil)
+        Gs, Hs = split((Uh, Ul), (Vh, Vl), n, j)
+        inside = (_dd.le(*_dd.sub(*lo, *Gs), sl, 0.0)
+                  & _dd.le(*_dd.sub(*Hs, *hi), sl, 0.0))
+        swallow = (~inside & _dd.le(*_dd.sub(*Gs, *lo), sl, 0.0)
+                   & _dd.le(*_dd.sub(*hi, *Hs), sl, 0.0))
+        _put(E, lane, inside, Gs)
+        _put(F, lane, inside, Hs)
+        _put(E, lane, swallow, _pick(_dd.le(*Gs, *lo), lo, Gs))
+        _put(F, lane, swallow, _pick(_dd.le(*hi, *Hs), hi, Hs))
+        gap_left = _dd.le(*Hs, *lo)
+        gap_right = ~gap_left & _dd.le(*hi, *Gs)
+        cut_left = ~gap_left & ~gap_right & _dd.le(*Gs, *lo)
+        cut_right = ~gap_left & ~gap_right & ~cut_left
+        right = gap_left | cut_left
+        lo = _pick(cut_left, Hs, lo)
+        hi = _pick(cut_right, Gs, hi)
+        U = _pick(right, Hs, (Uh, Ul))
+        V = _pick(right, (Vh, Vl), Gs)
+        go = ~(inside | swallow)
+        state = lanes(tuple(x[go] for x in (
+            lane, *U, *V, n + 1, 2 * j + right, *lo, *hi, sl)))
+
+    # _tighten_dd with zero slack: (lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl)
+    G, H = _blank(m, 2), _blank(m, 2)
+    node = (*_blank(m, 4), np.zeros(m, np.int64), np.zeros(m, np.int64))
+    ok = ~failed
+    state = lanes((np.flatnonzero(ok), *(x[ok] for x in (*start, *E, *F))))
+    while state[0].size:
+        lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl = state
+        e, f = (eh, el), (fh, fl)
+        Gs, Hs = split((Uh, Ul), (Vh, Vl), n, j)
+        hit = (_dd.le(*_dd.sub(*Gs, *e), 0.0, 0.0)
+               & _dd.le(*_dd.sub(*f, *Hs), 0.0, 0.0))
+        _put(G, lane, hit, Gs)
+        _put(H, lane, hit, Hs)
+        _put(node, lane, hit, (Uh, Ul, Vh, Vl, n, j))
+        left = ~hit & _dd.le(*f, *Gs)
+        right = ~hit & ~left & _dd.le(*Hs, *e)
+        failed[lane[~(hit | left | right)]] = True  # members inside (e, f)
+        U = _pick(right, Hs, (Uh, Ul))
+        V = _pick(left, Gs, (Vh, Vl))
+        go = left | right
+        state = lanes(tuple(x[go] for x in (
+            lane, *U, *V, n + 1, 2 * j + right, *e, *f)))
+
+    # a child starts at the matching child of its gap's node when that node
+    # contains it, else where its parent started
+    Uh, Ul, Vh, Vl, n, j = node
+    left = _pick(_dd.le(Uh, Ul, *C), (Uh, Ul, *G, n + 1, 2 * j), start)
+    right = _pick(_dd.le(*D, Vh, Vl), (*H, Vh, Vl, n + 1, 2 * j + 1), start)
+    children = tuple(_interleave(x, y) for x, y in zip(left, right))
+    return G, H, children, failed
+
+
+def _blank(m, k):
+    return tuple(np.zeros(m) for _ in range(k))

@@ -8,6 +8,7 @@ recomputed in 60-digit Decimal from the binary64 ratios).
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cantordyn import (
     middle_thirds,
     tighten_gap,
 )
+from cantordyn.target_cantor import _find_gap_dd, _split, _tighten_dd
 
 
 def exact_thirds_level(n):
@@ -170,12 +172,13 @@ def test_middle_alpha_half():
 
 
 def test_middle_alpha_strict_equals_natural():
-    for alpha in (0.2, 1 / 3, 0.5, 0.8):
-        strict = build_target_system(MiddleAlpha(alpha), 5, mode="strict")
-        natural = build_target_system(MiddleAlpha(alpha), 5, mode="natural")
-        for n in range(6):
-            assert np.array_equal(strict.level_a[n], natural.level_a[n])
-            assert np.array_equal(strict.level_b[n], natural.level_b[n])
+    # centred families: the middle-third certificate picks the natural gap
+    specs = [MiddleAlpha(alpha) for alpha in (0.2, 1 / 3, 0.5, 0.8)]
+    specs += [middle_thirds(), FatCantor(0.3, 0.5), FatCantor(0.25, 0.5)]
+    for spec in specs:
+        strict = build_target_system(spec, 10, mode="strict")
+        natural = build_target_system(spec, 10, mode="natural")
+        assert_same_levels(strict, natural)
 
 
 def test_strict_certificate_bound(affine):
@@ -236,6 +239,29 @@ class TestExplicitGapTree:
     def test_natural_beyond_stored_depth(self):
         with pytest.raises(SpecError):
             build_target_system(self.tree(), 3, mode="natural")
+
+    def centred_tree(self):
+        # every gap meets the middle third of its segment
+        return ExplicitGapTree(
+            hull=(0.0, 1.0),
+            levels=(((0.4, 0.6),), ((0.15, 0.25), (0.75, 0.85))),
+        )
+
+    def test_strict_build(self):
+        tree = self.centred_tree()
+        system = build_target_system(tree, 2, mode="strict")
+        assert system.segments(2).tolist() == [
+            [0.0, 0.15], [0.25, 0.4], [0.6, 0.75], [0.85, 1.0]]
+        assert_same_levels(system, build_target_system(tree, 2, mode="natural"))
+
+    def test_strict_beyond_stored_depth(self):
+        with pytest.raises(SpecError, match="no data below level 2"):
+            build_target_system(self.centred_tree(), 3, mode="strict")
+        # (0.1, 0.2) straddles the middle third of [0, 0.4], so the descent
+        # already leaves the stored levels at depth 2
+        assert build_target_system(self.tree(), 1, mode="strict").depth == 1
+        with pytest.raises(SpecError, match=r"cannot refine \[0.0, 0.4\]"):
+            build_target_system(self.tree(), 2, mode="strict")
 
     def test_membership_clamps(self):
         tree = self.tree()
@@ -307,3 +333,107 @@ def test_affine_invariants(r1, r2, depth):
     # stored cut points are members of the underlying set
     for x in np.concatenate([system.level_a[depth], system.level_b[depth]]):
         assert membership(AffineIFS2(r1, r2), float(x), 16)
+
+
+LEVEL_ARRAYS = ("level_a", "a_lo", "level_b", "b_lo", "gap_c", "c_lo", "gap_d", "d_lo")
+
+
+def assert_same_levels(x, y):
+    assert x.depth == y.depth
+    for name in LEVEL_ARRAYS:
+        for n in range(x.depth + 1):
+            assert np.array_equal(getattr(x, name)[n], getattr(y, name)[n]), (name, n)
+
+
+def reference_build(spec, depth, mode):
+    """Per-segment build from the scalar helpers, holding the level arrays
+    of a TargetSystem."""
+    a, b = spec.hull
+    segs, gaps = [((float(a), 0.0), (float(b), 0.0))], []
+    ref = SimpleNamespace(depth=depth, **{name: [] for name in LEVEL_ARRAYS})
+    for n in range(depth + 1):
+        columns = zip(LEVEL_ARRAYS[::2], LEVEL_ARRAYS[1::2],
+                      ([s[0] for s in segs], [s[1] for s in segs],
+                       [g[0] for g in gaps], [g[1] for g in gaps]))
+        for hi, lo, pairs in columns:
+            getattr(ref, hi).append(np.array([x[0] for x in pairs]))
+            getattr(ref, lo).append(np.array([x[1] for x in pairs]))
+        if n == depth:
+            return ref
+        gaps, nxt = [], []
+        for j, (U, V) in enumerate(segs):
+            if mode == "strict":
+                G, H = _tighten_dd(spec, *_find_gap_dd(spec, U, V))
+            else:
+                G, H = _split(spec, U, V, n, j)
+            gaps.append((G, H))
+            nxt += [(U, G), (H, V)]
+        segs = nxt
+
+
+def assert_matches_reference(spec, depth, mode):
+    try:
+        reference = reference_build(spec, depth, mode)
+    except SpecError as exc:
+        # e.g. a strict descent past the 64-level limit: same error, same text
+        with pytest.raises(SpecError) as got:
+            build_target_system(spec, depth, mode)
+        assert str(got.value) == str(exc)
+        return
+    assert_same_levels(build_target_system(spec, depth, mode), reference)
+
+
+ORACLE_SPECS = [
+    middle_thirds(),
+    MiddleAlpha(0.2),
+    MiddleAlpha(0.5),
+    MiddleAlpha(0.8),
+    FatCantor(0.3, 0.5),
+    AffineIFS2(0.3, 0.2),
+    AffineIFS2(0.2, 0.5),
+    AffineIFS2(0.5, 0.1),
+    AffineIFS2(0.8, 0.1),
+    # off-centre gaps, each inside the middle third of its segment
+    ExplicitGapTree(
+        hull=(-1.0, 2.0),
+        levels=(
+            ((0.2, 0.9),),
+            ((-0.5, -0.3), (1.3, 1.6)),
+            ((-0.8, -0.7), (-0.1, 0.0), (1.05, 1.1), (1.75, 1.85)),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("mode", ["strict", "natural"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=repr)
+def test_build_matches_scalar_reference(spec, mode):
+    # the level-at-a-time build stores the bits of the per-segment loop
+    depth = spec.depth if isinstance(spec, ExplicitGapTree) else 9
+    assert_matches_reference(spec, depth, mode)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    r1=st.floats(min_value=0.02, max_value=0.95),
+    r2=st.floats(min_value=0.02, max_value=0.95),
+    depth=st.integers(0, 6),
+    mode=st.sampled_from(["strict", "natural"]),
+)
+def test_affine_build_matches_scalar_reference(r1, r2, depth, mode):
+    if not r1 + r2 < 0.97:
+        return
+    assert_matches_reference(AffineIFS2(r1, r2), depth, mode)
+
+
+def test_strict_middle_thirds_depth_16_exact(thirds):
+    # every stored endpoint is the correctly rounded k / 3^16
+    system = build_target_system(thirds, 16)
+    lefts = np.array([0], dtype=np.int64)  # level-n left ends in units of 3^-n
+    for _ in range(16):
+        lefts = np.stack([3 * lefts, 3 * lefts + 2], axis=1).ravel()
+    scale = 3 ** 16
+    assert np.array_equal(system.level_a[16],
+                          [float(Fraction(int(k), scale)) for k in lefts])
+    assert np.array_equal(system.level_b[16],
+                          [float(Fraction(int(k) + 1, scale)) for k in lefts])
