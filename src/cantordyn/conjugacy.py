@@ -11,6 +11,8 @@ abscissa returns the paired ordinate bit for bit, which is what lets orbits
 of F* = phi o F o phi^(-1) lock onto the endpoint cycles instead of drifting
 off the invariant set within a handful of expanding steps.  Interior
 arithmetic runs in double-double; public results are correctly rounded.
+Every evaluator also takes an ndarray and then gives, lane by lane, the
+bits of the scalar call.
 """
 
 import random
@@ -112,34 +114,98 @@ def _eval_dd(xs, xs_lo, ys, ys_lo, xh, xl):
     return _dd.add(ys[i], ys_lo[i], *dy)
 
 
+def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
+    """_eval_dd over arrays of double-double points, with the same bits.
+
+    One searchsorted places every point; each lane then takes the branch
+    the scalar version would take: the paired knot on an exact (hi, lo)
+    match (hull corners included), the slope-one tail outside the hull, and
+    otherwise the dd interpolation on its piece, a point dd-below a knot
+    belonging to the piece left of it.  Every branch runs on all lanes and
+    np.where keeps the one each lane needs, so no lane sees another's
+    arithmetic.
+    """
+    last = xs.size - 1
+    i = np.clip(np.searchsorted(xs, xh, side="right") - 1, 0, last)
+    on_knot = xs[i] == xh
+    hit = on_knot & (xs_lo[i] == xl)
+    left = _dd.le(xh, xl, xs[0], xs_lo[0])
+    tail = left | _dd.le(xs[-1], xs_lo[-1], xh, xl)
+    j = np.clip(i - (on_knot & (xl < xs_lo[i])), 0, last - 1)
+    off_l = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
+    off_r = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        th, tl = _dd.add(xh, xl, np.where(left, off_l[0], off_r[0]),
+                         np.where(left, off_l[1], off_r[1]))
+        dx = _dd.sub(xh, xl, xs[j], xs_lo[j])
+        t = _dd.div(*dx, *_dd.sub(xs[j + 1], xs_lo[j + 1], xs[j], xs_lo[j]))
+        dy = _dd.mul(*t, *_dd.sub(ys[j + 1], ys_lo[j + 1], ys[j], ys_lo[j]))
+        ih, il = _dd.add(ys[j], ys_lo[j], *dy)
+    h = np.where(hit, ys[i], np.where(tail, th, ih))
+    l = np.where(hit, ys_lo[i], np.where(tail, tl, il))
+    return h, l
+
+
+def _knot_index(xs, x):
+    """For plain doubles x: the index of the knot whose public coordinate
+    equals each x (clipped into range) and whether it does."""
+    i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
+    return i, xs[i] == x
+
+
+def _finite_array(x):
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("array queries must be finite")
+    return x
+
+
 def _eval_double(xs, xs_lo, ys, ys_lo, x):
     """Evaluate at a plain double.  A query matching a knot's public (hi)
     coordinate counts as that knot and yields the paired full-precision
-    knot: public doubles are the only coordinates callers can name."""
+    knot: public doubles are the only coordinates callers can name.
+
+    An ndarray x is evaluated lane by lane with the same bits."""
+    if isinstance(x, np.ndarray):
+        i, knot = _knot_index(xs, x)
+        h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
+        return np.where(knot, ys[i], h), np.where(knot, ys_lo[i], l)
     i = int(np.searchsorted(xs, x))
     if i < xs.size and xs[i] == x:
         return ys[i], ys_lo[i]
     return _eval_dd(xs, xs_lo, ys, ys_lo, x, 0.0)
 
 
-def eval_phi(pl, x):
-    """phi_N(x): piecewise-linear, exact at knots, slope-one tails."""
+def _eval_public(xs, xs_lo, ys, ys_lo, x):
+    """Correctly rounded value at plain doubles, the knot's public ordinate
+    on a knot match; x is a float or a finite ndarray."""
+    if isinstance(x, np.ndarray):
+        x = _finite_array(x)
+        i, knot = _knot_index(xs, x)
+        h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
+        return np.where(knot, ys[i], h + l)
     x = float(x)
-    i = int(np.searchsorted(pl.xs, x))
-    if i < pl.xs.size and pl.xs[i] == x:
-        return float(pl.ys[i])
-    h, l = _eval_dd(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, x, 0.0)
+    i = int(np.searchsorted(xs, x))
+    if i < xs.size and xs[i] == x:
+        return float(ys[i])
+    h, l = _eval_dd(xs, xs_lo, ys, ys_lo, x, 0.0)
     return h + l
+
+
+def eval_phi(pl, x):
+    """phi_N(x): piecewise-linear, exact at knots, slope-one tails.
+
+    An ndarray x (finite, DomainError otherwise) gives an ndarray of the
+    same shape, equal bit for bit to evaluating each element on its own.
+    """
+    return _eval_public(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, x)
 
 
 def eval_phi_inverse(pl, y):
-    """The unique x with phi_N(x) = y (the knot table read sideways)."""
-    y = float(y)
-    i = int(np.searchsorted(pl.ys, y))
-    if i < pl.ys.size and pl.ys[i] == y:
-        return float(pl.xs[i])
-    h, l = _eval_dd(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, y, 0.0)
-    return h + l
+    """The unique x with phi_N(x) = y (the knot table read sideways).
+
+    Takes a float or a finite ndarray, like eval_phi."""
+    return _eval_public(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, y)
 
 
 def _phi_inv_dd(pl, y):
@@ -148,6 +214,8 @@ def _phi_inv_dd(pl, y):
 
 
 def _phi_dd(pl, xh, xl):
+    if isinstance(xh, np.ndarray):
+        return _eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, xh, xl)
     return _eval_dd(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, xh, xl)
 
 
@@ -156,9 +224,11 @@ def eval_fstar(pl, params, y):
 
     Evaluated compositionally in double-double and rounded once at the end;
     the rounding projects sub-ulp noise away, so endpoint orbits land back on
-    knot coordinates instead of accumulating drift.
+    knot coordinates instead of accumulating drift.  Takes a float or a
+    finite ndarray, like eval_phi.
     """
-    xh, xl = _phi_inv_dd(pl, float(y))
+    y = _finite_array(y) if isinstance(y, np.ndarray) else float(y)
+    xh, xl = _phi_inv_dd(pl, y)
     fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
     yh, yl = _phi_dd(pl, fh, fl)
     return yh + yl
@@ -177,31 +247,34 @@ class MappingReport:
         return not self.violations
 
 
+def _mapping_samples(pl, model, target, samples, seed):
+    """Yield (n, xs, lo, hi) per level n <= pl.depth, segments before gaps:
+    the sampled abscissae with one row of `samples` per segment or gap and
+    the paired target interval of each row.  The draws are those of
+    rng.uniform(a, b) = a + (b - a) * rng.random(), taken in the same order.
+    """
+    rng = random.Random(seed)
+    for n in range(pl.depth + 1):
+        pairs = [(model.level_a[n], model.level_b[n],
+                  target.level_a[n], target.level_b[n])]
+        if n > 0:
+            pairs.append((model.gap_c[n], model.gap_d[n],
+                          target.gap_c[n], target.gap_d[n]))
+        for ma, mb, ta, tb in pairs:
+            u = np.array([rng.random() for _ in range(ma.size * samples)])
+            u = u.reshape(ma.size, samples)
+            yield n, ma[:, None] + (mb - ma)[:, None] * u, ta, tb
+
+
 def segment_mapping_check(pl, model, target, samples, seed=0):
     """Sample points inside every segment and gap through level N and verify
     phi maps each into the paired target segment or gap."""
-    rng = random.Random(seed)
     checked = 0
     bad = []
-    for n in range(pl.depth + 1):
-        ma, mb = model.level_a[n], model.level_b[n]
-        ta, tb = target.level_a[n], target.level_b[n]
-        for j in range(ma.size):
-            for _ in range(samples):
-                x = rng.uniform(ma[j], mb[j])
-                y = eval_phi(pl, x)
-                checked += 1
-                if not ta[j] <= y <= tb[j]:
-                    bad.append((n, j, x, y))
-        if n == 0:
-            continue
-        mc, md = model.gap_c[n], model.gap_d[n]
-        tc, td = target.gap_c[n], target.gap_d[n]
-        for j in range(mc.size):
-            for _ in range(samples):
-                x = rng.uniform(mc[j], md[j])
-                y = eval_phi(pl, x)
-                checked += 1
-                if not tc[j] <= y <= td[j]:
-                    bad.append((n, j, x, y))
+    for n, xs, lo, hi in _mapping_samples(pl, model, target, samples, seed):
+        ys = eval_phi(pl, xs)
+        checked += xs.size
+        inside = (lo[:, None] <= ys) & (ys <= hi[:, None])
+        for j, k in zip(*np.nonzero(~inside)):
+            bad.append((n, int(j), xs[j, k], ys[j, k]))
     return MappingReport(samples_checked=checked, violations=tuple(bad))

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _dd
-from .conjugacy import _phi_dd, _phi_inv_dd
+from .conjugacy import _finite_array, _phi_dd, _phi_inv_dd
 from .errors import DomainError
 from .quadratic_map import QuadraticParams, derive_params
 
@@ -36,7 +36,8 @@ class OrbitResult:
     escaped=True: `iteration` is the first index n with |x_n| beyond the
     escape radius.  escaped=False: `iteration` is the number of iterations
     run without escaping.  `trajectory` optionally keeps the first iterates
-    (capped), starting with the initial point.
+    (capped), starting with the initial point.  A batched iterate_target
+    fills `escaped` and `iteration` with arrays, one entry per start point.
     """
 
     escaped: bool
@@ -86,11 +87,20 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
 
     Each step stores the iterate as a plain double (the observable state of
     eval_fstar) before mapping back, so orbit and pointwise evaluation agree.
+
+    An ndarray y0 (finite) iterates every lane at once: the result's
+    `escaped` (bool) and `iteration` (int64) are arrays of y0's shape, equal
+    lane by lane to the scalar call, and `trajectory` is None.
     """
     max_iter = int(max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     threshold = params.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
+    if isinstance(y0, np.ndarray):
+        if keep_trajectory:
+            raise DomainError("keep_trajectory needs a scalar y0")
+        return _iterate_target_array(pl, params, _finite_array(y0), max_iter,
+                                     threshold)
     y = float(y0)
     traj = [] if keep_trajectory else None
     for n in range(max_iter + 1):
@@ -105,6 +115,28 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
         yh, yl = _phi_dd(pl, fh, fl)
         y = yh + yl
     return OrbitResult(False, max_iter, tuple(traj) if traj is not None else None)
+
+
+def _iterate_target_array(pl, params, y0, max_iter, threshold):
+    """The loop of iterate_target over the lanes of y0 that have not yet
+    escaped, as mandelbrot_grid keeps its alive pixels."""
+    escaped = np.zeros(y0.shape, dtype=bool)
+    iteration = np.full(y0.shape, max_iter, dtype=np.int64)
+    alive = np.arange(y0.size)
+    y = y0.ravel()
+    for n in range(max_iter + 1):
+        xh, xl = _phi_inv_dd(pl, y)
+        esc = np.abs(xh + xl) > threshold
+        if esc.any():
+            escaped.flat[alive[esc]] = True
+            iteration.flat[alive[esc]] = n
+            alive, xh, xl = alive[~esc], xh[~esc], xl[~esc]
+        if n == max_iter or alive.size == 0:
+            break
+        fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
+        yh, yl = _phi_dd(pl, fh, fl)
+        y = yh + yl
+    return OrbitResult(escaped, iteration)
 
 
 def cobweb_trace(f, x0, steps):

@@ -34,6 +34,8 @@ from .model_cantor import IntervalSystem, _validate_depth
 
 def _check_hull(hull):
     a, b = float(hull[0]), float(hull[1])
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise DomainError(f"hull must be finite, got [{a!r}, {b!r}]")
     if not a < b:
         raise DomainError(f"hull must satisfy a < b, got [{a!r}, {b!r}]")
     return a, b

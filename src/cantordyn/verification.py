@@ -3,7 +3,9 @@
 Each suite re-derives a property of the library from scratch (bisection
 oracles, enumeration, brute-force iteration) and compares it with what the
 library computes.  Tolerances mirror the documented guarantees; a failed
-suite reports the first violation it saw.
+suite reports the first violation it saw.  The conjugacy-map and dichotomy
+suites evaluate and iterate whole arrays, then report the first violation
+in the order of a point-by-point scan.
 """
 
 from dataclasses import dataclass
@@ -172,31 +174,42 @@ def _suite_target_construction(spec, depth):
     return True, f"depth {depth}: strict refinement consistent with membership"
 
 
+def _first(bad):
+    """Index of the first True in a bool array, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def _suite_conjugacy_map(pl, model, target):
     xs, ys = pl.xs, pl.ys
     if not (np.all(np.diff(xs) > 0.0) and np.all(np.diff(ys) > 0.0)):
         return False, "knot coordinates are not strictly increasing"
-    for n in range(pl.depth + 1):
-        for mx, tx in ((model.level_a[n], target.level_a[n]),
-                       (model.level_b[n], target.level_b[n])):
-            for x, y in zip(mx, tx):
-                got = conjugacy.eval_phi(pl, float(x))
-                if got != float(y):
-                    return False, (
-                        f"knot not exact: phi({float(x)!r}) = {got!r} "
-                        f"!= {float(y)!r}"
-                    )
+    # knots level by level, level_a before level_b, as one batch
+    pairs = [(m[n], t[n]) for n in range(pl.depth + 1)
+             for m, t in ((model.level_a, target.level_a),
+                          (model.level_b, target.level_b))]
+    kx = np.concatenate([mx for mx, _ in pairs])
+    ky = np.concatenate([tx for _, tx in pairs])
+    got = conjugacy.eval_phi(pl, kx)
+    k = _first(got != ky)
+    if k is not None:
+        return False, (
+            f"knot not exact: phi({float(kx[k])!r}) = {float(got[k])!r} "
+            f"!= {float(ky[k])!r}"
+        )
     lo, hi = model.hull
     grid = np.linspace(lo - 0.5, hi + 0.5, 4001)
-    prev = -np.inf
-    for x in grid:
-        y = conjugacy.eval_phi(pl, float(x))
-        if y <= prev:
-            return False, f"phi not increasing near x={float(x)!r}"
-        prev = y
-        back = conjugacy.eval_phi_inverse(pl, y)
-        if abs(back - float(x)) > 1e-12 * max(1.0, abs(float(x))):
-            return False, f"round trip off at x={float(x)!r}: {back!r}"
+    y = conjugacy.eval_phi(pl, grid)
+    back = conjugacy.eval_phi_inverse(pl, y)
+    # at each point monotonicity is checked before the round trip
+    not_up = y <= np.concatenate([[-np.inf], y[:-1]])
+    off = np.abs(back - grid) > 1e-12 * np.maximum(1.0, np.abs(grid))
+    k = _first(not_up | off)
+    if k is not None:
+        if not_up[k]:
+            return False, f"phi not increasing near x={float(grid[k])!r}"
+        return False, (
+            f"round trip off at x={float(grid[k])!r}: {float(back[k])!r}"
+        )
     report = conjugacy.segment_mapping_check(pl, model, target, samples=4)
     if not report.ok:
         return False, f"segment mapping check: {report.violations} violations"
@@ -225,20 +238,25 @@ def _suite_conjugacy_spot_values(pl, params, target):
 
 
 def _suite_dichotomy(pl, params, target):
-    for n in range(1, min(target.depth, 5) + 1):
-        for gc, gd in zip(target.gap_c[n], target.gap_d[n]):
-            mid = 0.5 * (float(gc) + float(gd))
-            res = orbit_engine.iterate_target(pl, params, mid, 200)
-            if not res.escaped:
-                return False, f"gap midpoint {mid!r} failed to escape in 200"
-    for n in range(min(target.depth, 8) + 1):
-        for y in np.concatenate([target.level_a[n], target.level_b[n]]):
-            res = orbit_engine.iterate_target(pl, params, float(y), 25)
-            if res.escaped:
-                return False, (
-                    f"level-{n} endpoint {float(y)!r} escaped at "
-                    f"iteration {res.iteration}"
-                )
+    # np.empty(0) keeps a depth-0 target, which has no gaps, working
+    mids = np.concatenate([np.empty(0)] + [
+        0.5 * (target.gap_c[n] + target.gap_d[n])
+        for n in range(1, min(target.depth, 5) + 1)])
+    res = orbit_engine.iterate_target(pl, params, mids, 200)
+    k = _first(~res.escaped)
+    if k is not None:
+        return False, f"gap midpoint {float(mids[k])!r} failed to escape in 200"
+    per_level = [np.concatenate([target.level_a[n], target.level_b[n]])
+                 for n in range(min(target.depth, 8) + 1)]
+    ends = np.concatenate(per_level)
+    level = np.repeat(np.arange(len(per_level)), [e.size for e in per_level])
+    res = orbit_engine.iterate_target(pl, params, ends, 25)
+    k = _first(res.escaped)
+    if k is not None:
+        return False, (
+            f"level-{level[k]} endpoint {float(ends[k])!r} escaped at "
+            f"iteration {res.iteration[k]}"
+        )
     return True, (
         "gap midpoints (levels <= 5) escape within 200 iterations, "
         "endpoints (levels <= 8) stay bounded for 25"

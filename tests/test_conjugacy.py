@@ -8,20 +8,31 @@ F*(1/2) = phi(-3) = 0 + (-3 + p) = -0.6972243622680053 (correctly rounded;
 checked in 60-digit Decimal from p = (1 + sqrt(13))/2).
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantordyn import (
+    AffineIFS2,
     DomainError,
+    FatCantor,
     build_model_system,
     build_phi,
     build_target_system,
+    derive_params,
     eval_fstar,
     eval_phi,
     eval_phi_inverse,
     middle_thirds,
     segment_mapping_check,
+)
+from cantordyn.conjugacy import (
+    MappingReport,
+    _eval_dd,
+    _eval_dd_array,
+    _mapping_samples,
 )
 
 THIRD = 0.3333333333333333
@@ -149,3 +160,158 @@ def test_round_trip_random(phi12, x):
 )
 def test_strictly_increasing_random(phi12, x, h):
     assert eval_phi(phi12, x) < eval_phi(phi12, x + h)
+
+
+# --- array evaluation: equal to the scalar path bit for bit ---------------
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def phi_cases(phi12, params3):
+    """phi12 plus an affine-strict and a fat-natural phi, with their params."""
+    p25 = derive_params(-2.5)
+    affine = build_phi(build_model_system(p25, 9),
+                       build_target_system(AffineIFS2(0.3, 0.2), 9), 9)
+    fat = build_phi(build_model_system(params3, 9),
+                    build_target_system(FatCantor(0.3, 0.5), 9, mode="natural"),
+                    9)
+    return [(phi12, params3), (affine, p25), (fat, params3)]
+
+
+def knot_index(pl):
+    """Every knot of a small phi; about 1024 of a larger one, both corners
+    included, to keep the scalar reference loops short."""
+    n = pl.xs.size
+    return np.unique(np.r_[0:n:max(1, n // 1024), n - 1])
+
+
+def probe_points(knots):
+    """Knots, their nextafter neighbours, the hull corners, both tails and a
+    spread of interior points."""
+    return np.concatenate([
+        knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+        [knots[0] - 1.0, knots[0] - 1e-9, knots[-1] + 1e-9, knots[-1] + 2.5],
+        np.linspace(knots[0] - 0.5, knots[-1] + 0.5, 257),
+    ])
+
+
+def test_array_eval_matches_scalar(phi_cases):
+    for pl, params in phi_cases:
+        for f, knots in ((eval_phi, pl.xs), (eval_phi_inverse, pl.ys),
+                         (lambda pl, v: eval_fstar(pl, params, v), pl.ys)):
+            q = probe_points(knots[knot_index(pl)])
+            assert same_bits(f(pl, q), [f(pl, float(v)) for v in q])
+
+
+def test_array_dd_eval_matches_scalar(phi_cases):
+    """Exact (hi, lo) knot hits, dd-below and dd-above neighbours, tails."""
+    for pl, _ in phi_cases:
+        for xs, xs_lo, ys, ys_lo in ((pl.xs, pl.xs_lo, pl.ys, pl.ys_lo),
+                                     (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)):
+            sel = knot_index(pl)
+            q = probe_points(xs[sel])
+            lo = np.zeros_like(q)
+            for shift in (0.0, -1e-30, 1e-30):
+                lo[:sel.size] = xs_lo[sel] + shift
+                h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, q, lo)
+                ref = [_eval_dd(xs, xs_lo, ys, ys_lo, float(a), float(b))
+                       for a, b in zip(q, lo)]
+                assert same_bits(h, [r[0] for r in ref])
+                assert same_bits(l, [r[1] for r in ref])
+
+
+def test_array_eval_shapes(phi12, params3):
+    for f in (lambda v: eval_phi(phi12, v), lambda v: eval_phi_inverse(phi12, v),
+              lambda v: eval_fstar(phi12, params3, v)):
+        assert f(np.empty(0)).shape == (0,)
+        one = f(np.array([0.5]))
+        assert one.shape == (1,) and same_bits(one[0], f(0.5))
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert same_bits(f(grid), [[f(float(v)) for v in row] for row in grid])
+
+
+def test_array_eval_rejects_nonfinite(phi12, params3):
+    for bad in (np.inf, -np.inf, np.nan):
+        q = np.array([0.5, bad])
+        with pytest.raises(DomainError):
+            eval_phi(phi12, q)
+        with pytest.raises(DomainError):
+            eval_phi_inverse(phi12, q)
+        with pytest.raises(DomainError):
+            eval_fstar(phi12, params3, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=-4.0, max_value=4.0), max_size=20))
+def test_array_eval_random(phi12, params3, values):
+    q = np.array(values, dtype=np.float64)
+    assert same_bits(eval_phi(phi12, q), [eval_phi(phi12, v) for v in values])
+    assert same_bits(eval_phi_inverse(phi12, q),
+                     [eval_phi_inverse(phi12, v) for v in values])
+    assert same_bits(eval_fstar(phi12, params3, q),
+                     [eval_fstar(phi12, params3, v) for v in values])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8191),
+                          st.sampled_from([0.0, -1e-30, 1e-30, -1e-20, 1e-20])),
+                max_size=20))
+def test_array_dd_eval_random(phi12, picks):
+    """Double-double queries on and beside the knots of phi12."""
+    xh = np.array([phi12.xs[i] for i, _ in picks], dtype=np.float64)
+    xl = np.array([phi12.xs_lo[i] + d for i, d in picks], dtype=np.float64)
+    args = (phi12.xs, phi12.xs_lo, phi12.ys, phi12.ys_lo)
+    h, l = _eval_dd_array(*args, xh, xl)
+    ref = [_eval_dd(*args, float(a), float(b)) for a, b in zip(xh, xl)]
+    assert same_bits(h, [r[0] for r in ref])
+    assert same_bits(l, [r[1] for r in ref])
+
+
+def segment_mapping_loop(pl, model, target, samples, seed):
+    """segment_mapping_check as a per-point loop, also returning the sampled
+    abscissae: the reference the array version must reproduce."""
+    rng = random.Random(seed)
+    checked = 0
+    bad = []
+    drawn = []
+    for n in range(pl.depth + 1):
+        groups = [(model.level_a[n], model.level_b[n],
+                   target.level_a[n], target.level_b[n])]
+        if n > 0:
+            groups.append((model.gap_c[n], model.gap_d[n],
+                           target.gap_c[n], target.gap_d[n]))
+        for ma, mb, ta, tb in groups:
+            for j in range(ma.size):
+                for _ in range(samples):
+                    x = rng.uniform(ma[j], mb[j])
+                    drawn.append(x)
+                    y = eval_phi(pl, x)
+                    checked += 1
+                    if not ta[j] <= y <= tb[j]:
+                        bad.append((n, j, x, y))
+    return MappingReport(samples_checked=checked, violations=tuple(bad)), drawn
+
+
+def test_segment_mapping_matches_loop(phi12, model12, thirds12):
+    report = segment_mapping_check(phi12, model12, thirds12, samples=2, seed=7)
+    ref, drawn = segment_mapping_loop(phi12, model12, thirds12, 2, 7)
+    assert report == ref
+    xs = np.concatenate([x.ravel() for _, x, _, _ in
+                         _mapping_samples(phi12, model12, thirds12, 2, 7)])
+    assert same_bits(xs, drawn)
+
+
+def test_segment_mapping_violations_match_loop(model12, thirds12):
+    """Checked against the wrong target, every violation is reported in the
+    loop's order with the loop's values."""
+    pl = build_phi(model12, thirds12, 5)
+    other = build_target_system(FatCantor(0.3, 0.5), 5, mode="natural")
+    report = segment_mapping_check(pl, model12, other, samples=3, seed=1)
+    ref, _ = segment_mapping_loop(pl, model12, other, 3, 1)
+    assert report.violations and report == ref
+    assert repr(report.violations) == repr(ref.violations)

@@ -99,6 +99,53 @@ class TestIterateTarget:
             assert not result.escaped, y0
 
 
+class TestIterateTargetBatched:
+    """An ndarray y0 gives, lane by lane, the scalar call's verdict."""
+
+    def starts(self, thirds12):
+        mids = np.concatenate([0.5 * (thirds12.gap_c[n] + thirds12.gap_d[n])
+                               for n in range(1, 6)])
+        ends = np.concatenate([np.concatenate([thirds12.level_a[n],
+                                               thirds12.level_b[n]])
+                               for n in range(6)])
+        outside = np.array([-3.0, -0.5, -1e-9, 1.0 + 1e-9, 1.5, 2.0])
+        return np.concatenate([mids, ends, outside])
+
+    def test_lanes_match_scalar(self, phi12, params3, thirds12):
+        y0 = self.starts(thirds12)
+        for max_iter in (1, 3, 25, 200):
+            res = iterate_target(phi12, params3, y0, max_iter)
+            assert res.escaped.dtype == bool
+            assert res.iteration.dtype == np.int64
+            assert res.trajectory is None
+            for k, y in enumerate(y0):
+                ref = iterate_target(phi12, params3, float(y), max_iter)
+                assert (bool(res.escaped[k]), int(res.iteration[k])) == \
+                    (ref.escaped, ref.iteration), (y, max_iter)
+
+    def test_mixed_verdicts(self, phi12, params3):
+        res = iterate_target(phi12, params3, np.array([0.5, 1 / 3, 2.0]), 100)
+        assert res.escaped.tolist() == [True, False, True]
+        assert res.iteration.tolist() == [1, 100, 0]
+
+    def test_empty_and_shape(self, phi12, params3):
+        res = iterate_target(phi12, params3, np.empty(0), 10)
+        assert res.escaped.shape == res.iteration.shape == (0,)
+        grid = np.array([[0.0, 0.5], [1.0, 2.0]])
+        res = iterate_target(phi12, params3, grid, 10)
+        assert res.escaped.tolist() == [[False, True], [False, True]]
+        assert res.iteration.tolist() == [[10, 1], [10, 0]]
+
+    def test_validation(self, phi12, params3):
+        y0 = np.array([0.5, 1.0])
+        with pytest.raises(DomainError):
+            iterate_target(phi12, params3, y0, 0)
+        with pytest.raises(DomainError):
+            iterate_target(phi12, params3, y0, 10, keep_trajectory=5)
+        with pytest.raises(DomainError):
+            iterate_target(phi12, params3, np.array([0.5, np.nan]), 10)
+
+
 def test_drift_budget_documented():
     assert ORBIT_DRIFT_BUDGET == 1e-13
 

@@ -223,6 +223,21 @@ def test_fat_cantor_schedule_validation():
         MiddleAlpha(0.5, hull=(1.0, 0.0))
 
 
+@pytest.mark.parametrize("hull", [(0.0, float("inf")), (float("-inf"), 1.0),
+                                  (float("nan"), 1.0), (0.0, float("nan"))])
+def test_nonfinite_hull_rejected(hull):
+    makers = (
+        lambda: MiddleAlpha(0.5, hull=hull),
+        lambda: middle_thirds(hull),
+        lambda: AffineIFS2(0.3, 0.2, hull=hull),
+        lambda: FatCantor(0.3, 0.5, hull=hull),
+        lambda: ExplicitGapTree(hull=hull, levels=()),
+    )
+    for make in makers:
+        with pytest.raises(DomainError, match="hull must be finite"):
+            make()
+
+
 class TestExplicitGapTree:
     def tree(self):
         return ExplicitGapTree(
