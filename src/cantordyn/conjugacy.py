@@ -15,6 +15,7 @@ Every evaluator also takes an ndarray and then gives, lane by lane, the
 bits of the scalar call.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -146,71 +147,62 @@ def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
     return h, l
 
 
-def _knot_index(xs, x):
-    """For plain doubles x: the index of the knot whose public coordinate
-    equals each x (clipped into range) and whether it does."""
-    i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
-    return i, xs[i] == x
-
-
-def _finite_array(x):
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("array queries must be finite")
+def _finite(x):
+    """x as a float or a float64 ndarray; DomainError unless every entry is
+    finite."""
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=np.float64)
+        if not np.all(np.isfinite(x)):
+            raise DomainError("array queries must be finite")
+        return x
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"query must be finite, got {x!r}")
     return x
 
 
 def _eval_double(xs, xs_lo, ys, ys_lo, x):
-    """Evaluate at a plain double.  A query matching a knot's public (hi)
-    coordinate counts as that knot and yields the paired full-precision
-    knot: public doubles are the only coordinates callers can name.
+    """Evaluate at x, a float or an ndarray of plain doubles, returning the
+    double-double value (h, l) and its rounding r.
 
-    An ndarray x is evaluated lane by lane with the same bits."""
+    A query matching a knot's public (hi) coordinate counts as that knot:
+    public doubles are the only coordinates callers can name.  It yields the
+    paired full-precision knot, and r is then the knot's public ordinate.
+    An ndarray x is evaluated lane by lane with the same bits.
+    """
     if isinstance(x, np.ndarray):
-        i, knot = _knot_index(xs, x)
+        i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
+        knot = xs[i] == x
         h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
-        return np.where(knot, ys[i], h), np.where(knot, ys_lo[i], l)
+        return (np.where(knot, ys[i], h), np.where(knot, ys_lo[i], l),
+                np.where(knot, ys[i], h + l))
     i = int(np.searchsorted(xs, x))
     if i < xs.size and xs[i] == x:
-        return ys[i], ys_lo[i]
-    return _eval_dd(xs, xs_lo, ys, ys_lo, x, 0.0)
-
-
-def _eval_public(xs, xs_lo, ys, ys_lo, x):
-    """Correctly rounded value at plain doubles, the knot's public ordinate
-    on a knot match; x is a float or a finite ndarray."""
-    if isinstance(x, np.ndarray):
-        x = _finite_array(x)
-        i, knot = _knot_index(xs, x)
-        h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
-        return np.where(knot, ys[i], h + l)
-    x = float(x)
-    i = int(np.searchsorted(xs, x))
-    if i < xs.size and xs[i] == x:
-        return float(ys[i])
+        return ys[i], ys_lo[i], float(ys[i])
     h, l = _eval_dd(xs, xs_lo, ys, ys_lo, x, 0.0)
-    return h + l
+    return h, l, h + l
 
 
 def eval_phi(pl, x):
     """phi_N(x): piecewise-linear, exact at knots, slope-one tails.
 
-    An ndarray x (finite, DomainError otherwise) gives an ndarray of the
-    same shape, equal bit for bit to evaluating each element on its own.
+    Takes a finite float or ndarray (DomainError otherwise); an ndarray
+    gives an ndarray of the same shape, equal bit for bit to evaluating
+    each element on its own.
     """
-    return _eval_public(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, x)
+    return _eval_double(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, _finite(x))[2]
 
 
 def eval_phi_inverse(pl, y):
     """The unique x with phi_N(x) = y (the knot table read sideways).
 
-    Takes a float or a finite ndarray, like eval_phi."""
-    return _eval_public(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, y)
+    Takes a finite float or ndarray, like eval_phi."""
+    return _eval_double(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, _finite(y))[2]
 
 
 def _phi_inv_dd(pl, y):
     """Inverse image of the public double y as a double-double pair."""
-    return _eval_double(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, y)
+    return _eval_double(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, y)[:2]
 
 
 def _phi_dd(pl, xh, xl):
@@ -224,11 +216,10 @@ def eval_fstar(pl, params, y):
 
     Evaluated compositionally in double-double and rounded once at the end;
     the rounding projects sub-ulp noise away, so endpoint orbits land back on
-    knot coordinates instead of accumulating drift.  Takes a float or a
-    finite ndarray, like eval_phi.
+    knot coordinates instead of accumulating drift.  Takes a finite float
+    or ndarray, like eval_phi.
     """
-    y = _finite_array(y) if isinstance(y, np.ndarray) else float(y)
-    xh, xl = _phi_inv_dd(pl, y)
+    xh, xl = _phi_inv_dd(pl, _finite(y))
     fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
     yh, yl = _phi_dd(pl, fh, fl)
     return yh + yl

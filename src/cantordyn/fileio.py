@@ -5,6 +5,11 @@ so save -> load -> save reproduces files byte for byte and loaded endpoints
 equal the stored doubles bit for bit.  Double-double tails are not persisted:
 a loaded system carries plain doubles (zero tails), which is exactly what the
 public endpoint arrays contain anyway.
+
+A system document lists every level and gap, though all of them are views
+of the deepest level (see IntervalSystem): the writer emits those views, and
+the loader builds the system from the deepest level alone and refuses a
+file whose other levels or gaps differ from their views.
 """
 
 import csv
@@ -137,7 +142,9 @@ def _validate_pairs(doc_levels, depth, path, what):
 def load_system(path):
     """Read a cantor-system/1 document back into an IntervalSystem/TargetSystem.
 
-    Structural problems (wrong version, counts, ordering, nesting) raise
+    The deepest level must hold sorted, disjoint, non-empty segments, and
+    every shallower level and every gap must equal its view of the deepest
+    level bit for bit (see IntervalSystem).  Structural problems raise
     SpecError naming the file and the offending level.
     """
     doc = _load_json(path)
@@ -156,36 +163,36 @@ def load_system(path):
     segs = _validate_pairs(doc.get("levels"), depth, path, "segment")
     gaps = _validate_pairs(doc.get("gaps"), depth, path, "gap")
 
-    for n, (a, b) in enumerate(segs):
-        if np.any(b[:-1] >= a[1:]):
-            raise SpecError(f"{path}: segment level {n} is not sorted and disjoint")
-        if n > 0:
-            pa, pb = segs[n - 1]
-            if np.any(a[0::2] < pa) or np.any(b[1::2] > pb):
-                raise SpecError(
-                    f"{path}: segment level {n} is not nested in level {n - 1}"
-                )
-            gc, gd = gaps[n]
-            if np.any(gc <= pa) or np.any(gd >= pb):
-                raise SpecError(
-                    f"{path}: gap level {n} is not strictly inside level {n - 1}"
-                )
-
-    level_a = [s[0] for s in segs]
-    level_b = [s[1] for s in segs]
-    gap_c = [g[0] for g in gaps]
-    gap_d = [g[1] for g in gaps]
+    a, b = segs[depth]
+    if np.any(b[:-1] >= a[1:]):
+        raise SpecError(f"{path}: segment level {depth} is not sorted and disjoint")
+    zeros = np.zeros_like(a)
     if kind == "model":
         if "c" not in params_doc:
             raise SpecError(f"{path}: model document lacks parameters.c")
         params = derive_params(float(params_doc["c"]))
-        return IntervalSystem(depth, level_a, level_b, gap_c, gap_d,
-                              params=params)
-    spec = _spec_from_doc(params_doc.get("spec", {}), path)
-    mode = params_doc.get("mode")
-    if mode not in ("strict", "natural"):
-        raise SpecError(f"{path}: unknown build mode {mode!r}")
-    return TargetSystem(spec, mode, depth, level_a, level_b, gap_c, gap_d)
+        system = IntervalSystem(a, b, zeros, zeros, params=params)
+    else:
+        spec = _spec_from_doc(params_doc.get("spec", {}), path)
+        mode = params_doc.get("mode")
+        if mode not in ("strict", "natural"):
+            raise SpecError(f"{path}: unknown build mode {mode!r}")
+        system = TargetSystem(spec, mode, a, b, zeros, zeros)
+
+    views = (("segment", segs, system.level_a, system.level_b),
+             ("gap", gaps, system.gap_c, system.gap_d))
+    for what, stored, lo, hi in views:
+        for n, (x, y) in enumerate(stored):
+            if not (_same_bits(x, lo[n]) and _same_bits(y, hi[n])):
+                raise SpecError(
+                    f"{path}: {what} level {n} does not match its view of "
+                    f"level {depth}"
+                )
+    return system
+
+
+def _same_bits(x, y):
+    return np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 def save_gap_tree(tree, path):

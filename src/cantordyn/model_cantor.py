@@ -4,9 +4,11 @@ The construction is backward: C_0 = [-p, p], and each refinement replaces a
 segment by the two preimage branches of its parent, so every endpoint is
 obtained through square roots (which contract rounding error) instead of
 forward iteration (which multiplies it by ~lambda per step).  Level n holds
-2^n closed segments; the 2^(n-1) open gaps removed from C_(n-1) are recorded
-alongside.  Endpoints are kept as numpy arrays of doubles plus double-double
-tails so level-20 builds stay both fast and faithful.
+2^n closed segments and the 2^(n-1) open gaps removed from C_(n-1).  Every
+endpoint survives into the deepest level N, so a system stores level N alone
+and reads each shallower level and gap off it as a strided view.  Endpoints
+are kept as numpy arrays of doubles plus double-double tails so level-20
+builds stay both fast and faithful.
 """
 
 from dataclasses import dataclass
@@ -62,27 +64,37 @@ class IntervalAddress:
 
 
 class IntervalSystem:
-    """Levels of a nested binary interval refinement.
+    """Levels of a nested binary interval refinement, stored as its deepest
+    level.
 
-    level_a[n] / level_b[n] are the 2^n left/right segment endpoints in
-    increasing order; gap_c[n] / gap_d[n] are the 2^(n-1) gaps removed from
-    level n-1 (index 0 is empty).  The *_lo arrays carry double-double tails
-    and are zero for systems loaded from disk.
+    a_N / b_N hold the 2^N left/right endpoints of level N in increasing
+    order, a_lo_N / b_lo_N their double-double tails (zero for systems
+    loaded from disk); the depth N comes from their size.  Every shallower
+    endpoint survives into level N and every gap lies between two
+    neighbouring level-N endpoints, so the per-level attributes are strided
+    views of these four arrays: level_a[n] / level_b[n] are the 2^n segment
+    endpoints of level n, gap_c[n] / gap_d[n] the 2^(n-1) gaps removed from
+    level n-1 (empty at n = 0), and a_lo, b_lo, c_lo, d_lo their tails.
     """
 
-    def __init__(self, depth, level_a, level_b, gap_c, gap_d,
-                 a_lo=None, b_lo=None, c_lo=None, d_lo=None, params=None):
+    def __init__(self, a_N, b_N, a_lo_N, b_lo_N, params=None):
+        depth = a_N.size.bit_length() - 1
+        if a_N.size != 1 << depth:
+            raise DomainError(f"deepest level needs 2^N endpoints, got {a_N.size}")
         self.depth = depth
-        self.level_a = level_a
-        self.level_b = level_b
-        self.gap_c = gap_c
-        self.gap_d = gap_d
         self.params = params  # QuadraticParams for model systems, else None
-        zeros = lambda arrs: [np.zeros_like(a) for a in arrs]
-        self.a_lo = a_lo if a_lo is not None else zeros(level_a)
-        self.b_lo = b_lo if b_lo is not None else zeros(level_b)
-        self.c_lo = c_lo if c_lo is not None else zeros(gap_c)
-        self.d_lo = d_lo if d_lo is not None else zeros(gap_d)
+        self.a_N, self.b_N, self.a_lo_N, self.b_lo_N = a_N, b_N, a_lo_N, b_lo_N
+        steps = [1 << (depth - n) for n in range(depth + 1)]
+        self.level_a = tuple(a_N[::k] for k in steps)
+        self.level_b = tuple(b_N[k - 1::k] for k in steps)
+        self.a_lo = tuple(a_lo_N[::k] for k in steps)
+        self.b_lo = tuple(b_lo_N[k - 1::k] for k in steps)
+        # gap n splits segment i of level n-1 into children 2i and 2i + 1:
+        # it runs from the right end of child 2i to the left end of 2i + 1
+        self.gap_c = _gap_views(self.level_b, 0)
+        self.c_lo = _gap_views(self.b_lo, 0)
+        self.gap_d = _gap_views(self.level_a, 1)
+        self.d_lo = _gap_views(self.a_lo, 1)
 
     @property
     def hull(self):
@@ -109,6 +121,12 @@ class IntervalSystem:
         self._check_level(address.level)
         j = address.index - 1
         return float(self.level_a[address.level][j]), float(self.level_b[address.level][j])
+
+
+def _gap_views(levels, first):
+    """Every other endpoint of each level from index `first`: one gap edge
+    per parent segment, none at level 0."""
+    return tuple(x[first::2] if n else x[:0] for n, x in enumerate(levels))
 
 
 def preimage_interval(params, interval):
@@ -151,40 +169,20 @@ def build_model_system(params, depth):
     (ph, pl), (sh, sl) = _params_dd(params)
     c = params.c
 
-    level_a = [np.array([-ph])]
-    level_b = [np.array([ph])]
-    a_lo = [np.array([-pl])]
-    b_lo = [np.array([pl])]
-    gap_c = [np.empty(0)]
-    gap_d = [np.empty(0)]
-    c_lo = [np.empty(0)]
-    d_lo = [np.empty(0)]
+    # The gaps removed at level n are the level's new endpoints: writing
+    # them through the gap views fills the deepest level.
+    system = IntervalSystem(*(np.empty(1 << depth) for _ in range(4)),
+                            params=params)
+    system.level_a[0][:], system.a_lo[0][:] = -ph, -pl
+    system.level_b[0][:], system.b_lo[0][:] = ph, pl
 
     # Current deepest gaps, one per current segment.
     gch, gcl = np.array([-sh]), np.array([-sl])
     gdh, gdl = np.array([sh]), np.array([sl])
 
     for n in range(1, depth + 1):
-        gap_c.append(gch)
-        gap_d.append(gdh)
-        c_lo.append(gcl)
-        d_lo.append(gdl)
-
-        # Split each segment [A, B] at its gap (G, H) into [A, G], [H, B].
-        ah, al, bh, bl = level_a[-1], a_lo[-1], level_b[-1], b_lo[-1]
-        na = np.empty(2 * ah.size)
-        nal = np.empty_like(na)
-        nb = np.empty_like(na)
-        nbl = np.empty_like(na)
-        na[0::2], nal[0::2] = ah, al
-        na[1::2], nal[1::2] = gdh, gdl
-        nb[0::2], nbl[0::2] = gch, gcl
-        nb[1::2], nbl[1::2] = bh, bl
-        level_a.append(na)
-        a_lo.append(nal)
-        level_b.append(nb)
-        b_lo.append(nbl)
-
+        system.gap_c[n][:], system.c_lo[n][:] = gch, gcl
+        system.gap_d[n][:], system.d_lo[n][:] = gdh, gdl
         if n == depth:
             break
         # Preimages of the gaps just consumed become the next level's gaps:
@@ -197,8 +195,7 @@ def build_model_system(params, depth):
         gdh = np.concatenate([-puh[::-1], pvh])
         gdl = np.concatenate([-pul[::-1], pvl])
 
-    return IntervalSystem(depth, level_a, level_b, gap_c, gap_d,
-                          a_lo, b_lo, c_lo, d_lo, params=params)
+    return system
 
 
 def max_segment_length(system, n):

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _dd
-from .conjugacy import _finite_array, _phi_dd, _phi_inv_dd
+from .conjugacy import _finite, _phi_dd, _phi_inv_dd
 from .errors import DomainError
 from .quadratic_map import QuadraticParams, derive_params
 
@@ -88,20 +88,20 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
     Each step stores the iterate as a plain double (the observable state of
     eval_fstar) before mapping back, so orbit and pointwise evaluation agree.
 
-    An ndarray y0 (finite) iterates every lane at once: the result's
-    `escaped` (bool) and `iteration` (int64) are arrays of y0's shape, equal
-    lane by lane to the scalar call, and `trajectory` is None.
+    y0 must be finite (DomainError otherwise).  An ndarray y0 iterates
+    every lane at once: the result's `escaped` (bool) and `iteration`
+    (int64) are arrays of y0's shape, equal lane by lane to the scalar
+    call, and `trajectory` is None.
     """
     max_iter = int(max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     threshold = params.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
-    if isinstance(y0, np.ndarray):
-        if keep_trajectory:
-            raise DomainError("keep_trajectory needs a scalar y0")
-        return _iterate_target_array(pl, params, _finite_array(y0), max_iter,
-                                     threshold)
-    y = float(y0)
+    if isinstance(y0, np.ndarray) and keep_trajectory:
+        raise DomainError("keep_trajectory needs a scalar y0")
+    y = _finite(y0)
+    if isinstance(y, np.ndarray):
+        return _iterate_target_array(pl, params, y, max_iter, threshold)
     traj = [] if keep_trajectory else None
     for n in range(max_iter + 1):
         if traj is not None and len(traj) < keep_trajectory:

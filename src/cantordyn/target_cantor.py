@@ -10,17 +10,18 @@ the hull regardless of where the natural gaps sit.  Endpoint arithmetic is
 double-double throughout so stored endpoints are correctly rounded members.
 
 build_target_system refines a level at a time on arrays, with one lane per
-segment.  Natural mode applies the split formulas to the whole level at
-once.  Strict mode runs the scalar middle-third search and tightening
-(_find_gap_dd, _tighten_dd) as masked descents that make the same
-double-double operations in the same branch order per lane, so it stores
-the bits of a per-segment loop.  A lane starts its descents not at the hull
-but at the deepest tree node already known to contain its segment: the
-matching child of the parent's gap node when a comparison confirms the
-containment, else the parent's own start node.  Every gap above such a node
-lies wholly left or right of the segment, so a descent from the hull would
-pass those nodes without changing state; starting below them saves a
-descent of length ~n per segment at level n.
+segment, and keeps only the current level; the last one is the deepest
+level, the only one a system stores.  Natural mode applies the split
+formulas to the whole level at once.  Strict mode runs the scalar
+middle-third search and tightening (_find_gap_dd, _tighten_dd) as masked
+descents that make the same double-double operations in the same branch
+order per lane, so it stores the bits of a per-segment loop.  A lane starts
+its descents not at the hull but at the deepest tree node already known to
+contain its segment: the matching child of the parent's gap node when a
+comparison confirms the containment, else the parent's own start node.
+Every gap above such a node lies wholly left or right of the segment, so a
+descent from the hull would pass those nodes without changing state;
+starting below them saves a descent of length ~n per segment at level n.
 """
 
 from dataclasses import dataclass, field
@@ -350,8 +351,8 @@ class TargetSystem(IntervalSystem):
     build mode ("strict" follows the middle-third certificate, "natural"
     splits at the spec's own principal gaps)."""
 
-    def __init__(self, spec, mode, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, spec, mode, a_N, b_N, a_lo_N, b_lo_N):
+        super().__init__(a_N, b_N, a_lo_N, b_lo_N)
         self.spec = spec
         self.mode = mode
 
@@ -396,10 +397,6 @@ def build_target_system(spec, depth, mode="strict"):
     A = np.array([a]), np.array([0.0])
     B = np.array([b]), np.array([0.0])
     start = (*A, *B, np.zeros(1, np.int64), np.zeros(1, np.int64))  # the hull
-    level_a, a_lo = [A[0]], [A[1]]
-    level_b, b_lo = [B[0]], [B[1]]
-    gap_c, c_lo = [np.empty(0)], [np.empty(0)]
-    gap_d, d_lo = [np.empty(0)], [np.empty(0)]
 
     for n in range(depth):
         # overflow and NaN stay silent, as in float arithmetic; the split
@@ -415,17 +412,8 @@ def build_target_system(spec, depth, mode="strict"):
         # children of segment i are [A_i, G_i] (index 2i) and [H_i, B_i] (2i + 1)
         A = tuple(_interleave(u, g) for u, g in zip(A, H))
         B = tuple(_interleave(g, v) for g, v in zip(G, B))
-        gap_c.append(G[0])
-        c_lo.append(G[1])
-        gap_d.append(H[0])
-        d_lo.append(H[1])
-        level_a.append(A[0])
-        a_lo.append(A[1])
-        level_b.append(B[0])
-        b_lo.append(B[1])
 
-    return TargetSystem(spec, mode, depth, level_a, level_b, gap_c, gap_d,
-                        a_lo, b_lo, c_lo, d_lo)
+    return TargetSystem(spec, mode, A[0], B[0], A[1], B[1])
 
 
 def _interleave(even, odd):

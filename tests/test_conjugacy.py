@@ -18,6 +18,7 @@ from cantordyn import (
     AffineIFS2,
     DomainError,
     FatCantor,
+    MiddleAlpha,
     build_model_system,
     build_phi,
     build_target_system,
@@ -25,6 +26,7 @@ from cantordyn import (
     eval_fstar,
     eval_phi,
     eval_phi_inverse,
+    iterate_target,
     middle_thirds,
     segment_mapping_check,
 )
@@ -244,6 +246,28 @@ def test_array_eval_rejects_nonfinite(phi12, params3):
             eval_phi_inverse(phi12, q)
         with pytest.raises(DomainError):
             eval_fstar(phi12, params3, q)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("f", [
+    lambda pl, p, v: eval_phi(pl, v),
+    lambda pl, p, v: eval_phi_inverse(pl, v),
+    lambda pl, p, v: eval_fstar(pl, p, v),
+    lambda pl, p, v: iterate_target(pl, p, v, 10),
+], ids=["eval_phi", "eval_phi_inverse", "eval_fstar", "iterate_target"])
+def test_scalar_eval_rejects_nonfinite(phi12, params3, f, bad):
+    with pytest.raises(DomainError):
+        f(phi12, params3, bad)
+
+
+def test_negative_zero_knot_keeps_its_sign(params3):
+    # the hull corner -0.0 has tail +0.0, whose dd sum rounds to +0.0
+    target = build_target_system(MiddleAlpha(0.5, hull=(-0.0, 1.0)), 4)
+    pl = build_phi(build_model_system(params3, 4), target, 4)
+    assert same_bits(pl.ys[0], -0.0) and pl.ys_lo[0] == 0.0
+    assert same_bits(eval_phi(pl, float(pl.xs[0])), -0.0)
+    assert same_bits(eval_phi(pl, pl.xs[:1]), [-0.0])
+    assert same_bits(eval_phi_inverse(pl, -0.0), pl.xs[0])
 
 
 @settings(max_examples=40, deadline=None)

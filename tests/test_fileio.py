@@ -115,6 +115,20 @@ class TestSystemValidation:
         with pytest.raises(SpecError):
             load_system(target_file)
 
+    @pytest.mark.parametrize("field, n, entry", [
+        ("levels", 1, [0.0, 0.34]),  # still contains its children
+        ("gaps", 2, [0.12, 0.2]),  # still inside its parent segment
+    ])
+    def test_level_off_its_view(self, target_file, field, n, entry):
+        # nested and placed as before, but no longer a view of level 2
+        def edit(doc):
+            doc[field][n][0] = entry
+
+        corrupt(target_file, edit)
+        kind = "segment" if field == "levels" else "gap"
+        with pytest.raises(SpecError, match=rf"t\.json: {kind} level {n} "):
+            load_system(target_file)
+
     def test_wrong_segment_count(self, target_file):
         corrupt(target_file, lambda d: d["levels"][2].pop())
         with pytest.raises(SpecError):

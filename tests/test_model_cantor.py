@@ -14,15 +14,19 @@ from hypothesis import given, settings, strategies as st
 
 from cantordyn import (
     DomainError,
+    FatCantor,
     IntervalAddress,
     MAX_DEPTH,
     RegimeError,
     build_model_system,
+    build_target_system,
     derive_params,
     eval_map,
     max_segment_length,
+    middle_thirds,
     preimage_interval,
 )
+from cantordyn.fileio import load_system, save_system
 
 
 def assert_nested_structure(system):
@@ -185,3 +189,49 @@ def test_structure_invariants_random_c(c, depth):
     for n in range(depth + 1):
         assert (max_segment_length(system, n)
                 <= 2 * params.p * params.lambda_**-n * (1 + 1e-9))
+
+
+# --- storage: every level and gap is a strided view of level N ------------
+
+# attribute -> (deepest array, view of level n with k = 2^(N-n))
+VIEWS = {
+    "level_a": ("a_N", lambda x, k: x[::k]),
+    "a_lo": ("a_lo_N", lambda x, k: x[::k]),
+    "level_b": ("b_N", lambda x, k: x[k - 1::k]),
+    "b_lo": ("b_lo_N", lambda x, k: x[k - 1::k]),
+    "gap_c": ("b_N", lambda x, k: x[k - 1::2 * k]),
+    "c_lo": ("b_lo_N", lambda x, k: x[k - 1::2 * k]),
+    "gap_d": ("a_N", lambda x, k: x[k::2 * k]),
+    "d_lo": ("a_lo_N", lambda x, k: x[k::2 * k]),
+}
+
+
+def assert_views_of_deepest(system):
+    N = system.depth
+    for name, (deep, view) in VIEWS.items():
+        levels, x = getattr(system, name), getattr(system, deep)
+        assert x.size == 1 << N and len(levels) == N + 1
+        for n, got in enumerate(levels):
+            if n == 0 and name in ("gap_c", "c_lo", "gap_d", "d_lo"):
+                # the hull has no gap above it
+                assert got.size == 0
+                continue
+            want = view(x, 1 << (N - n))
+            assert np.shares_memory(got, x), (name, n)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, n)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["fresh", "loaded"])
+@pytest.mark.parametrize("make", [
+    lambda: build_model_system(derive_params(-3.0), 9),
+    lambda: build_model_system(derive_params(-10.0), 0),
+    lambda: build_target_system(middle_thirds(), 9),
+    lambda: build_target_system(FatCantor(0.3, 0.5), 7, mode="natural"),
+], ids=["model", "model-depth0", "target-strict", "target-natural"])
+def test_levels_and_gaps_are_views(make, loaded, tmp_path):
+    system = make()
+    if loaded:
+        save_system(system, tmp_path / "s.json")
+        system = load_system(tmp_path / "s.json")
+        assert not np.any(system.a_lo_N) and not np.any(system.b_lo_N)
+    assert_views_of_deepest(system)

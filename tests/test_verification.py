@@ -2,8 +2,10 @@
 would meet, though they evaluate and iterate whole arrays at once."""
 
 import numpy as np
+import pytest
 
 from cantordyn import (
+    AffineIFS2,
     MonotonePLMap,
     build_model_system,
     build_phi,
@@ -12,7 +14,12 @@ from cantordyn import (
     iterate_target,
     middle_thirds,
 )
-from cantordyn.verification import _suite_conjugacy_map, _suite_dichotomy
+from cantordyn.verification import (
+    _suite_conjugacy_map,
+    _suite_dichotomy,
+    _suite_target_construction,
+    run_verification,
+)
 
 
 def dichotomy_loop(pl, params, target):
@@ -68,3 +75,23 @@ def test_conjugacy_map_reports_perturbed_knot():
     ok, detail = _suite_conjugacy_map(bent, model, target)
     assert not ok
     assert detail == f"knot not exact: phi({x!r}) = {float(ys[k])!r} != {y!r}"
+
+
+def test_depth0_passes():
+    # no gaps at depth 0: membership runs one level deep, spot values skip
+    # the first gap edge
+    results = run_verification(-3.0, 0)
+    assert [r.name for r in results if not r.ok] == []
+    spot = {r.name: r.detail for r in results}["conjugacy-spot-values"]
+    assert spot.endswith("(no gaps)")
+
+
+@pytest.mark.parametrize("depth", [1, 2, 8, 10])
+@pytest.mark.parametrize("r1, r2", [(0.8, 0.1), (0.1, 0.8)])
+def test_lopsided_affine_target_construction(r1, r2, depth):
+    # strict gaps of lopsided affine specs are natural gaps deeper than
+    # level `depth`, so membership stopped at that level accepts their
+    # midpoints
+    ok, detail = _suite_target_construction(AffineIFS2(r1, r2), depth)
+    assert ok, detail
+    assert all(r.ok for r in run_verification(-3.0, depth, AffineIFS2(r1, r2)))
