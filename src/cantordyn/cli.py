@@ -243,13 +243,11 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 required=True)
-    subs = {}
 
     def add(name, help_):
         p = sub.add_parser(name, help=help_, description=help_)
         p.add_argument("--config", metavar="FILE",
                        help="read key=value defaults; explicit flags win")
-        subs[name] = p
         return p
 
     def add_c(p):
@@ -336,20 +334,14 @@ def _build_parser():
     add_depth(p, default=10)
     add_target(p)
 
-    return parser, subs
+    return parser
 
 
-def _apply_config(sub, path):
-    """Install key=value lines from `path` as defaults on the subparser."""
+def _config_tokens(path):
+    """The key=value lines of `path` as --key=value argv tokens."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
-    actions = {}
-    for action in sub._actions:
-        if not action.option_strings or action.dest in ("help", "config"):
-            continue
-        actions[action.dest] = action
-        actions[action.dest.replace("_", "-")] = action
-    overrides = {}
+    tokens = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -358,24 +350,8 @@ def _apply_config(sub, path):
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise _UsageError(f"{path}: line {lineno}: expected key=value")
-        action = actions.get(key)
-        if action is None:
-            raise _UsageError(f"{path}: line {lineno}: unknown option {key!r}")
-        conv = action.type if action.type is not None else str
-        try:
-            converted = conv(value)
-        except (TypeError, ValueError):
-            raise _UsageError(
-                f"{path}: line {lineno}: bad value {value!r} for {key}"
-            ) from None
-        if action.choices is not None and converted not in action.choices:
-            raise _UsageError(
-                f"{path}: line {lineno}: {key} must be one of "
-                f"{', '.join(map(str, action.choices))}"
-            )
-        overrides[action.dest] = converted
-        action.required = False
-    sub.set_defaults(**overrides)
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def _config_from_args(args):
@@ -416,32 +392,27 @@ def run(config):
     return handler(config)
 
 
-def _peek_config(argv, subs):
-    """(command, config path) found by scanning argv ahead of parsing.
-
-    Config defaults must be installed before the real parse, or a required
-    flag supplied only through the file would already have failed it.
-    """
-    command = next((a for a in argv if not a.startswith("-")), None)
+def _with_config(argv):
+    """argv with the --config file's tokens inserted right after the
+    subcommand, ahead of every explicit flag, so those flags win."""
+    i = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
     path = None
-    for i, a in enumerate(argv):
-        if a == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
+    for j, a in enumerate(argv):
+        if a == "--config" and j + 1 < len(argv):
+            path = argv[j + 1]
         elif a.startswith("--config="):
             path = a.split("=", 1)[1]
-    return (command, path) if command in subs and path else (None, None)
+    if i is None or path is None:
+        return argv
+    return argv[:i + 1] + _config_tokens(path) + argv[i + 1:]
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser, subs = _build_parser()
     try:
-        command, config_path = _peek_config(argv, subs)
-        if config_path is not None:
-            _apply_config(subs[command], config_path)
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(_with_config(list(argv)))
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         return run(_config_from_args(args))

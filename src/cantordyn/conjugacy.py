@@ -217,10 +217,18 @@ def eval_fstar(pl, params, y):
     Evaluated compositionally in double-double and rounded once at the end;
     the rounding projects sub-ulp noise away, so endpoint orbits land back on
     knot coordinates instead of accumulating drift.  Takes a finite float
-    or ndarray, like eval_phi.
+    or ndarray, like eval_phi.  Where F_c(phi^(-1)(y)) overflows the double
+    range, F*(y) is +inf.
     """
     xh, xl = _phi_inv_dd(pl, _finite(y))
-    fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
+        if isinstance(fh, np.ndarray):
+            # x^2 past the double range: F_c(x) is +inf, and so is F*(y)
+            yh, yl = _phi_dd(pl, fh, fl)
+            return np.where(np.isfinite(fh), yh + yl, np.inf)
+    if not math.isfinite(fh):
+        return math.inf
     yh, yl = _phi_dd(pl, fh, fl)
     return yh + yl
 

@@ -1,28 +1,30 @@
 """Bit-exact file formats: system documents, gap trees, CSV/SVG traces, PPM.
 
 All real numbers are serialized as shortest round-trip decimals (Python repr),
-so save -> load -> save reproduces files byte for byte and loaded endpoints
-equal the stored doubles bit for bit.  Double-double tails are not persisted:
-a loaded system carries plain doubles (zero tails), which is exactly what the
-public endpoint arrays contain anyway.
+so save -> load -> save reproduces files byte for byte.
 
-A system document lists every level and gap, though all of them are views
-of the deepest level (see IntervalSystem): the writer emits those views, and
-the loader builds the system from the deepest level alone and refuses a
-file whose other levels or gaps differ from their views.
+A system document is a checked cache of a build.  It lists every level and
+gap, though all of them are views of the deepest level (see
+IntervalSystem).  The loader reads the header (kind, parameters, depth),
+checks the level and gap counts, rebuilds the system with
+build_model_system or build_target_system, and refuses the file unless
+every stored level and gap reads exactly as the writer renders the
+rebuild.  A loaded system is therefore the builder's own, double-double
+tails included.
 """
 
 import csv
 import json
+import math
 
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .model_cantor import IntervalSystem
+from .model_cantor import build_model_system
 from .orbit_engine import mandelbrot_grid
 from .quadratic_map import derive_params
 from .target_cantor import (AffineIFS2, ExplicitGapTree, FatCantor,
-                            MiddleAlpha, TargetSystem)
+                            MiddleAlpha, TargetSystem, build_target_system)
 
 SYSTEM_FORMAT = "cantor-system/1"
 GAPS_FORMAT = "cantor-gaps/1"
@@ -39,50 +41,65 @@ PALETTE = (
 
 
 def _pairs(a, b):
-    return [[float(x), float(y)] for x, y in zip(a, b)]
+    return np.column_stack([a, b]).tolist()
+
+
+# formula families: document name -> (spec class, its real fields in order)
+_FAMILIES = {
+    "middle-alpha": (MiddleAlpha, ("alpha", "alpha_lo")),
+    "affine-ifs2": (AffineIFS2, ("r1", "r2")),
+    "fat-cantor": (FatCantor, ("gap0", "ratio")),
+}
 
 
 def _spec_doc(spec):
-    if isinstance(spec, MiddleAlpha):
-        return {"family": "middle-alpha", "alpha": spec.alpha,
-                "alpha_lo": spec.alpha_lo, "hull": list(spec.hull)}
-    if isinstance(spec, AffineIFS2):
-        return {"family": "affine-ifs2", "r1": spec.r1, "r2": spec.r2,
-                "hull": list(spec.hull)}
-    if isinstance(spec, FatCantor):
-        return {"family": "fat-cantor", "gap0": spec.gap0, "ratio": spec.ratio,
-                "hull": list(spec.hull)}
+    hull = [float(h) for h in spec.hull]
     if isinstance(spec, ExplicitGapTree):
-        return {"family": "gap-tree", "hull": list(spec.hull),
-                "levels": [[[g, h] for g, h in level] for level in spec.levels]}
+        return {"family": "gap-tree", "hull": hull,
+                "levels": [[[float(g), float(h)] for g, h in level]
+                           for level in spec.levels]}
+    for fam, (cls, fields) in _FAMILIES.items():
+        if isinstance(spec, cls):
+            return {"family": fam, **{k: getattr(spec, k) for k in fields},
+                    "hull": hull}
     raise DomainError(f"cannot serialize spec of type {type(spec).__name__}")
 
 
+def _real(value, where, name):
+    """value if it is a finite JSON real (not an int, bool or NaN/Infinity
+    token), else SpecError."""
+    if type(value) is not float or not math.isfinite(value):
+        raise SpecError(f"{where}: {name} must be a finite real, got {value!r}")
+    return value
+
+
+def _real_pair(value, where, name):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise SpecError(f"{where}: {name} must be a pair, got {value!r}")
+    return _real(value[0], where, name), _real(value[1], where, name)
+
+
 def _spec_from_doc(doc, where):
-    fam = doc.get("family")
-    try:
-        if fam == "middle-alpha":
-            return MiddleAlpha(alpha=float(doc["alpha"]),
-                               hull=tuple(doc["hull"]),
-                               alpha_lo=float(doc.get("alpha_lo", 0.0)))
-        if fam == "affine-ifs2":
-            return AffineIFS2(r1=float(doc["r1"]), r2=float(doc["r2"]),
-                              hull=tuple(doc["hull"]))
-        if fam == "fat-cantor":
-            return FatCantor(gap0=float(doc["gap0"]), ratio=float(doc["ratio"]),
-                             hull=tuple(doc["hull"]))
-        if fam == "gap-tree":
-            return ExplicitGapTree(
-                hull=tuple(doc["hull"]),
-                levels=tuple(tuple((float(g), float(h)) for g, h in level)
-                             for level in doc["levels"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecError(f"{where}: malformed spec parameters: {exc}") from exc
+    fam = doc.get("family") if isinstance(doc, dict) else None
+    if fam == "gap-tree":
+        levels = doc.get("levels")
+        if not (isinstance(levels, list)
+                and all(isinstance(level, list) for level in levels)):
+            raise SpecError(f"{where}: spec.levels must be an array of arrays")
+        return ExplicitGapTree(
+            hull=_real_pair(doc.get("hull"), where, "spec.hull"),
+            levels=tuple(tuple(_real_pair(gap, where, "spec gap")
+                               for gap in level) for level in levels))
+    for name, (cls, fields) in _FAMILIES.items():
+        if fam == name:
+            return cls(hull=_real_pair(doc.get("hull"), where, "spec.hull"),
+                       **{k: _real(doc.get(k), where, f"spec.{k}")
+                          for k in fields})
     raise SpecError(f"{where}: unknown spec family {fam!r}")
 
 
-def save_system(system, path):
-    """Write a cantor-system/1 document for a model or target system."""
+def _system_doc(system):
+    """The cantor-system/1 document of a model or target system."""
     if isinstance(system, TargetSystem):
         parameters = {"spec": _spec_doc(system.spec), "mode": system.mode,
                       "depth": system.depth}
@@ -92,7 +109,7 @@ def save_system(system, path):
             raise DomainError("model system carries no parameters to serialize")
         parameters = {"c": system.params.c, "depth": system.depth}
         kind = "model"
-    doc = {
+    return {
         "format": SYSTEM_FORMAT,
         "kind": kind,
         "parameters": parameters,
@@ -101,9 +118,16 @@ def save_system(system, path):
         "gaps": [_pairs(system.gap_c[n], system.gap_d[n])
                  for n in range(system.depth + 1)],
     }
+
+
+def _write_json(doc, path):
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, separators=(",", ":"))
-        f.write("\n")
+        f.write(json.dumps(doc, separators=(",", ":")) + "\n")
+
+
+def save_system(system, path):
+    """Write a cantor-system/1 document for a model or target system."""
+    _write_json(_system_doc(system), path)
 
 
 def _load_json(path):
@@ -114,38 +138,17 @@ def _load_json(path):
         raise SpecError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
-def _validate_pairs(doc_levels, depth, path, what):
-    out = []
-    if not isinstance(doc_levels, list) or len(doc_levels) != depth + 1:
-        raise SpecError(f"{path}: expected {depth + 1} {what} arrays")
-    for n, level in enumerate(doc_levels):
-        want = (1 << n) if what == "segment" else (0 if n == 0 else 1 << (n - 1))
-        if not isinstance(level, list) or len(level) != want:
-            raise SpecError(
-                f"{path}: {what} level {n} has {len(level)} entries, expected {want}"
-            )
-        lo = np.empty(want)
-        hi = np.empty(want)
-        for j, pair in enumerate(level):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(v, (int, float)) for v in pair)):
-                raise SpecError(f"{path}: {what} level {n} entry {j} is not a pair")
-            lo[j], hi[j] = float(pair[0]), float(pair[1])
-            if not lo[j] < hi[j]:
-                raise SpecError(
-                    f"{path}: {what} level {n} entry {j} is empty: {pair!r}"
-                )
-        out.append((lo, hi))
-    return out
-
-
 def load_system(path):
     """Read a cantor-system/1 document back into an IntervalSystem/TargetSystem.
 
-    The deepest level must hold sorted, disjoint, non-empty segments, and
-    every shallower level and every gap must equal its view of the deepest
-    level bit for bit (see IntervalSystem).  Structural problems raise
-    SpecError naming the file and the offending level.
+    The header must name the kind, the parameters (c, or spec and mode) and
+    the depth, and the document must hold depth + 1 level and gap arrays of
+    2^n and 2^(n-1) entries; the system is then rebuilt from the header,
+    and every stored level and gap must read exactly as save_system renders
+    the rebuild.  A wrong JSON type, count or stored value raises SpecError
+    naming the file (and the first differing level); parameters the
+    builders refuse raise their DomainError or RegimeError.  The rebuilt
+    system is returned, double-double tails included.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SYSTEM_FORMAT:
@@ -157,54 +160,62 @@ def load_system(path):
     if kind not in ("model", "target"):
         raise SpecError(f"{path}: unknown kind {kind!r}")
     params_doc = doc.get("parameters")
-    if not isinstance(params_doc, dict) or "depth" not in params_doc:
-        raise SpecError(f"{path}: missing parameters.depth")
-    depth = int(params_doc["depth"])
-    segs = _validate_pairs(doc.get("levels"), depth, path, "segment")
-    gaps = _validate_pairs(doc.get("gaps"), depth, path, "gap")
+    if not isinstance(params_doc, dict):
+        raise SpecError(f"{path}: parameters must be an object")
+    depth = params_doc.get("depth")
+    if type(depth) is not int:
+        raise SpecError(f"{path}: parameters.depth must be an integer, "
+                        f"got {depth!r}")
+    # counts first: a header claiming a deep system over a short file must
+    # not get as far as building it
+    for key, what in (("levels", "segment"), ("gaps", "gap")):
+        arrays = doc.get(key)
+        if not isinstance(arrays, list) or len(arrays) != depth + 1:
+            raise SpecError(f"{path}: expected {depth + 1} {what} arrays")
+        for n, level in enumerate(arrays):
+            want = (1 << n) if key == "levels" else (1 << n) >> 1
+            if not isinstance(level, list) or len(level) != want:
+                raise SpecError(f"{path}: {what} level {n} is not an array "
+                                f"of {want} entries")
 
-    a, b = segs[depth]
-    if np.any(b[:-1] >= a[1:]):
-        raise SpecError(f"{path}: segment level {depth} is not sorted and disjoint")
-    zeros = np.zeros_like(a)
     if kind == "model":
-        if "c" not in params_doc:
-            raise SpecError(f"{path}: model document lacks parameters.c")
-        params = derive_params(float(params_doc["c"]))
-        system = IntervalSystem(a, b, zeros, zeros, params=params)
+        c = _real(params_doc.get("c"), path, "parameters.c")
+        system = build_model_system(derive_params(c), depth)
     else:
-        spec = _spec_from_doc(params_doc.get("spec", {}), path)
-        mode = params_doc.get("mode")
-        if mode not in ("strict", "natural"):
-            raise SpecError(f"{path}: unknown build mode {mode!r}")
-        system = TargetSystem(spec, mode, a, b, zeros, zeros)
+        spec = _spec_from_doc(params_doc.get("spec"), path)
+        system = build_target_system(spec, depth, params_doc.get("mode"))
 
-    views = (("segment", segs, system.level_a, system.level_b),
-             ("gap", gaps, system.gap_c, system.gap_d))
-    for what, stored, lo, hi in views:
-        for n, (x, y) in enumerate(stored):
-            if not (_same_bits(x, lo[n]) and _same_bits(y, hi[n])):
-                raise SpecError(
-                    f"{path}: {what} level {n} does not match its view of "
-                    f"level {depth}"
-                )
+    views = (("levels", "segment", system.level_a, system.level_b),
+             ("gaps", "gap", system.gap_c, system.gap_d))
+    for key, what, lo, hi in views:
+        for n, stored in enumerate(doc[key]):
+            if not _reads_as(stored, lo[n], hi[n]):
+                raise SpecError(f"{path}: {what} level {n} does not match "
+                                f"the system rebuilt from its parameters")
     return system
 
 
-def _same_bits(x, y):
-    return np.array_equal(x.view(np.int64), y.view(np.int64))
+def _reads_as(stored, a, b):
+    """Whether a stored level is _pairs(a, b) entry for entry.  List
+    equality settles every entry but the integral ones, where it would also
+    accept a bool, an int or a zero of the other sign; those few are
+    compared as the writer renders them."""
+    ab = np.column_stack([a, b])
+    want = ab.tolist()
+    if stored != want:
+        return False
+    rows, cols = np.nonzero(ab == np.trunc(ab))
+    return all(json.dumps(stored[i][j]) == json.dumps(want[i][j])
+               for i, j in zip(rows, cols))
 
 
 def save_gap_tree(tree, path):
     """Write a cantor-gaps/1 document for an explicit gap tree."""
-    doc = {
+    _write_json({
         "format": GAPS_FORMAT,
         "hull": [float(tree.hull[0]), float(tree.hull[1])],
         "levels": [[[g, h] for g, h in level] for level in tree.levels],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, separators=(",", ":"))
-        f.write("\n")
+    }, path)
 
 
 def load_gap_tree(path):

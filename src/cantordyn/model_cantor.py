@@ -68,13 +68,13 @@ class IntervalSystem:
     level.
 
     a_N / b_N hold the 2^N left/right endpoints of level N in increasing
-    order, a_lo_N / b_lo_N their double-double tails (zero for systems
-    loaded from disk); the depth N comes from their size.  Every shallower
-    endpoint survives into level N and every gap lies between two
-    neighbouring level-N endpoints, so the per-level attributes are strided
-    views of these four arrays: level_a[n] / level_b[n] are the 2^n segment
-    endpoints of level n, gap_c[n] / gap_d[n] the 2^(n-1) gaps removed from
-    level n-1 (empty at n = 0), and a_lo, b_lo, c_lo, d_lo their tails.
+    order, a_lo_N / b_lo_N their double-double tails; the depth N comes
+    from their size.  Every shallower endpoint survives into level N and
+    every gap lies between two neighbouring level-N endpoints, so the
+    per-level attributes are strided views of these four arrays:
+    level_a[n] / level_b[n] are the 2^n segment endpoints of level n,
+    gap_c[n] / gap_d[n] the 2^(n-1) gaps removed from level n-1 (empty at
+    n = 0), and a_lo, b_lo, c_lo, d_lo their tails.
     """
 
     def __init__(self, a_N, b_N, a_lo_N, b_lo_N, params=None):

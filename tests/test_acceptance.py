@@ -16,6 +16,8 @@ import pytest
 
 from cantordyn import (
     build_model_system,
+    build_phi,
+    build_target_system,
     cli,
     derive_params,
     eval_fstar,
@@ -162,6 +164,25 @@ def test_08_dichotomy(params3, phi12, thirds12):
             result = iterate_target(phi12, params3, float(y0), 25)
             assert not result.escaped, f"endpoint {y0} escaped"
     assert time.perf_counter() - start < 10.0
+
+
+def test_08_dichotomy_through_saved_files(params3, thirds, tmp_path):
+    # phi built from a saved and reloaded pair is the fresh phi, tails
+    # included, so stored endpoints stay locked onto their cycles
+    model = build_model_system(params3, 10)
+    target = build_target_system(thirds, 10)
+    save_system(model, tmp_path / "m.json")
+    save_system(target, tmp_path / "t.json")
+    model2, target2 = load_system(tmp_path / "m.json"), load_system(tmp_path / "t.json")
+    fresh, pl = build_phi(model, target, 10), build_phi(model2, target2, 10)
+    for name in ("xs", "xs_lo", "ys", "ys_lo"):
+        assert np.array_equal(getattr(pl, name).view(np.int64),
+                              getattr(fresh, name).view(np.int64)), name
+    ends = np.concatenate([x for n in range(9)
+                           for x in (target2.level_a[n], target2.level_b[n])])
+    assert ends.size == 1022
+    result = iterate_target(pl, model2.params, ends, 1000)
+    assert not result.escaped.any(), ends[result.escaped][:5]
 
 
 def test_09_mandelbrot_demo(tmp_path):

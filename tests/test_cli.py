@@ -246,6 +246,17 @@ class TestConfigFile:
         assert rc == 1
 
 
+def test_config_negative_value(capsys, tmp_path):
+    # c = -1 keeps 0 on the 2-cycle 0, -1; a config line with an
+    # underscore key and a negative value must reach the parser as a flag
+    cfg = tmp_path / "cycle.cfg"
+    cfg.write_text("c=-1\nx0=0\nmax_iter=50\n")
+    rc, out, _ = run(capsys, "iterate", "--config", str(cfg))
+    assert rc == 0 and out.strip() == "bounded 50"
+    rc, out, _ = run(capsys, "iterate", "--config", str(cfg), "--c", "-3")
+    assert rc == 0 and out.strip() == "escaped_at 1"
+
+
 def test_verify_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--depth", "8")
     assert rc == 0

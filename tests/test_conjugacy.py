@@ -8,7 +8,9 @@ F*(1/2) = phi(-3) = 0 + (-3 + p) = -0.6972243622680053 (correctly rounded;
 checked in 60-digit Decimal from p = (1 + sqrt(13))/2).
 """
 
+import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -258,6 +260,17 @@ def test_array_eval_rejects_nonfinite(phi12, params3):
 def test_scalar_eval_rejects_nonfinite(phi12, params3, f, bad):
     with pytest.raises(DomainError):
         f(phi12, params3, bad)
+
+
+@pytest.mark.parametrize("y", [1e300, -1e300, 1e200, -1e200])
+def test_fstar_overflow_is_inf(phi12, params3, y):
+    # phi^(-1)(y) is about y, whose square leaves the double range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = eval_fstar(phi12, params3, y)
+        batch = eval_fstar(phi12, params3, np.array([y, 0.5, y]))
+    assert scalar == math.inf
+    assert same_bits(batch, [math.inf, eval_fstar(phi12, params3, 0.5), math.inf])
 
 
 def test_negative_zero_knot_keeps_its_sign(params3):

@@ -7,19 +7,31 @@ differs.
 """
 
 import csv
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantordyn import (
+    AffineIFS2,
+    CantorDynError,
     DomainError,
     ExplicitGapTree,
+    FatCantor,
+    RegimeError,
     SpecError,
+    TargetSystem,
+    build_model_system,
     build_target_system,
     cobweb_trace,
+    derive_params,
     mandelbrot_escape,
+    middle_thirds,
 )
+from cantordyn import fileio
 from cantordyn.fileio import (
     PALETTE,
     export_cobweb,
@@ -74,6 +86,73 @@ class TestSystemRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["levels"] == [[[0.0, 1.0]]]
         assert doc["gaps"] == [[]]
+
+
+GOLDEN_MODEL = (
+    '{"format":"cantor-system/1","kind":"model","parameters":{"c":-3.0,'
+    '"depth":1},"levels":[[[-2.302775637731995,2.302775637731995]],'
+    '[[-2.302775637731995,-0.8349996181244668],'
+    '[0.8349996181244668,2.302775637731995]]],'
+    '"gaps":[[],[[-0.8349996181244668,0.8349996181244668]]]}\n')
+GOLDEN_TARGET = (
+    '{"format":"cantor-system/1","kind":"target","parameters":{"spec":'
+    '{"family":"middle-alpha","alpha":0.3333333333333333,'
+    '"alpha_lo":1.850371707708594e-17,"hull":[0.0,1.0]},"mode":"strict",'
+    '"depth":1},"levels":[[[0.0,1.0]],[[0.0,0.3333333333333333],'
+    '[0.6666666666666666,1.0]]],'
+    '"gaps":[[],[[0.3333333333333333,0.6666666666666666]]]}\n')
+
+
+def test_golden_bytes(tmp_path):
+    save_system(build_model_system(derive_params(-3.0), 1), tmp_path / "m.json")
+    save_system(build_target_system(middle_thirds(), 1), tmp_path / "t.json")
+    assert (tmp_path / "m.json").read_text() == GOLDEN_MODEL
+    assert (tmp_path / "t.json").read_text() == GOLDEN_TARGET
+
+
+@functools.lru_cache(maxsize=None)
+def affine_gap_tree():
+    """A 12-level explicit tree: the gaps of a natural affine build."""
+    src = build_target_system(AffineIFS2(0.3, 0.2), 12, "natural")
+    return ExplicitGapTree(hull=(0.0, 1.0), levels=tuple(
+        tuple(zip(src.gap_c[n].tolist(), src.gap_d[n].tolist()))
+        for n in range(1, 13)))
+
+
+def _model(c):
+    return lambda depth: build_model_system(derive_params(c), depth)
+
+
+def _target(spec, mode):
+    return lambda depth: build_target_system(spec(), depth, mode)
+
+
+SYSTEMS = {f"model{c}": _model(c) for c in (-3.0, -2.5, -10.0)}
+for _name, _spec in (("middle-thirds", middle_thirds),
+                     ("affine", lambda: AffineIFS2(0.3, 0.2)),
+                     ("fat", lambda: FatCantor(0.3, 0.5)),
+                     ("gap-tree", affine_gap_tree)):
+    for _mode in ("strict", "natural"):
+        SYSTEMS[f"{_name}-{_mode}"] = _target(_spec, _mode)
+
+
+def same_system(x, y):
+    return all(np.array_equal(getattr(x, k).view(np.int64),
+                              getattr(y, k).view(np.int64))
+               for k in ("a_N", "b_N", "a_lo_N", "b_lo_N"))
+
+
+@pytest.mark.parametrize("make", SYSTEMS.values(), ids=SYSTEMS.keys())
+def test_round_trip_depths_0_to_12(make, tmp_path):
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    for depth in range(13):
+        system = make(depth)
+        save_system(system, p1)
+        loaded = load_system(p1)
+        save_system(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes(), depth
+        # the loaded system is the builder's own, tails included
+        assert same_system(loaded, system), depth
 
 
 class TestSystemValidation:
@@ -146,6 +225,137 @@ class TestSystemValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_system(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("builder", ["build_model_system",
+                                         "build_target_system"])
+    def test_deep_header_fails_before_build(self, tmp_path, monkeypatch,
+                                            builder):
+        path = tmp_path / "deep.json"
+        system = (build_model_system(derive_params(-3.0), 2)
+                  if builder == "build_model_system"
+                  else build_target_system(middle_thirds(), 2))
+        save_system(system, path)
+        corrupt(path, lambda d: d["parameters"].update(depth=40))
+
+        def refuse(*args):
+            raise AssertionError("built a system for a short file")
+
+        monkeypatch.setattr(fileio, builder, refuse)
+        with pytest.raises(SpecError, match="deep.json"):
+            load_system(path)
+
+    @pytest.mark.parametrize("kind, edit, error", [
+        ("model", lambda d: d["parameters"].update(depth="x"), SpecError),
+        ("model", lambda d: d["parameters"].update(depth=None), SpecError),
+        ("target", lambda d: d["parameters"].update(depth=2.7), SpecError),
+        ("target", lambda d: d["parameters"].update(depth=True), SpecError),
+        ("model", lambda d: d["parameters"].update(c="abc"), SpecError),
+        ("model", lambda d: d["parameters"].update(c=None), SpecError),
+        ("model", lambda d: d["parameters"].update(c=-3), SpecError),
+        ("model", lambda d: d["parameters"].update(c=math.inf), SpecError),
+        ("target", lambda d: d["parameters"].update(spec=[0.5]), SpecError),
+        ("target", lambda d: d["parameters"]["spec"].update(hull=[0, 1]),
+         SpecError),
+        ("target", lambda d: d["parameters"]["spec"].update(alpha=math.nan),
+         SpecError),
+        ("target", lambda d: d["levels"][0].__setitem__(0, [False, True]),
+         SpecError),
+        ("target", lambda d: d["levels"][1][0].__setitem__(0, -0.0),
+         SpecError),
+        ("target", lambda d: d["parameters"].update(mode="loose"),
+         DomainError),
+        ("model", lambda d: d["parameters"].update(c=-2.1), RegimeError),
+    ], ids=["depth-str", "depth-null", "depth-float", "depth-bool", "c-str",
+            "c-null", "c-int", "c-inf", "spec-list", "hull-ints", "alpha-nan",
+            "segment-bools", "negative-zero", "mode", "c-uncertified"])
+    def test_malformed_header_or_entry(self, tmp_path, kind, edit, error):
+        path = tmp_path / "bad.json"
+        save_system(SYSTEMS["model-3.0" if kind == "model"
+                            else "middle-thirds-strict"](2), path)
+        corrupt(path, edit)
+        with pytest.raises(error) as info:
+            load_system(path)
+        if error is SpecError:
+            assert "bad.json" in str(info.value)
+
+
+def _paths(node, path=()):
+    yield path
+    items = (enumerate(node) if isinstance(node, list)
+             else node.items() if isinstance(node, dict) else ())
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+REPLACEMENTS = [None, True, False, 0, 1, -1, 40, 2.7, "x", [], {}, [0.0, 1.0],
+                math.nan, math.inf, -math.inf]
+
+
+def _mutate(node, op, value):
+    """The node after one mutation: op is replace, negate (flips the sign
+    of a zero), nudge (one ulp up), bump (an int up or down by one), pop or
+    dup (a list loses or repeats its last entry)."""
+    number = isinstance(node, (int, float)) and not isinstance(node, bool)
+    if op == "negate" and number:
+        return -node
+    if op == "nudge" and isinstance(node, float):
+        return math.nextafter(node, math.inf)
+    if op == "bump" and number and isinstance(node, int):
+        return node + (1 if value else -1)
+    if op == "pop" and isinstance(node, list) and node:
+        return node[:-1]
+    if op == "dup" and isinstance(node, list) and node:
+        return node + node[-1:]
+    return REPLACEMENTS[value % len(REPLACEMENTS)]
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_documents():
+    systems = [build_model_system(derive_params(-3.0), 2),
+               build_target_system(middle_thirds(), 2),
+               build_target_system(FatCantor(0.3, 0.5), 3, "natural"),
+               build_target_system(
+                   ExplicitGapTree(hull=(0.0, 1.0),
+                                   levels=(((0.25, 0.5),),
+                                           ((0.0625, 0.125), (0.75, 0.875)))),
+                   2, "natural")]
+    return [(system, fileio._system_doc(system)) for system in systems]
+
+
+def _rebuild(system):
+    if isinstance(system, TargetSystem):
+        return build_target_system(system.spec, system.depth, system.mode)
+    return build_model_system(derive_params(system.params.c), system.depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_documents(data, tmp_path_factory):
+    # every mutation either fails as a CantorDynError or loads the system
+    # its header names, bit for bit and tails included, with the stored
+    # levels exactly as the writer renders that system
+    system, doc = data.draw(st.sampled_from(fuzz_documents()))
+    where = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    op = data.draw(st.sampled_from(
+        ["replace", "negate", "nudge", "bump", "pop", "dup"]))
+    value = data.draw(st.integers(0, len(REPLACEMENTS) - 1))
+    mutated = json.loads(json.dumps(doc))
+    parent = mutated
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = _mutate(parent[where[-1]], op, value)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(mutated))
+    try:
+        loaded = load_system(path)
+    except CantorDynError:
+        return
+    assert same_system(loaded, _rebuild(loaded))
+    written = fileio._system_doc(loaded)
+    for key in ("levels", "gaps"):
+        assert json.dumps(written[key]) == json.dumps(mutated[key])
+    if json.dumps(mutated["parameters"]) == json.dumps(doc["parameters"]):
+        assert same_system(loaded, system)
 
 
 class TestGapTreeFile:

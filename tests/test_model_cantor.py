@@ -233,5 +233,31 @@ def test_levels_and_gaps_are_views(make, loaded, tmp_path):
     if loaded:
         save_system(system, tmp_path / "s.json")
         system = load_system(tmp_path / "s.json")
-        assert not np.any(system.a_lo_N) and not np.any(system.b_lo_N)
+        fresh = make()
+        for name in ("a_N", "b_N", "a_lo_N", "b_lo_N"):
+            assert np.array_equal(getattr(system, name).view(np.int64),
+                                  getattr(fresh, name).view(np.int64)), name
     assert_views_of_deepest(system)
+
+
+@pytest.mark.parametrize("c", [-3.0, -2.5, -10.0])
+def test_gap_endpoints_correctly_rounded(c):
+    # 60-digit mpmath run of the same backward construction: the level-1 gap
+    # is (-s, s), and each gap (u, v) pulls back to (sqrt(u-c), sqrt(v-c))
+    # and its mirror image, negative branch first
+    import mpmath
+
+    depth = 14
+    system = build_model_system(derive_params(c), depth)
+    with mpmath.workdps(60):
+        mc = mpmath.mpf(c)
+        p = (1 + mpmath.sqrt(1 - 4 * mc)) / 2
+        s = mpmath.sqrt(-p - mc)
+        assert system.level_a[0].tolist() == [float(-p)]
+        assert system.level_b[0].tolist() == [float(p)]
+        gaps = [(-s, s)]
+        for n in range(1, depth + 1):
+            assert system.gap_c[n].tolist() == [float(u) for u, _ in gaps], n
+            assert system.gap_d[n].tolist() == [float(v) for _, v in gaps], n
+            right = [(mpmath.sqrt(u - mc), mpmath.sqrt(v - mc)) for u, v in gaps]
+            gaps = [(-v, -u) for u, v in reversed(right)] + right
