@@ -86,10 +86,13 @@ def _spec_from_doc(doc, where):
         if not (isinstance(levels, list)
                 and all(isinstance(level, list) for level in levels)):
             raise SpecError(f"{where}: spec.levels must be an array of arrays")
-        return ExplicitGapTree(
-            hull=_real_pair(doc.get("hull"), where, "spec.hull"),
-            levels=tuple(tuple(_real_pair(gap, where, "spec gap")
-                               for gap in level) for level in levels))
+        hull = _real_pair(doc.get("hull"), where, "spec.hull")
+        levels = tuple(tuple(_real_pair(gap, where, "spec gap")
+                             for gap in level) for level in levels)
+        try:
+            return ExplicitGapTree(hull=hull, levels=levels)
+        except SpecError as exc:
+            raise SpecError(f"{where}: {exc}") from exc
     for name, (cls, fields) in _FAMILIES.items():
         if fam == name:
             return cls(hull=_real_pair(doc.get("hull"), where, "spec.hull"),
@@ -211,18 +214,18 @@ def _reads_as(stored, a, b):
 
 def save_gap_tree(tree, path):
     """Write a cantor-gaps/1 document for an explicit gap tree."""
-    _write_json({
-        "format": GAPS_FORMAT,
-        "hull": [float(tree.hull[0]), float(tree.hull[1])],
-        "levels": [[[g, h] for g, h in level] for level in tree.levels],
-    }, path)
+    doc = _spec_doc(tree)
+    _write_json({"format": GAPS_FORMAT, "hull": doc["hull"],
+                 "levels": doc["levels"]}, path)
 
 
 def load_gap_tree(path):
     """Read a cantor-gaps/1 document into a validated ExplicitGapTree.
 
-    Gaps out of order, outside or touching their parent segment, or with the
-    wrong per-level counts raise SpecError.
+    The hull and gaps must be finite JSON reals, as in a system document's
+    gap-tree spec.  Wrong types, gaps out of order, outside or touching
+    their parent segment, or the wrong per-level counts raise SpecError
+    naming the file.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != GAPS_FORMAT:
@@ -230,21 +233,7 @@ def load_gap_tree(path):
             f"{path}: not a {GAPS_FORMAT} document "
             f"(format = {doc.get('format') if isinstance(doc, dict) else None!r})"
         )
-    hull = doc.get("hull")
-    levels = doc.get("levels")
-    if not (isinstance(hull, list) and len(hull) == 2):
-        raise SpecError(f"{path}: hull must be a pair")
-    if not isinstance(levels, list):
-        raise SpecError(f"{path}: levels must be an array")
-    try:
-        return ExplicitGapTree(
-            hull=(float(hull[0]), float(hull[1])),
-            levels=tuple(tuple((float(g), float(h)) for g, h in level)
-                         for level in levels))
-    except SpecError as exc:
-        raise SpecError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{path}: malformed gap tree: {exc}") from exc
+    return _spec_from_doc({**doc, "family": "gap-tree"}, path)
 
 
 def export_cobweb(trace, path, fmt="csv", curve=None, curve_samples=512):

@@ -12,10 +12,11 @@ double-double throughout so stored endpoints are correctly rounded members.
 build_target_system refines a level at a time on arrays, with one lane per
 segment, and keeps only the current level; the last one is the deepest
 level, the only one a system stores.  Natural mode applies the split
-formulas to the whole level at once.  Strict mode runs the scalar
-middle-third search and tightening (_find_gap_dd, _tighten_dd) as masked
-descents that make the same double-double operations in the same branch
-order per lane, so it stores the bits of a per-segment loop.  A lane starts
+formulas to the whole level at once.  Strict mode runs the middle-third
+search (_find_gaps) and the tightening (_tighten_gaps) as masked descents
+down the gap tree; the public helpers run them on one lane from the hull.
+All splits come from _NodeSplitter, which membership calls one node at a
+time.  A descent stops at _descent_limit(spec).  In the build a lane starts
 its descents not at the hull but at the deepest tree node already known to
 contain its segment: the matching child of the parent's gap node when a
 comparison confirms the containment, else the parent's own start node.
@@ -24,12 +25,14 @@ descent from the hull would pass those nodes without changing state;
 starting below them saves a descent of length ~n per segment at level n.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _dd
-from .errors import DomainError, RegimeError, SpecError
+from .errors import DomainError, SpecError
 from .model_cantor import IntervalSystem, _validate_depth
 
 
@@ -149,17 +152,6 @@ def middle_thirds(hull=(0.0, 1.0)):
     return MiddleAlpha(alpha=ah, hull=hull, alpha_lo=al)
 
 
-def _fractions(spec, count):
-    """Removed proportions of the centred splits at tree levels 0..count-1,
-    as double-double pairs."""
-    if isinstance(spec, MiddleAlpha):
-        return [(spec.alpha, spec.alpha_lo)] * count
-    fracs = [(spec.gap0, 0.0)]
-    while len(fracs) < count:
-        fracs.append(_dd.mul(*fracs[-1], spec.ratio, 0.0))
-    return fracs
-
-
 def _cut(spec, U, V, frac):
     """Principal gap (G, H) of [U, V] for the formula families; frac is the
     centred proportion (unused for AffineIFS2).  Parts may be arrays."""
@@ -176,24 +168,74 @@ def _cut(spec, U, V, frac):
     return G, H
 
 
-def _split(spec, U, V, n, j):
-    """Principal gap (G, H) of segment (U, V) at level n, index j, as
-    double-double pairs; None when an explicit tree has no deeper data."""
+def _descent_limit(spec):
+    """First tree level no descent visits.
+
+    For an explicit tree it is the stored depth.  For a formula family with
+    largest child/parent length ratio r, a level-k node is at most r^k times
+    the hull long, and the limit is the first k where that falls below
+    double-double resolution (2^-106) at the hull's larger endpoint.
+    """
     if isinstance(spec, ExplicitGapTree):
-        if n >= len(spec.levels):
-            return None
-        g, h = spec.levels[n][j]
-        return (float(g), 0.0), (float(h), 0.0)
-    if isinstance(spec, AffineIFS2):
-        return _cut(spec, U, V, None)
-    if isinstance(spec, (MiddleAlpha, FatCantor)):
-        return _cut(spec, U, V, _fractions(spec, n + 1)[n])
-    raise DomainError(f"unsupported spec type {type(spec).__name__}")
+        return len(spec.levels)
+    if isinstance(spec, MiddleAlpha):
+        r = (1.0 - spec.alpha) / 2.0
+    elif isinstance(spec, AffineIFS2):
+        r = max(spec.r1, spec.r2)
+    else:
+        r = 0.5  # FatCantor: the removed proportions shrink towards 0
+    a, b = _check_hull(spec.hull)
+    width = min(b - a, sys.float_info.max)  # b - a overflows for the widest hulls
+    return math.ceil(math.log(max(abs(a), abs(b)) / width * 2.0 ** -106)
+                     / math.log(r))
 
 
-def _hull_dd(spec):
-    a, b = spec.hull
-    return (float(a), 0.0), (float(b), 0.0)
+class _NodeSplitter:
+    """Principal gaps of gap-tree nodes: the one dispatcher over the
+    families' split formulas.
+
+    A call takes a node's segment [U, V] as dd pairs, its level n and its
+    index j, and returns its gap (G, H) as dd pairs.  The parts are floats
+    for one node, or arrays with one node per lane; a lane gets the bits
+    the float call gives.  FatCantor's removed proportions and an explicit
+    tree's gap arrays are built on demand, as deep as the calls go.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        if isinstance(spec, FatCantor):
+            self.fracs = [(spec.gap0, 0.0)]  # level n removes gap0 * ratio^n
+        self.tables = None  # the arrays lane calls index
+
+    def __call__(self, U, V, n, j):
+        spec = self.spec
+        lanes = isinstance(n, np.ndarray)
+        if isinstance(spec, AffineIFS2):
+            return _cut(spec, U, V, None)
+        if isinstance(spec, MiddleAlpha):
+            return _cut(spec, U, V, (spec.alpha, spec.alpha_lo))
+        if isinstance(spec, ExplicitGapTree):
+            if not lanes:
+                g, h = spec.levels[n][j]
+                return (float(g), 0.0), (float(h), 0.0)
+            if self.tables is None:
+                # gaps in heap order: node (n, j) sits at 2^n - 1 + j
+                flat = [gap for level in spec.levels for gap in level]
+                self.tables = np.array(flat, dtype=float).reshape(len(flat), 2).T
+            g, h = self.tables[:, (1 << n) - 1 + j]
+            zero = np.zeros(n.size)
+            return (g, zero), (h, zero)
+        if not isinstance(spec, FatCantor):
+            raise DomainError(f"unsupported spec type {type(spec).__name__}")
+        deepest = int(n.max()) if lanes else n
+        while len(self.fracs) <= deepest:
+            self.fracs.append(_dd.mul(*self.fracs[-1], spec.ratio, 0.0))
+            self.tables = None
+        if not lanes:
+            return _cut(spec, U, V, self.fracs[n])
+        if self.tables is None:
+            self.tables = np.array(self.fracs).T
+        return _cut(spec, U, V, (self.tables[0][n], self.tables[1][n]))
 
 
 def membership(spec, x, depth):
@@ -206,16 +248,17 @@ def membership(spec, x, depth):
     depth = int(depth)
     if depth < 1:
         raise DomainError(f"membership depth must be >= 1, got {depth}")
+    split = _NodeSplitter(spec)
+    if isinstance(spec, ExplicitGapTree):
+        depth = min(depth, len(spec.levels))
     x = float(x)
-    U, V = _hull_dd(spec)
+    a, b = spec.hull
+    U, V = (float(a), 0.0), (float(b), 0.0)
     if x < U[0] or x > V[0]:
         return False
     j = 0
     for n in range(depth):
-        gap = _split(spec, U, V, n, j)
-        if gap is None:
-            return True
-        G, H = gap
+        G, H = split(U, V, n, j)
         if x <= G[0]:
             V, j = G, 2 * j
         elif x >= H[0]:
@@ -225,59 +268,13 @@ def membership(spec, x, depth):
     return True
 
 
-def _find_gap_dd(spec, c, d):
-    """Gap meeting the middle third of [c, d] (double-double pairs in/out).
-
-    Walks the gap tree keeping a window that starts as the closed middle
-    third and shrinks past any gap that substantially straddles its edge;
-    returns either a tree gap inside the window or the window's overlap with
-    a gap that swallows it (the caller's tightening recovers the full gap).
-    The window edges carry a 1e-12 relative slack: segment endpoints arrive
-    rounded to doubles, and without the slack a sub-ulp shift of the window
-    could push the genuine middle-third gap just past an edge and send the
-    descent into ever-smaller gaps hugging that edge.
-    """
-    w = _dd.sub(*d, *c)
-    third = _dd.div(*w, 3.0, 0.0)
-    lo = _dd.add(*c, *third)
-    hi = _dd.sub(*d, *third)
-    slack = (1e-12 * w[0], 0.0)
-    U, V = _hull_dd(spec)
-    n = j = 0
-    for _ in range(64):
-        gap = _split(spec, U, V, n, j)
-        if gap is None:
-            raise SpecError(
-                f"gap tree has no data below level {n}; cannot refine "
-                f"[{c[0]!r}, {d[0]!r}]"
-            )
-        G, H = gap
-        if _dd.le(*_dd.sub(*lo, *G), *slack) and _dd.le(*_dd.sub(*H, *hi), *slack):
-            return G, H  # gap (essentially) inside the window
-        if _dd.le(*_dd.sub(*G, *lo), *slack) and _dd.le(*_dd.sub(*hi, *H), *slack):
-            # gap swallows the window; report the overlap
-            return (lo if _dd.le(*G, *lo) else G), (hi if _dd.le(*hi, *H) else H)
-        if _dd.le(*H, *lo):  # gap left of the window
-            U, n, j = H, n + 1, 2 * j + 1
-        elif _dd.le(*hi, *G):  # gap right of the window
-            V, n, j = G, n + 1, 2 * j
-        elif _dd.le(*G, *lo):  # gap straddles the left edge; keep (H, hi)
-            U, n, j = H, n + 1, 2 * j + 1
-            lo = H
-        else:  # gap straddles the right edge; keep (lo, G)
-            V, n, j = G, n + 1, 2 * j
-            hi = G
-    raise SpecError(
-        f"no gap found in the middle third of [{c[0]!r}, {d[0]!r}] within 64 "
-        "levels; the specification may describe degenerate segments"
-    )
-
-
 def find_gap_in_middle_third(spec, interval):
     """An open gap (e, f) of the target set meeting the middle third of the
     segment [c, d], with e - c and d - f both below 2/3 of the length.
 
     [c, d] must be a segment of the refinement (its endpoints members).
+    This is the build's strict search (_find_gaps) on one lane from the
+    hull, without the tightening.
     """
     c, d = float(interval[0]), float(interval[1])
     if not c < d:
@@ -286,51 +283,22 @@ def find_gap_in_middle_third(spec, interval):
         raise DomainError(
             f"segment endpoints [{c!r}, {d!r}] are not members of the target set"
         )
-    E, F = _find_gap_dd(spec, (c, 0.0), (d, 0.0))
-    return float(E[0]), float(F[0])
-
-
-def _tighten_dd(spec, e, f, slack=(0.0, 0.0)):
-    """Widen the member-free interval (e, f) to the maximal natural gap
-    containing it (double-double pairs in/out).
-
-    slack absorbs endpoint rounding: a natural gap counts as containing
-    (e, f) when it does so up to slack per side.  Internal callers hand in
-    exact tree values and use zero slack; the public wrapper passes its tol.
-    """
-    U, V = _hull_dd(spec)
-    n = j = 0
-    for _ in range(64):
-        gap = _split(spec, U, V, n, j)
-        if gap is None:
-            raise SpecError(
-                f"gap tree has no data below level {n}; cannot tighten "
-                f"({e[0]!r}, {f[0]!r})"
-            )
-        G, H = gap
-        if _dd.le(*_dd.sub(*G, *e), *slack) and _dd.le(*_dd.sub(*f, *H), *slack):
-            return G, H
-        if _dd.le(*f, *G):
-            V, j = G, 2 * j
-        elif _dd.le(*H, *e):
-            U, j = H, 2 * j + 1
-        else:
-            raise DomainError(
-                f"({e[0]!r}, {f[0]!r}) contains members of the target set"
-            )
-        n += 1
-    raise SpecError(
-        f"no natural gap contains ({e[0]!r}, {f[0]!r}) within 64 levels"
-    )
+    E, F, missed = _find_gaps(_NodeSplitter(spec), _lane(c, 0.0),
+                              _lane(d, 0.0), _hull_lane(spec))
+    if missed[0] >= 0:
+        raise _descent_error(spec, "refine", missed[0], c, d)
+    return float(E[0][0]), float(F[0][0])
 
 
 def tighten_gap(spec, gap, tol=None):
     """Maximal natural gap (e', f') containing the member-free interval (e, f).
 
     e' is the largest member below e, f' the smallest member above f.  For
-    the tree-backed specs of this module both are computed exactly by descent;
-    tol only guards the argument contract (it must be positive) and defaults
-    to 1e-12 times the hull length.
+    the tree-backed specs of this module both are computed exactly by the
+    build's tightening (_tighten_gaps) on one lane from the hull; tol is its
+    slack (a natural gap counts as containing (e, f) when it does so up to
+    tol per side), must be positive, and defaults to 1e-12 times the hull
+    length.
     """
     a, b = _check_hull(spec.hull)
     if tol is None:
@@ -342,8 +310,43 @@ def tighten_gap(spec, gap, tol=None):
         raise DomainError(f"invalid open interval ({e!r}, {f!r})")
     if e < a or f > b:
         raise DomainError(f"({e!r}, {f!r}) is not inside the hull [{a!r}, {b!r}]")
-    E, F = _tighten_dd(spec, (e, 0.0), (f, 0.0), slack=(tol, 0.0))
-    return float(E[0]), float(F[0])
+    G, H, _, stuck = _tighten_gaps(_NodeSplitter(spec), _lane(e, 0.0),
+                                   _lane(f, 0.0), _hull_lane(spec),
+                                   *_lane(tol, True))
+    if stuck[0] >= 0:
+        raise _descent_error(spec, "tighten", stuck[0], e, f)
+    return float(G[0][0]), float(H[0][0])
+
+
+def _lane(*xs):
+    """One-lane arrays of the values xs."""
+    return tuple(np.array([x]) for x in xs)
+
+
+def _hull_lane(spec):
+    """The tree's root node (U, V, n, j) as a descent start for one lane."""
+    a, b = _check_hull(spec.hull)
+    return _lane(a, 0.0, b, 0.0, 0, 0)
+
+
+def _descent_error(spec, verb, at, x, y):
+    """The error of a descent that stopped at level `at` trying to `verb`
+    ("refine" the segment [x, y] or "tighten" the interval (x, y)).  It
+    stops short of the descent limit only when tightening meets members
+    inside (x, y).
+    """
+    x, y = float(x), float(y)
+    where = f"[{x!r}, {y!r}]" if verb == "refine" else f"({x!r}, {y!r})"
+    if at < _descent_limit(spec):
+        return DomainError(f"{where} contains members of the target set")
+    if isinstance(spec, ExplicitGapTree):
+        return SpecError(
+            f"gap tree has no data below level {at}; cannot {verb} {where}")
+    if verb == "refine":
+        return SpecError(
+            f"no gap found in the middle third of {where} within {at} levels; "
+            "the specification may describe degenerate segments")
+    return SpecError(f"no natural gap contains {where} within {at} levels")
 
 
 class TargetSystem(IntervalSystem):
@@ -357,58 +360,36 @@ class TargetSystem(IntervalSystem):
         self.mode = mode
 
 
-def _natural_ratio_bound(spec, depth):
-    """Upper bound on child/parent length ratios in natural mode."""
-    if isinstance(spec, MiddleAlpha):
-        return (1.0 - spec.alpha) / 2.0
-    if isinstance(spec, AffineIFS2):
-        return max(spec.r1, spec.r2)
-    if isinstance(spec, FatCantor):
-        # schedule decreases, so the loosest split is the deepest one
-        return (1.0 - spec.gap0 * spec.ratio ** max(depth - 1, 0)) / 2.0
-    return None  # explicit trees: strict insideness already gives ratio < 1
-
-
 def build_target_system(spec, depth, mode="strict"):
     """Refine the target hull `depth` times.
 
     Strict mode splits each segment at the tightened gap found in its middle
     third, certifying level-n lengths <= (2/3)^n times the hull.  Natural
-    mode splits at the spec's principal gaps and is refused (RegimeError)
-    when the family's child ratios do not certify shrinking lengths.
+    mode splits at the spec's principal gaps, whose child/parent length
+    ratios every family's constructor already keeps below 1.
     """
     depth = _validate_depth(depth)
     if mode not in ("strict", "natural"):
         raise DomainError(f"mode must be 'strict' or 'natural', got {mode!r}")
-    if mode == "natural":
-        ratio = _natural_ratio_bound(spec, depth)
-        if ratio is not None and ratio >= 1.0:
-            raise RegimeError(
-                f"natural mode needs child ratios < 1, got {ratio!r}"
-            )
-        if isinstance(spec, ExplicitGapTree) and depth > len(spec.levels):
-            raise SpecError(
-                f"gap tree stores {len(spec.levels)} levels, cannot build "
-                f"depth {depth} naturally"
-            )
-    a, b = _check_hull(spec.hull)
+    if (mode == "natural" and isinstance(spec, ExplicitGapTree)
+            and depth > len(spec.levels)):
+        raise SpecError(f"gap tree stores {len(spec.levels)} levels, cannot "
+                        f"build depth {depth} naturally")
     split = _NodeSplitter(spec)
-
-    A = np.array([a]), np.array([0.0])
-    B = np.array([b]), np.array([0.0])
-    start = (*A, *B, np.zeros(1, np.int64), np.zeros(1, np.int64))  # the hull
+    start = _hull_lane(spec)
+    A, B = start[0:2], start[2:4]
 
     for n in range(depth):
         # overflow and NaN stay silent, as in float arithmetic; the split
         # check below refuses what they produce
         with np.errstate(over="ignore", invalid="ignore"):
             if mode == "strict":
-                G, H, start, failed = _strict_gaps(split, A, B, start)
+                G, H, start, failures = _strict_gaps(split, A, B, start)
             else:
                 m = A[0].size
                 G, H = split(A, B, np.full(m, n), np.arange(m))
-                failed = np.zeros(m, bool)
-            _check_splits(spec, mode, n, A, B, G, H, failed)
+                failures = None
+            _check_splits(spec, n, A, B, G, H, failures)
         # children of segment i are [A_i, G_i] (index 2i) and [H_i, B_i] (2i + 1)
         A = tuple(_interleave(u, g) for u, g in zip(A, H))
         B = tuple(_interleave(g, v) for g, v in zip(G, B))
@@ -434,83 +415,65 @@ def _put(out, lane, mask, x):
         o[lane[mask]] = u[mask]
 
 
-def _check_splits(spec, mode, n, U, V, G, H, failed):
-    """Raise the scalar build's error for the first failing segment: its own
-    descent error in strict mode, else a degenerate split."""
+def _check_splits(spec, n, U, V, G, H, failures):
+    """Raise for the first failing segment of a level: the error its strict
+    descents recorded (failures, see _strict_gaps; None in natural mode),
+    else a degenerate split."""
     # strict U < G and H < V, false on NaN like tuple comparison
     ok = (_dd.le(*U, *G) & ~_dd.le(*G, *U)) & (_dd.le(*H, *V) & ~_dd.le(*V, *H))
-    bad = failed | ~ok
+    missed = stuck = np.full(ok.size, -1)
+    if failures is not None:
+        missed, stuck, E, F = failures
+    bad = ~ok | (missed >= 0) | (stuck >= 0)
     if not bad.any():
         return
     k = int(np.argmax(bad))
-    Uk, Vk, Gk, Hk = ((float(x[0][k]), float(x[1][k])) for x in (U, V, G, H))
-    if mode == "strict":
-        Gk, Hk = _tighten_dd(spec, *_find_gap_dd(spec, Uk, Vk))
+    if missed[k] >= 0:
+        raise _descent_error(spec, "refine", missed[k], U[0][k], V[0][k])
+    if stuck[k] >= 0:
+        raise _descent_error(spec, "tighten", stuck[k], E[0][k], F[0][k])
     raise SpecError(
         f"level {n + 1} split degenerated: segment "
-        f"[{Uk[0]!r}, {Vk[0]!r}] with gap ({Gk[0]!r}, {Hk[0]!r})"
+        f"[{float(U[0][k])!r}, {float(V[0][k])!r}] with gap "
+        f"({float(G[0][k])!r}, {float(H[0][k])!r})"
     )
 
 
-class _NodeSplitter:
-    """_split for many tree nodes at once.
-
-    A call takes dd pairs of arrays U, V and int arrays n, j (level and
-    index), one node per lane, and applies the scalar formulas elementwise,
-    so every lane gets the bits _split would give it.  `limit` is the first
-    level the scalar descents cannot visit: 64, or an explicit tree's stored
-    depth when that is smaller (where _split runs out of data).
-    """
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.limit = 64
-        if isinstance(spec, ExplicitGapTree):
-            self.limit = min(64, len(spec.levels))
-            # gaps in heap order: node (n, j) sits at 2^n - 1 + j
-            flat = [gap for level in spec.levels for gap in level]
-            gaps = np.array(flat, dtype=float).reshape(len(flat), 2)
-            self.g, self.h = gaps[:, 0], gaps[:, 1]
-        elif isinstance(spec, (MiddleAlpha, FatCantor)):
-            self.fracs = np.array(_fractions(spec, 64)).T
-
-    def __call__(self, U, V, n, j):
-        spec = self.spec
-        if isinstance(spec, ExplicitGapTree):
-            k = (1 << n) - 1 + j
-            zero = np.zeros(k.size)
-            return (self.g[k], zero), (self.h[k], zero)
-        if isinstance(spec, AffineIFS2):
-            return _cut(spec, U, V, None)
-        if isinstance(spec, (MiddleAlpha, FatCantor)):
-            return _cut(spec, U, V, (self.fracs[0][n], self.fracs[1][n]))
-        raise DomainError(f"unsupported spec type {type(spec).__name__}")
+def _drop_spent(limit, state, at):
+    """The lanes of a descent state (lane, Uh, Ul, Vh, Vl, n, j, ...) whose
+    node level is short of limit; the others record it in `at`."""
+    n = state[5]
+    stop = n >= limit
+    at[state[0][stop]] = n[stop]
+    return tuple(x[~stop] for x in state)
 
 
-def _strict_gaps(split, C, D, start):
-    """_tighten_dd(_find_gap_dd(segment)) for every segment [C_i, D_i] of a
-    level, as masked descents with one lane per segment.
+def _find_gaps(split, C, D, start):
+    """The middle-third search: for every segment [C_i, D_i], a gap meeting
+    its middle third, as a masked descent with one lane per segment from
+    its start node (U, V, n, j).
 
-    Each lane begins at its start node (U, V, n, j) instead of the hull (see
-    the module docstring).  Returns the gaps G, H, the start nodes of the 2m
-    children and a mask of the lanes whose scalar descents raise.
+    A lane keeps a window that starts as the closed middle third and
+    shrinks past any gap that substantially straddles its edge; it stops at
+    a tree gap inside the window, or at the window's overlap with a gap
+    that swallows it (tightening recovers the full gap).  The window edges
+    carry a 1e-12 relative slack: segment endpoints arrive rounded to
+    doubles, and without the slack a sub-ulp shift of the window could push
+    the genuine middle-third gap just past an edge and send the descent
+    into ever-smaller gaps hugging that edge.  Returns E, F and, per lane,
+    -1 or the level where the search reached the descent limit.
     """
     w = _dd.sub(*D, *C)
     third = _dd.div(*w, 3.0, 0.0)
     lo = _dd.add(*C, *third)
     hi = _dd.sub(*D, *third)
     m = w[0].size
-    failed = np.zeros(m, bool)
-
-    def lanes(state):
-        # drop lanes whose node level (state[5]) the scalar descents cannot visit
-        stop = state[5] >= split.limit
-        failed[state[0][stop]] = True
-        return tuple(x[~stop] for x in state)
-
-    # _find_gap_dd: (lane, Uh, Ul, Vh, Vl, n, j, loh, lol, hih, hil, slack)
     E, F = _blank(m, 2), _blank(m, 2)
-    state = lanes((np.arange(m), *start, *lo, *hi, 1e-12 * w[0]))
+    missed = np.full(m, -1)
+    limit = _descent_limit(split.spec)
+    # (lane, Uh, Ul, Vh, Vl, n, j, loh, lol, hih, hil, slack)
+    state = _drop_spent(limit, (np.arange(m), *start, *lo, *hi, 1e-12 * w[0]),
+                        missed)
     while state[0].size:
         lane, Uh, Ul, Vh, Vl, n, j, loh, lol, hih, hil, sl = state
         lo, hi = (loh, lol), (hih, hil)
@@ -533,31 +496,63 @@ def _strict_gaps(split, C, D, start):
         U = _pick(right, Hs, (Uh, Ul))
         V = _pick(right, (Vh, Vl), Gs)
         go = ~(inside | swallow)
-        state = lanes(tuple(x[go] for x in (
-            lane, *U, *V, n + 1, 2 * j + right, *lo, *hi, sl)))
+        state = _drop_spent(limit, tuple(x[go] for x in (
+            lane, *U, *V, n + 1, 2 * j + right, *lo, *hi, sl)), missed)
+    return E, F, missed
 
-    # _tighten_dd with zero slack: (lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl)
+
+def _tighten_gaps(split, E, F, start, slack, live):
+    """The tightening: for every live lane, the maximal natural gap
+    containing the member-free interval (E_i, F_i), as a masked descent
+    from the lane's start node.
+
+    A natural gap counts as containing (E_i, F_i) when it does so up to
+    slack_i per side.  Returns the gaps G, H, the node (U, V, n, j) each
+    was found at and, per lane, -1 or the level where the descent stopped:
+    short of the descent limit when members lie inside (E_i, F_i).
+    """
+    m = E[0].size
     G, H = _blank(m, 2), _blank(m, 2)
     node = (*_blank(m, 4), np.zeros(m, np.int64), np.zeros(m, np.int64))
-    ok = ~failed
-    state = lanes((np.flatnonzero(ok), *(x[ok] for x in (*start, *E, *F))))
+    stuck = np.full(m, -1)
+    limit = _descent_limit(split.spec)
+    # (lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl, slack)
+    state = _drop_spent(limit, (np.flatnonzero(live), *(
+        x[live] for x in (*start, *E, *F, slack))), stuck)
     while state[0].size:
-        lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl = state
+        lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl, sl = state
         e, f = (eh, el), (fh, fl)
         Gs, Hs = split((Uh, Ul), (Vh, Vl), n, j)
-        hit = (_dd.le(*_dd.sub(*Gs, *e), 0.0, 0.0)
-               & _dd.le(*_dd.sub(*f, *Hs), 0.0, 0.0))
+        hit = (_dd.le(*_dd.sub(*Gs, *e), sl, 0.0)
+               & _dd.le(*_dd.sub(*f, *Hs), sl, 0.0))
         _put(G, lane, hit, Gs)
         _put(H, lane, hit, Hs)
         _put(node, lane, hit, (Uh, Ul, Vh, Vl, n, j))
         left = ~hit & _dd.le(*f, *Gs)
         right = ~hit & ~left & _dd.le(*Hs, *e)
-        failed[lane[~(hit | left | right)]] = True  # members inside (e, f)
+        members = ~(hit | left | right)
+        stuck[lane[members]] = n[members]
         U = _pick(right, Hs, (Uh, Ul))
         V = _pick(left, Gs, (Vh, Vl))
         go = left | right
-        state = lanes(tuple(x[go] for x in (
-            lane, *U, *V, n + 1, 2 * j + right, *e, *f)))
+        state = _drop_spent(limit, tuple(x[go] for x in (
+            lane, *U, *V, n + 1, 2 * j + right, *e, *f, sl)), stuck)
+    return G, H, node, stuck
+
+
+def _strict_gaps(split, C, D, start):
+    """The tightened middle-third gap of every segment [C_i, D_i] of a
+    level, one lane per segment.
+
+    Each lane begins its descents at its start node instead of the hull
+    (see the module docstring).  Returns the gaps G, H, the start nodes of
+    the 2m children, and the failure record (missed, stuck, E, F): the
+    levels where the search and the tightening stopped (-1 where they did
+    not fail) and the intervals the tightening was given.
+    """
+    E, F, missed = _find_gaps(split, C, D, start)
+    G, H, node, stuck = _tighten_gaps(split, E, F, start,
+                                      np.zeros(missed.size), missed < 0)
 
     # a child starts at the matching child of its gap's node when that node
     # contains it, else where its parent started
@@ -565,7 +560,7 @@ def _strict_gaps(split, C, D, start):
     left = _pick(_dd.le(Uh, Ul, *C), (Uh, Ul, *G, n + 1, 2 * j), start)
     right = _pick(_dd.le(*D, Vh, Vl), (*H, Vh, Vl, n + 1, 2 * j + 1), start)
     children = tuple(_interleave(x, y) for x, y in zip(left, right))
-    return G, H, children, failed
+    return G, H, children, (missed, stuck, E, F)
 
 
 def _blank(m, k):

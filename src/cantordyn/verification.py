@@ -14,7 +14,8 @@ import numpy as np
 
 from . import conjugacy, model_cantor, orbit_engine, quadratic_map
 from .errors import NoRealFixedPoint
-from .target_cantor import build_target_system, membership, middle_thirds
+from .target_cantor import (_descent_limit, build_target_system, membership,
+                            middle_thirds)
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,11 @@ def _suite_target_construction(spec, depth):
             return False, f"stored endpoint {float(x)!r} rejected by membership"
     # a strict gap is a natural gap of the spec's tree, possibly deeper than
     # level `depth`: test its midpoint as deep as the strict descents go
+    limit = _descent_limit(spec)
     for n in range(1, min(depth, 4) + 1):
         for gc, gd in zip(system.gap_c[n], system.gap_d[n]):
             mid = 0.5 * (float(gc) + float(gd))
-            if membership(spec, mid, 64):
+            if membership(spec, mid, limit):
                 return False, f"gap midpoint {mid!r} accepted by membership"
     return True, f"depth {depth}: strict refinement consistent with membership"
 

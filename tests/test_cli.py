@@ -146,6 +146,11 @@ def test_gap_file_validation_fails_loudly(capsys, tmp_path):
                    '"levels":[[[0.4,1.5]]]}\n')
     rc, _, err = run(capsys, "build-target", "--target", f"gaps:{bad}")
     assert rc == 2 and "bad.json" in err
+    for hull in ("[false,true]", "[0,1]", "[NaN,1.0]"):
+        bad.write_text(f'{{"format":"cantor-gaps/1","hull":{hull},'
+                       '"levels":[[[0.4,0.6]]]}\n')
+        rc, _, err = run(capsys, "build-target", "--target", f"gaps:{bad}")
+        assert rc == 2 and "bad.json" in err, hull
 
 
 def test_classify_stdout_and_csv(capsys, tmp_path):

@@ -379,6 +379,31 @@ class TestGapTreeFile:
         with pytest.raises(SpecError, match="bad.json"):
             load_gap_tree(path)
 
+    @pytest.mark.parametrize("hull, gap", [
+        ("[false,true]", "[0.4,0.6]"),
+        ("[0,1]", "[0.4,0.6]"),
+        ("[0.0,10.0]", "[3,6.0]"),
+        ("[NaN,1.0]", "[0.4,0.6]"),
+        ("[0.0,Infinity]", "[0.4,0.6]"),
+        ("[0.0,1.0]", "[-Infinity,0.6]"),
+    ], ids=["bools", "int-hull", "int-gap", "nan", "inf", "minus-inf"])
+    def test_non_real_values_refused(self, tmp_path, hull, gap):
+        # like a system document's spec, every value must be a finite real
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"format":"cantor-gaps/1","hull":{hull},'
+                        f'"levels":[[{gap}]]}}\n')
+        with pytest.raises(SpecError, match="bad.json"):
+            load_gap_tree(path)
+
+    def test_int_gaps_round_trip(self, tmp_path):
+        # a tree built from ints is written as the reals the reader accepts
+        tree = ExplicitGapTree(hull=(0, 10), levels=(((3, 6),),))
+        path = tmp_path / "ints.json"
+        save_gap_tree(tree, path)
+        assert path.read_text() == ('{"format":"cantor-gaps/1","hull":[0.0,10.0],'
+                                    '"levels":[[[3.0,6.0]]]}\n')
+        assert load_gap_tree(path) == tree
+
 
 class TestCobwebExport:
     @pytest.fixture

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantordyn import (
     AffineIFS2,
+    CantorDynError,
     DomainError,
     ExplicitGapTree,
     FatCantor,
@@ -28,7 +29,10 @@ from cantordyn import (
     middle_thirds,
     tighten_gap,
 )
-from cantordyn.target_cantor import _find_gap_dd, _split, _tighten_dd
+from cantordyn import _dd
+from cantordyn.target_cantor import (_cut, _descent_error, _descent_limit,
+                                     _find_gaps, _hull_lane, _lane,
+                                     _NodeSplitter, _tighten_gaps)
 
 
 def exact_thirds_level(n):
@@ -350,6 +354,131 @@ def test_affine_invariants(r1, r2, depth):
         assert membership(AffineIFS2(r1, r2), float(x), 16)
 
 
+# Frozen reference: the per-segment scalar walks the library once ran
+# (middle-third search, tightening, split), kept as they were except that
+# the level cap is an argument.  The array descents must reproduce them.
+
+
+def _fractions(spec, count):
+    """Removed proportions of the centred splits at tree levels 0..count-1,
+    as double-double pairs."""
+    if isinstance(spec, MiddleAlpha):
+        return [(spec.alpha, spec.alpha_lo)] * count
+    fracs = [(spec.gap0, 0.0)]
+    while len(fracs) < count:
+        fracs.append(_dd.mul(*fracs[-1], spec.ratio, 0.0))
+    return fracs
+
+
+def _split(spec, U, V, n, j):
+    """Principal gap (G, H) of segment (U, V) at level n, index j, as
+    double-double pairs; None when an explicit tree has no deeper data."""
+    if isinstance(spec, ExplicitGapTree):
+        if n >= len(spec.levels):
+            return None
+        g, h = spec.levels[n][j]
+        return (float(g), 0.0), (float(h), 0.0)
+    if isinstance(spec, AffineIFS2):
+        return _cut(spec, U, V, None)
+    if isinstance(spec, (MiddleAlpha, FatCantor)):
+        return _cut(spec, U, V, _fractions(spec, n + 1)[n])
+    raise DomainError(f"unsupported spec type {type(spec).__name__}")
+
+
+def _hull_dd(spec):
+    a, b = spec.hull
+    return (float(a), 0.0), (float(b), 0.0)
+
+
+def _find_gap_dd(spec, c, d, limit):
+    """Gap meeting the middle third of [c, d] (double-double pairs in/out).
+
+    Walks the gap tree keeping a window that starts as the closed middle
+    third and shrinks past any gap that substantially straddles its edge;
+    returns either a tree gap inside the window or the window's overlap with
+    a gap that swallows it (the caller's tightening recovers the full gap).
+    The window edges carry a 1e-12 relative slack: segment endpoints arrive
+    rounded to doubles, and without the slack a sub-ulp shift of the window
+    could push the genuine middle-third gap just past an edge and send the
+    descent into ever-smaller gaps hugging that edge.
+    """
+    w = _dd.sub(*d, *c)
+    third = _dd.div(*w, 3.0, 0.0)
+    lo = _dd.add(*c, *third)
+    hi = _dd.sub(*d, *third)
+    slack = (1e-12 * w[0], 0.0)
+    U, V = _hull_dd(spec)
+    n = j = 0
+    for _ in range(limit):
+        gap = _split(spec, U, V, n, j)
+        if gap is None:
+            raise SpecError(
+                f"gap tree has no data below level {n}; cannot refine "
+                f"[{c[0]!r}, {d[0]!r}]"
+            )
+        G, H = gap
+        if _dd.le(*_dd.sub(*lo, *G), *slack) and _dd.le(*_dd.sub(*H, *hi), *slack):
+            return G, H  # gap (essentially) inside the window
+        if _dd.le(*_dd.sub(*G, *lo), *slack) and _dd.le(*_dd.sub(*hi, *H), *slack):
+            # gap swallows the window; report the overlap
+            return (lo if _dd.le(*G, *lo) else G), (hi if _dd.le(*hi, *H) else H)
+        if _dd.le(*H, *lo):  # gap left of the window
+            U, n, j = H, n + 1, 2 * j + 1
+        elif _dd.le(*hi, *G):  # gap right of the window
+            V, n, j = G, n + 1, 2 * j
+        elif _dd.le(*G, *lo):  # gap straddles the left edge; keep (H, hi)
+            U, n, j = H, n + 1, 2 * j + 1
+            lo = H
+        else:  # gap straddles the right edge; keep (lo, G)
+            V, n, j = G, n + 1, 2 * j
+            hi = G
+    raise SpecError(
+        f"no gap found in the middle third of [{c[0]!r}, {d[0]!r}] within {limit} "
+        "levels; the specification may describe degenerate segments"
+    )
+
+
+def _tighten_dd(spec, e, f, limit, slack=(0.0, 0.0)):
+    """Widen the member-free interval (e, f) to the maximal natural gap
+    containing it (double-double pairs in/out).
+
+    slack absorbs endpoint rounding: a natural gap counts as containing
+    (e, f) when it does so up to slack per side.  Internal callers hand in
+    exact tree values and use zero slack; the public wrapper passes its tol.
+    """
+    U, V = _hull_dd(spec)
+    n = j = 0
+    for _ in range(limit):
+        gap = _split(spec, U, V, n, j)
+        if gap is None:
+            raise SpecError(
+                f"gap tree has no data below level {n}; cannot tighten "
+                f"({e[0]!r}, {f[0]!r})"
+            )
+        G, H = gap
+        if _dd.le(*_dd.sub(*G, *e), *slack) and _dd.le(*_dd.sub(*f, *H), *slack):
+            return G, H
+        if _dd.le(*f, *G):
+            V, j = G, 2 * j
+        elif _dd.le(*H, *e):
+            U, j = H, 2 * j + 1
+        else:
+            raise DomainError(
+                f"({e[0]!r}, {f[0]!r}) contains members of the target set"
+            )
+        n += 1
+    raise SpecError(
+        f"no natural gap contains ({e[0]!r}, {f[0]!r}) within {limit} levels"
+    )
+
+
+def walk_limit(spec):
+    """Level cap for the frozen walks: the derived descent limit.  An
+    explicit tree's walk must pass its stored depth to reach the missing
+    data and raise for it, so it gets one level more."""
+    return _descent_limit(spec) + isinstance(spec, ExplicitGapTree)
+
+
 LEVEL_ARRAYS = ("level_a", "a_lo", "level_b", "b_lo", "gap_c", "c_lo", "gap_d", "d_lo")
 
 
@@ -364,6 +493,7 @@ def reference_build(spec, depth, mode):
     """Per-segment build from the scalar helpers, holding the level arrays
     of a TargetSystem."""
     a, b = spec.hull
+    limit = walk_limit(spec)
     segs, gaps = [((float(a), 0.0), (float(b), 0.0))], []
     ref = SimpleNamespace(depth=depth, **{name: [] for name in LEVEL_ARRAYS})
     for n in range(depth + 1):
@@ -378,7 +508,7 @@ def reference_build(spec, depth, mode):
         gaps, nxt = [], []
         for j, (U, V) in enumerate(segs):
             if mode == "strict":
-                G, H = _tighten_dd(spec, *_find_gap_dd(spec, U, V))
+                G, H = _tighten_dd(spec, *_find_gap_dd(spec, U, V, limit), limit)
             else:
                 G, H = _split(spec, U, V, n, j)
             gaps.append((G, H))
@@ -390,7 +520,7 @@ def assert_matches_reference(spec, depth, mode):
     try:
         reference = reference_build(spec, depth, mode)
     except SpecError as exc:
-        # e.g. a strict descent past the 64-level limit: same error, same text
+        # e.g. a strict descent past the stored levels: same error, same text
         with pytest.raises(SpecError) as got:
             build_target_system(spec, depth, mode)
         assert str(got.value) == str(exc)
@@ -452,3 +582,108 @@ def test_strict_middle_thirds_depth_16_exact(thirds):
                           [float(Fraction(int(k), scale)) for k in lefts])
     assert np.array_equal(system.level_b[16],
                           [float(Fraction(int(k) + 1, scale)) for k in lefts])
+
+
+@pytest.mark.parametrize("spec, depth", [
+    (AffineIFS2(0.05, 0.9), 8),
+    (AffineIFS2(0.9, 0.05), 8),
+    (AffineIFS2(0.01, 0.97), 12),
+], ids=repr)
+def test_lopsided_affine_strict(spec, depth):
+    # near the slowly contracting end the gap meeting a middle third lies
+    # far down the tree (about 167 levels for 0.01, 0.97), well past a
+    # fixed cap of 64 but inside the derived descent limit
+    system = build_target_system(spec, depth)
+    assert_nested(system)
+    for n in range(depth + 1):
+        lengths = system.level_b[n] - system.level_a[n]
+        assert np.all(lengths <= (2 / 3) ** n * (1 + 1e-9))
+    for x in np.concatenate([system.level_a[depth], system.level_b[depth]]):
+        assert membership(spec, float(x), 16)
+
+
+def test_descent_limit_values():
+    # first level whose nodes fall below 2^-106 of the hull
+    cases = [(middle_thirds(), 67), (FatCantor(0.3, 0.5), 106),
+             (AffineIFS2(0.3, 0.2), 62), (AffineIFS2(0.05, 0.9), 698),
+             (AffineIFS2(0.01, 0.97), 2413),
+             (TestExplicitGapTree().tree(), 2)]
+    for spec, limit in cases:
+        assert _descent_limit(spec) == limit
+
+
+def outcome(fn, *args):
+    """fn(*args) as floats, or the type and text of the error it raised."""
+    try:
+        E, F = fn(*args)
+    except CantorDynError as exc:
+        return type(exc), str(exc)
+    return tuple(float(x[0]) if isinstance(x, tuple) else x for x in (E, F))
+
+
+def one_lane_find(spec, c, d):
+    """find_gap_in_middle_third past its argument checks."""
+    E, F, missed = _find_gaps(_NodeSplitter(spec), _lane(c, 0.0),
+                              _lane(d, 0.0), _hull_lane(spec))
+    if missed[0] >= 0:
+        raise _descent_error(spec, "refine", missed[0], c, d)
+    return float(E[0][0]), float(F[0][0])
+
+
+def one_lane_tighten(spec, e, f, tol):
+    """tighten_gap past its argument checks."""
+    G, H, _, stuck = _tighten_gaps(_NodeSplitter(spec), _lane(e, 0.0),
+                                   _lane(f, 0.0), _hull_lane(spec),
+                                   *_lane(tol, True))
+    if stuck[0] >= 0:
+        raise _descent_error(spec, "tighten", stuck[0], e, f)
+    return float(G[0][0]), float(H[0][0])
+
+
+HELPER_SPECS = [middle_thirds(), MiddleAlpha(0.5), AffineIFS2(0.3, 0.2),
+                AffineIFS2(0.8, 0.1), FatCantor(0.3, 0.5)]
+
+
+@pytest.mark.parametrize("spec", HELPER_SPECS, ids=repr)
+def test_helpers_match_frozen_walks(spec):
+    limit = walk_limit(spec)
+    a, b = spec.hull
+    system = build_target_system(spec, 6)
+    for n in range(7):
+        for c, d in zip(system.level_a[n].tolist(), system.level_b[n].tolist()):
+            found = outcome(_find_gap_dd, spec, (c, 0.0), (d, 0.0), limit)
+            assert outcome(find_gap_in_middle_third, spec, (c, d)) == found
+            e, f = found
+            for tol in (None, 1e-6):
+                slack = (1e-12 * (b - a) if tol is None else tol, 0.0)
+                assert outcome(tighten_gap, spec, (e, f), tol) == outcome(
+                    _tighten_dd, spec, (e, 0.0), (f, 0.0), limit, slack)
+            # the open segment holds members
+            members = outcome(tighten_gap, spec, (c, d))
+            assert members == outcome(_tighten_dd, spec, (c, 0.0), (d, 0.0),
+                                      limit, (1e-12 * (b - a), 0.0))
+            assert members[0] is DomainError
+    # outside the hull both descents run out of tree at the derived limit
+    for x, y in ((-0.5, -0.25), (1.25, 1.5)):
+        for got, want in (
+                (outcome(one_lane_find, spec, x, y),
+                 outcome(_find_gap_dd, spec, (x, 0.0), (y, 0.0), limit)),
+                (outcome(one_lane_tighten, spec, x, y, 1e-12),
+                 outcome(_tighten_dd, spec, (x, 0.0), (y, 0.0), limit,
+                         (1e-12, 0.0)))):
+            assert got == want
+            assert got[0] is SpecError and f"within {limit} levels" in got[1]
+
+
+def test_helpers_past_stored_data_match_frozen_walks():
+    tree = TestExplicitGapTree().tree()
+    limit = walk_limit(tree)
+    got = outcome(find_gap_in_middle_third, tree, (0.0, 0.4))
+    assert got == outcome(_find_gap_dd, tree, (0.0, 0.0), (0.4, 0.0), limit)
+    assert got == (SpecError, "gap tree has no data below level 2; cannot "
+                              "refine [0.0, 0.4]")
+    got = outcome(tighten_gap, tree, (0.05, 0.06))
+    assert got == outcome(_tighten_dd, tree, (0.05, 0.0), (0.06, 0.0), limit,
+                          (1e-12, 0.0))
+    assert got == (SpecError, "gap tree has no data below level 2; cannot "
+                              "tighten (0.05, 0.06)")

@@ -95,3 +95,14 @@ def test_lopsided_affine_target_construction(r1, r2, depth):
     ok, detail = _suite_target_construction(AffineIFS2(r1, r2), depth)
     assert ok, detail
     assert all(r.ok for r in run_verification(-3.0, depth, AffineIFS2(r1, r2)))
+
+
+@pytest.mark.parametrize("r1, r2", [(0.05, 0.9), (0.9, 0.05), (0.01, 0.97),
+                                    (0.01, 0.985)])
+def test_deep_strict_gaps_verify(r1, r2):
+    # strict gaps deep in the natural tree: for 0.01, 0.985 the level-3 and
+    # level-4 ones lie at levels 84 and 112, so the gap midpoint check must
+    # descend to the derived limit to reject them
+    results = run_verification(-3.0, 8, AffineIFS2(r1, r2))
+    assert [r.name for r in results if not r.ok] == []
+    assert len(results) == 9
