@@ -5,12 +5,13 @@ so save -> load -> save reproduces files byte for byte.
 
 A system document is a checked cache of a build.  It lists every level and
 gap, though all of them are views of the deepest level (see
-IntervalSystem).  The loader reads the header (kind, parameters, depth),
-checks the level and gap counts, rebuilds the system with
-build_model_system or build_target_system, and refuses the file unless
-every stored level and gap reads exactly as the writer renders the
-rebuild.  A loaded system is therefore the builder's own, double-double
-tails included.
+IntervalSystem), so the writer renders the deepest level's ends once and
+slices every level and gap out of those strings.  The loader reads the
+header (kind, parameters, depth), checks the level and gap counts,
+rebuilds the system with build_model_system or build_target_system, and
+refuses the file unless every stored level and gap reads exactly as the
+writer renders the rebuild.  A loaded system is therefore the builder's
+own, double-double tails included.
 """
 
 import csv
@@ -38,10 +39,6 @@ PALETTE = (
     (134, 181, 229), (211, 236, 248), (241, 233, 191), (248, 201, 95),
     (255, 170, 0), (204, 128, 0), (153, 87, 0), (106, 52, 3),
 )
-
-
-def _pairs(a, b):
-    return np.column_stack([a, b]).tolist()
 
 
 # formula families: document name -> (spec class, its real fields in order)
@@ -101,8 +98,9 @@ def _spec_from_doc(doc, where):
     raise SpecError(f"{where}: unknown spec family {fam!r}")
 
 
-def _system_doc(system):
-    """The cantor-system/1 document of a model or target system."""
+def _system_header(system):
+    """The format, kind and parameters of a system's cantor-system/1
+    document."""
     if isinstance(system, TargetSystem):
         parameters = {"spec": _spec_doc(system.spec), "mode": system.mode,
                       "depth": system.depth}
@@ -112,15 +110,13 @@ def _system_doc(system):
             raise DomainError("model system carries no parameters to serialize")
         parameters = {"c": system.params.c, "depth": system.depth}
         kind = "model"
-    return {
-        "format": SYSTEM_FORMAT,
-        "kind": kind,
-        "parameters": parameters,
-        "levels": [_pairs(system.level_a[n], system.level_b[n])
-                   for n in range(system.depth + 1)],
-        "gaps": [_pairs(system.gap_c[n], system.gap_d[n])
-                 for n in range(system.depth + 1)],
-    }
+    return {"format": SYSTEM_FORMAT, "kind": kind, "parameters": parameters}
+
+
+def _pair_array(xs, ys):
+    """The compact JSON array of the pairs [x, y], from rendered reals."""
+    pairs = list(map(",".join, zip(xs, ys)))
+    return "[[" + "],[".join(pairs) + "]]" if pairs else "[]"
 
 
 def _write_json(doc, path):
@@ -129,8 +125,27 @@ def _write_json(doc, path):
 
 
 def save_system(system, path):
-    """Write a cantor-system/1 document for a model or target system."""
-    _write_json(_system_doc(system), path)
+    """Write a cantor-system/1 document for a model or target system.
+
+    The header goes through json.dumps.  The levels and gaps are strided
+    views of the deepest level (see IntervalSystem), so its a and b ends are
+    rendered once, with repr (the float.__repr__ that json.dumps uses for
+    finite reals), and every level and gap is sliced out of those strings
+    with the views' strides: the file is the compact json.dumps of the
+    whole document, byte for byte.
+    """
+    head = json.dumps(_system_header(system), separators=(",", ":"))
+    a = list(map(repr, system.a_N.tolist()))
+    b = list(map(repr, system.b_N.tolist()))
+    levels, gaps = [], []
+    for n in range(system.depth + 1):
+        k = 1 << (system.depth - n)
+        level_a, level_b = a[::k], b[k - 1::k]
+        levels.append(_pair_array(level_a, level_b))
+        gaps.append(_pair_array(level_b[0::2], level_a[1::2]))
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(f'{head[:-1]},"levels":[{",".join(levels)}],'
+                f'"gaps":[{",".join(gaps)}]}}\n')
 
 
 def _load_json(path):
@@ -199,7 +214,7 @@ def load_system(path):
 
 
 def _reads_as(stored, a, b):
-    """Whether a stored level is _pairs(a, b) entry for entry.  List
+    """Whether a stored level is the pairs [a[i], b[i]], entry for entry.  List
     equality settles every entry but the integral ones, where it would also
     accept a bool, an int or a zero of the other sign; those few are
     compared as the writer renders them."""

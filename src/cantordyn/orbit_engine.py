@@ -119,7 +119,8 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
 
 def _iterate_target_array(pl, params, y0, max_iter, threshold):
     """The loop of iterate_target over the lanes of y0 that have not yet
-    escaped, as mandelbrot_grid keeps its alive pixels."""
+    escaped: like mandelbrot_grid, it records the lanes that escape and
+    drops them, so each step costs the lanes still alive."""
     escaped = np.zeros(y0.shape, dtype=bool)
     iteration = np.full(y0.shape, max_iter, dtype=np.int64)
     alive = np.arange(y0.size)
@@ -176,14 +177,27 @@ def classify_grid(classifier, lo, hi, n_points, max_iter):
     return [(float(x), classifier(float(x), max_iter)) for x in xs]
 
 
+def _check_bailout(bailout):
+    """bailout squared, refusing a bailout that is not finite or whose
+    square overflows: the escape test would then never fire."""
+    b2 = float(bailout) * float(bailout)
+    if not np.isfinite(b2):
+        raise DomainError(f"bailout must be finite with a finite square, "
+                          f"got {bailout!r}")
+    return b2
+
+
 def mandelbrot_escape(c_re, c_im, max_iter, bailout=2.0):
     """Escape iteration of z -> z^2 + c from z = 0, or None when the orbit
-    stays within the bailout for max_iter steps."""
+    stays within the bailout for max_iter steps.  c and bailout must be
+    finite (DomainError otherwise)."""
     max_iter = int(max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     cr, ci = float(c_re), float(c_im)
-    b2 = float(bailout) * float(bailout)
+    if not (np.isfinite(cr) and np.isfinite(ci)):
+        raise DomainError(f"c must be finite, got {cr!r} + {ci!r}i")
+    b2 = _check_bailout(bailout)
     zr = zi = 0.0
     for n in range(1, max_iter + 1):
         zr, zi = zr * zr - zi * zi + cr, 2.0 * zr * zi + ci
@@ -197,7 +211,13 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
 
     region = (re_min, re_max, im_min, im_max).  Pixel (row, col) samples the
     center of its cell, rows running top to bottom (row 0 at im_max).  The
-    per-pixel arithmetic matches mandelbrot_escape exactly.
+    per-pixel arithmetic matches mandelbrot_escape exactly.  A region entry
+    or bailout that is not finite, or a region too wide for its pixel
+    centres to be finite doubles, raises DomainError.
+
+    The loop runs on flat arrays of the live pixels only: each iteration
+    writes the count of the pixels that escaped and drops them, so the work
+    per iteration is the number of pixels still inside.
     """
     width, height = int(width), int(height)
     if width < 1 or height < 1:
@@ -206,26 +226,28 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     re_min, re_max, im_min, im_max = (float(v) for v in region)
-    b2 = float(bailout) * float(bailout)
-    re = re_min + (np.arange(width) + 0.5) * (re_max - re_min) / width
-    im = im_max - (np.arange(height) + 0.5) * (im_max - im_min) / height
-    cr = np.broadcast_to(re, (height, width)).copy()
-    ci = np.broadcast_to(im[:, None], (height, width)).copy()
-    out = np.full((height, width), -1, dtype=np.int32)
+    b2 = _check_bailout(bailout)
+    # a non-finite entry or an overflowing spacing leaves a centre non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = re_min + (np.arange(width) + 0.5) * (re_max - re_min) / width
+        im = im_max - (np.arange(height) + 0.5) * (im_max - im_min) / height
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise DomainError(f"region must be finite with finite pixel centres, "
+                          f"got {(re_min, re_max, im_min, im_max)!r}")
+    cr = np.tile(re, height)
+    ci = np.repeat(im, width)
+    out = np.full(height * width, -1, dtype=np.int32)
     zr = np.zeros_like(cr)
     zi = np.zeros_like(ci)
-    alive = np.ones((height, width), dtype=bool)
+    live = np.arange(out.size)
     for n in range(1, max_iter + 1):
-        zr_a, zi_a = zr[alive], zi[alive]
-        cr_a, ci_a = cr[alive], ci[alive]
-        nzr = zr_a * zr_a - zi_a * zi_a + cr_a
-        nzi = 2.0 * zr_a * zi_a + ci_a
-        zr[alive], zi[alive] = nzr, nzi
-        esc = nzr * nzr + nzi * nzi > b2
-        if np.any(esc):
-            idx = np.flatnonzero(alive)[esc]
-            out.flat[idx] = n
-            alive.flat[idx] = False
-        if not alive.any():
-            break
-    return out
+        zr, zi = zr * zr - zi * zi + cr, 2.0 * zr * zi + ci
+        esc = zr * zr + zi * zi > b2
+        if esc.any():
+            out[live[esc]] = n
+            keep = ~esc
+            live, zr, zi = live[keep], zr[keep], zi[keep]
+            cr, ci = cr[keep], ci[keep]
+            if live.size == 0:
+                break
+    return out.reshape(height, width)

@@ -42,6 +42,8 @@ def _check_hull(hull):
         raise DomainError(f"hull must be finite, got [{a!r}, {b!r}]")
     if not a < b:
         raise DomainError(f"hull must satisfy a < b, got [{a!r}, {b!r}]")
+    if not np.isfinite(b - a):
+        raise DomainError(f"hull width b - a overflows, got [{a!r}, {b!r}]")
     return a, b
 
 

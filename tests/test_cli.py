@@ -203,6 +203,19 @@ def test_mandelbrot_render(capsys, tmp_path):
     assert path.read_bytes().startswith(b"P6\n16 8\n255\n")
 
 
+@pytest.mark.parametrize("flags", [
+    ("--re-min", "nan"), ("--im-max", "inf"), ("--re-max=-inf",),
+    ("--re-min=-1e308", "--re-max", "1e308"),
+], ids=["re-min-nan", "im-max-inf", "re-max-minus-inf", "span-overflows"])
+def test_mandelbrot_non_finite_region(capsys, tmp_path, flags):
+    # refused with exit 2 and no image, not rendered all black
+    path = tmp_path / "m.ppm"
+    rc, _, err = run(capsys, "mandelbrot", "--width", "16", "--height", "8",
+                     *flags, "--out", str(path))
+    assert rc == 2 and "region" in err
+    assert not path.exists()
+
+
 def test_depth_out_of_range(capsys):
     rc, _, err = run(capsys, "build-model", "--depth", "49")
     assert rc == 1 and "usage error" in err

@@ -10,6 +10,8 @@ import csv
 import functools
 import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from cantordyn import (
     DomainError,
     ExplicitGapTree,
     FatCantor,
+    MiddleAlpha,
     RegimeError,
     SpecError,
     TargetSystem,
@@ -153,6 +156,59 @@ def test_round_trip_depths_0_to_12(make, tmp_path):
         assert p1.read_bytes() == p2.read_bytes(), depth
         # the loaded system is the builder's own, tails included
         assert same_system(loaded, system), depth
+
+
+# The dict + json.dumps writer that save_system replaced, frozen verbatim
+# as the reference for its bytes (only the file write is dropped).
+def reference_pairs(a, b):
+    return np.column_stack([a, b]).tolist()
+
+
+def reference_system_doc(system):
+    """The cantor-system/1 document of a model or target system."""
+    if isinstance(system, TargetSystem):
+        parameters = {"spec": fileio._spec_doc(system.spec), "mode": system.mode,
+                      "depth": system.depth}
+        kind = "target"
+    else:
+        if system.params is None:
+            raise DomainError("model system carries no parameters to serialize")
+        parameters = {"c": system.params.c, "depth": system.depth}
+        kind = "model"
+    return {
+        "format": fileio.SYSTEM_FORMAT,
+        "kind": kind,
+        "parameters": parameters,
+        "levels": [reference_pairs(system.level_a[n], system.level_b[n])
+                   for n in range(system.depth + 1)],
+        "gaps": [reference_pairs(system.gap_c[n], system.gap_d[n])
+                 for n in range(system.depth + 1)],
+    }
+
+
+def reference_save_text(system):
+    return json.dumps(reference_system_doc(system), separators=(",", ":")) + "\n"
+
+
+ORACLE_SYSTEMS = {
+    **SYSTEMS,
+    **{f"middle-alpha-{mode}": _target(lambda: MiddleAlpha(0.5), mode)
+       for mode in ("strict", "natural")},
+    **{f"negative-zero-hull-{mode}":
+       _target(lambda: MiddleAlpha(0.5, hull=(-0.0, 1.0)), mode)
+       for mode in ("strict", "natural")},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_save_bytes_match_reference_writer(name, tmp_path):
+    # models to depth 14; the explicit tree stores 12 levels, so targets
+    # stop there
+    path = tmp_path / "s.json"
+    for depth in range(15 if name.startswith("model") else 13):
+        system = ORACLE_SYSTEMS[name](depth)
+        save_system(system, path)
+        assert path.read_text(encoding="utf-8") == reference_save_text(system), depth
 
 
 class TestSystemValidation:
@@ -319,7 +375,13 @@ def fuzz_documents():
                                    levels=(((0.25, 0.5),),
                                            ((0.0625, 0.125), (0.75, 0.875)))),
                    2, "natural")]
-    return [(system, fileio._system_doc(system)) for system in systems]
+    docs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "system.json"
+        for system in systems:
+            save_system(system, path)
+            docs.append(json.loads(path.read_text()))
+    return list(zip(systems, docs))
 
 
 def _rebuild(system):
@@ -351,7 +413,9 @@ def test_mutated_documents(data, tmp_path_factory):
     except CantorDynError:
         return
     assert same_system(loaded, _rebuild(loaded))
-    written = fileio._system_doc(loaded)
+    resaved = tmp_path_factory.getbasetemp() / "resaved.json"
+    save_system(loaded, resaved)
+    written = json.loads(resaved.read_text())
     for key in ("levels", "gaps"):
         assert json.dumps(written[key]) == json.dumps(mutated[key])
     if json.dumps(mutated["parameters"]) == json.dumps(doc["parameters"]):

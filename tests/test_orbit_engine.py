@@ -7,6 +7,8 @@ to binary64, escapes after a handful of steps once the local slope 2p ~ 4.6
 amplifies the half-ulp rounding error past the drift budget.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +247,104 @@ class TestMandelbrot:
         if re * re + im * im <= 4.000001:
             return
         assert mandelbrot_escape(re, im, 10) == 1
+
+
+    @pytest.mark.parametrize("call", [
+        lambda: mandelbrot_grid((math.nan, 1, -1, 1), 3, 2, 10),
+        lambda: mandelbrot_grid((-2, 1, -1, math.inf), 3, 2, 10),
+        lambda: mandelbrot_grid((-2, 1, -math.inf, 1), 3, 2, 10),
+        lambda: mandelbrot_grid((-2, 1, -1, 1), 3, 2, 10, bailout=math.nan),
+        lambda: mandelbrot_grid((-2, 1, -1, 1), 3, 2, 10, bailout=math.inf),
+        lambda: mandelbrot_grid((-2, 1, -1, 1), 3, 2, 10, bailout=1e200),
+        lambda: mandelbrot_grid((-1e308, 1e308, -1, 1), 3, 2, 10),
+        lambda: mandelbrot_grid((-2, 1, -1e308, 1e308), 3, 2, 10),
+        lambda: mandelbrot_grid((0.0, 1.5e308, -1, 1), 2, 2, 10),
+        lambda: mandelbrot_escape(math.nan, 0, 10),
+        lambda: mandelbrot_escape(0, -math.inf, 10),
+        lambda: mandelbrot_escape(0, 0, 10, bailout=math.nan),
+        lambda: mandelbrot_escape(0, 0, 10, bailout=math.inf),
+    ], ids=["region-nan", "region-inf", "region-minus-inf", "bailout-nan",
+            "bailout-inf", "bailout-square-overflows", "re-span-overflows",
+            "im-span-overflows", "centres-overflow", "c-nan", "c-inf",
+            "escape-bailout-nan", "escape-bailout-inf"])
+    def test_non_finite_input_refused(self, call):
+        # a non-finite c or bailout makes every comparison false, which
+        # would read as "inside"
+        with pytest.raises(DomainError):
+            call()
+
+
+# The masked full-grid loop that mandelbrot_grid replaced, frozen verbatim
+# (validation included) as the reference for its counts.
+def reference_mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
+    width, height = int(width), int(height)
+    if width < 1 or height < 1:
+        raise DomainError(f"image dimensions must be >= 1, got {width}x{height}")
+    max_iter = int(max_iter)
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    re_min, re_max, im_min, im_max = (float(v) for v in region)
+    b2 = float(bailout) * float(bailout)
+    re = re_min + (np.arange(width) + 0.5) * (re_max - re_min) / width
+    im = im_max - (np.arange(height) + 0.5) * (im_max - im_min) / height
+    cr = np.broadcast_to(re, (height, width)).copy()
+    ci = np.broadcast_to(im[:, None], (height, width)).copy()
+    out = np.full((height, width), -1, dtype=np.int32)
+    zr = np.zeros_like(cr)
+    zi = np.zeros_like(ci)
+    alive = np.ones((height, width), dtype=bool)
+    for n in range(1, max_iter + 1):
+        zr_a, zi_a = zr[alive], zi[alive]
+        cr_a, ci_a = cr[alive], ci[alive]
+        nzr = zr_a * zr_a - zi_a * zi_a + cr_a
+        nzi = 2.0 * zr_a * zi_a + ci_a
+        zr[alive], zi[alive] = nzr, nzi
+        esc = nzr * nzr + nzi * nzi > b2
+        if np.any(esc):
+            idx = np.flatnonzero(alive)[esc]
+            out.flat[idx] = n
+            alive.flat[idx] = False
+        if not alive.any():
+            break
+    return out
+
+
+GRID_REGIONS = {
+    "plane": ((-2.5, 1.0, -1.75, 1.75), 2.0),
+    "seahorse": ((-0.7512, -0.7412, 0.0951, 0.1051), 2.0),
+    "all-escape": ((2.5, 4.0, 2.5, 4.0), 2.0),
+    "flipped": ((1.0, -2.5, 1.75, -1.75), 2.0),
+    "bailout-10": ((-2.0, 0.5, -1.25, 1.25), 10.0),
+    "bailout-half": ((-2.0, 0.5, -1.25, 1.25), 0.5),
+}
+
+
+@pytest.mark.parametrize("max_iter", [1, 50, 1000])
+@pytest.mark.parametrize("size", [(1, 1), (2, 3), (1, 40), (40, 1),
+                                  (17, 5), (31, 31), (97, 61)])
+@pytest.mark.parametrize("region, bailout", GRID_REGIONS.values(),
+                         ids=GRID_REGIONS.keys())
+def test_grid_matches_reference(region, bailout, size, max_iter):
+    width, height = size
+    got = mandelbrot_grid(region, width, height, max_iter, bailout=bailout)
+    want = reference_mandelbrot_grid(region, width, height, max_iter,
+                                     bailout=bailout)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_grid_escape_test_is_strict():
+    # pixel centres c = -2, -1, 0, 1, 2 exactly; c = 2 and c = -2 reach
+    # |z|^2 = 4, which is not past the bailout
+    region = (-2.5, 2.5, -0.5, 0.5)
+    grid = mandelbrot_grid(region, 5, 1, 50)
+    assert grid.tolist() == [[-1, -1, -1, 3, 2]]
+    assert np.array_equal(grid, reference_mandelbrot_grid(region, 5, 1, 50))
+
+
+def test_all_escape_region_has_no_inside():
+    grid = mandelbrot_grid(GRID_REGIONS["all-escape"][0], 9, 7, 1000)
+    assert (grid == 1).all()
 
 
 @settings(max_examples=60, deadline=None)

@@ -242,6 +242,22 @@ def test_nonfinite_hull_rejected(hull):
             make()
 
 
+@pytest.mark.parametrize("hull", [(-1e308, 1e308), (-1.7e308, 1.7e308)])
+def test_overflowing_hull_width_rejected(hull):
+    # each end is finite but b - a is not: refused at construction, not
+    # deferred to a build that fails with an unrelated message
+    makers = (
+        lambda: MiddleAlpha(0.5, hull=hull),
+        lambda: middle_thirds(hull),
+        lambda: AffineIFS2(0.3, 0.2, hull=hull),
+        lambda: FatCantor(0.3, 0.5, hull=hull),
+        lambda: ExplicitGapTree(hull=hull, levels=()),
+    )
+    for make in makers:
+        with pytest.raises(DomainError, match="hull width"):
+            make()
+
+
 class TestExplicitGapTree:
     def tree(self):
         return ExplicitGapTree(
