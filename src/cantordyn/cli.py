@@ -1,5 +1,11 @@
 """Command line front end.
 
+main parses argv (with any --config file's key=value lines inserted as
+flags), checks the shared limits on the parsed namespace, and hands that
+namespace to the subcommand's handler, which reads the flags it declares.
+A token that reads as a negative number, such as -3e0 or -inf, is an
+option's value, as with --flag=VALUE.
+
 Exit codes: 0 success, 1 usage error (bad flags, unreadable input, write
 failure), 2 for errors the library raises about the mathematics (uncertified
 regime, malformed documents, values out of domain).  Every number printed
@@ -8,8 +14,8 @@ carries 17 significant digits so output round-trips to the exact double.
 
 import argparse
 import csv
+import re
 import sys
-from dataclasses import dataclass, field
 
 from . import fileio, orbit_engine, quadratic_map, verification
 from .conjugacy import build_phi, eval_fstar, eval_phi, eval_phi_inverse
@@ -24,26 +30,16 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own matcher takes -3 and -0.5 for values but reads
+        # -3e0 or -inf as an unknown option; no option here starts with a
+        # digit, inf or nan, so every such token is a value
+        self._negative_number_matcher = re.compile(
+            r"-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    """One fully-parsed run request.
-
-    The shared knobs live as fields; per-command extras (grid sizes,
-    iteration counts, evaluation points) sit in options keyed by dest name.
-    """
-
-    command: str
-    c: float = -3.0
-    depth: int = 12
-    target: str = "middle-thirds"
-    mode: str = "strict"
-    hull: str = None
-    out: str = None
-    options: dict = field(default_factory=dict)
 
 
 def _fmt(x):
@@ -60,7 +56,7 @@ def _parse_floats(text, n, what):
         raise _UsageError(f"{what}: could not parse {text!r}") from None
 
 
-def _parse_target(cfg):
+def _parse_target(args):
     """Turn the --target/--hull text into a spec object.
 
     Grammar: middle-thirds | middle-alpha:A | affine:R1,R2 | fat:G0,RHO |
@@ -68,12 +64,12 @@ def _parse_target(cfg):
     left to the spec constructors (domain errors, exit 2).
     """
     hull = (0.0, 1.0)
-    if cfg.hull is not None:
-        a, b = _parse_floats(cfg.hull, 2, "--hull")
+    if args.hull is not None:
+        a, b = _parse_floats(args.hull, 2, "--hull")
         if not a < b:
-            raise _UsageError(f"--hull needs a < b, got {cfg.hull!r}")
+            raise _UsageError(f"--hull needs a < b, got {args.hull!r}")
         hull = (a, b)
-    text = cfg.target
+    text = args.target
     if text == "middle-thirds":
         return middle_thirds(hull)
     name, sep, rest = text.partition(":")
@@ -94,54 +90,52 @@ def _parse_target(cfg):
     )
 
 
-def _make_phi(cfg):
-    params = quadratic_map.derive_params(cfg.c)
-    model = build_model_system(params, cfg.depth)
-    target = build_target_system(_parse_target(cfg), cfg.depth, cfg.mode)
-    pl = build_phi(model, target, cfg.depth)
+def _make_phi(args):
+    params = quadratic_map.derive_params(args.c)
+    model = build_model_system(params, args.depth)
+    target = build_target_system(_parse_target(args), args.depth, args.mode)
+    pl = build_phi(model, target, args.depth)
     return pl, params, model, target
 
 
-def _print_system(system, kind, cfg):
+def _print_system(system, kind, args):
     a, b = system.hull
     print(f"kind {kind}")
     print(f"depth {system.depth}")
     print(f"hull {_fmt(a)} {_fmt(b)}")
     print(f"segments {1 << system.depth}")
-    if cfg.out:
-        fileio.save_system(system, cfg.out)
-        print(f"saved {cfg.out}")
+    if args.out:
+        fileio.save_system(system, args.out)
+        print(f"saved {args.out}")
 
 
-def _cmd_build_model(cfg):
-    params = quadratic_map.derive_params(cfg.c)
-    system = build_model_system(params, cfg.depth)
+def _cmd_build_model(args):
+    params = quadratic_map.derive_params(args.c)
+    system = build_model_system(params, args.depth)
     print(f"c {_fmt(params.c)}")
     print(f"lambda {_fmt(params.lambda_)}")
-    _print_system(system, "model", cfg)
+    _print_system(system, "model", args)
     return 0
 
 
-def _cmd_build_target(cfg):
-    system = build_target_system(_parse_target(cfg), cfg.depth, cfg.mode)
-    print(f"target {cfg.target}")
-    print(f"mode {cfg.mode}")
-    _print_system(system, "target", cfg)
+def _cmd_build_target(args):
+    system = build_target_system(_parse_target(args), args.depth, args.mode)
+    print(f"target {args.target}")
+    print(f"mode {args.mode}")
+    _print_system(system, "target", args)
     return 0
 
 
-def _cmd_phi(cfg):
-    opts = cfg.options
-    if (opts.get("eval") is None and opts.get("inverse") is None
-            and not opts.get("knots_out")):
+def _cmd_phi(args):
+    if args.eval is None and args.inverse is None and not args.knots_out:
         raise _UsageError("phi needs --eval, --inverse, or --knots-out")
-    pl, _, _, _ = _make_phi(cfg)
-    if opts.get("eval") is not None:
-        print(_fmt(eval_phi(pl, opts["eval"])))
-    if opts.get("inverse") is not None:
-        print(_fmt(eval_phi_inverse(pl, opts["inverse"])))
-    if opts.get("knots_out"):
-        with open(opts["knots_out"], "w", newline="", encoding="utf-8") as f:
+    pl, _, _, _ = _make_phi(args)
+    if args.eval is not None:
+        print(_fmt(eval_phi(pl, args.eval)))
+    if args.inverse is not None:
+        print(_fmt(eval_phi_inverse(pl, args.inverse)))
+    if args.knots_out:
+        with open(args.knots_out, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow(["x", "y"])
             for x, y in zip(pl.xs, pl.ys):
@@ -149,38 +143,34 @@ def _cmd_phi(cfg):
     return 0
 
 
-def _cmd_fstar(cfg):
-    pl, params, _, _ = _make_phi(cfg)
-    print(_fmt(eval_fstar(pl, params, cfg.options["eval"])))
+def _cmd_fstar(args):
+    pl, params, _, _ = _make_phi(args)
+    print(_fmt(eval_fstar(pl, params, args.eval)))
     return 0
 
 
-def _cmd_iterate(cfg):
-    opts = cfg.options
-    x0, y0 = opts.get("x0"), opts.get("y0")
-    if (x0 is None) == (y0 is None):
+def _cmd_iterate(args):
+    if (args.x0 is None) == (args.y0 is None):
         raise _UsageError("give exactly one of --x0 (model orbit) or --y0 "
                           "(target orbit)")
-    if x0 is not None:
-        res = orbit_engine.iterate_model(cfg.c, x0, opts["max_iter"])
+    if args.x0 is not None:
+        res = orbit_engine.iterate_model(args.c, args.x0, args.max_iter)
     else:
-        pl, params, _, _ = _make_phi(cfg)
-        res = orbit_engine.iterate_target(pl, params, y0, opts["max_iter"])
+        pl, params, _, _ = _make_phi(args)
+        res = orbit_engine.iterate_target(pl, params, args.y0, args.max_iter)
     verdict = "escaped_at" if res.escaped else "bounded"
     print(f"{verdict} {res.iteration}")
     return 0
 
 
-def _cmd_classify(cfg):
-    opts = cfg.options
-
+def _cmd_classify(args):
     def classify(x0, max_iter):
-        return orbit_engine.iterate_model(cfg.c, x0, max_iter)
+        return orbit_engine.iterate_model(args.c, x0, max_iter)
 
-    rows = orbit_engine.classify_grid(classify, opts["lo"], opts["hi"],
-                                      opts["n_points"], opts["max_iter"])
-    if cfg.out:
-        with open(cfg.out, "w", newline="", encoding="utf-8") as f:
+    rows = orbit_engine.classify_grid(classify, args.lo, args.hi,
+                                      args.n_points, args.max_iter)
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
             w.writerow(["x", "escaped", "iteration"])
             for x, res in rows:
@@ -192,29 +182,27 @@ def _cmd_classify(cfg):
     return 0
 
 
-def _cmd_cobweb(cfg):
-    opts = cfg.options
-    c = cfg.c
+def _cmd_cobweb(args):
+    c = args.c
 
     def f(x):
         return x * x + c
 
-    trace = orbit_engine.cobweb_trace(f, opts["x0"], opts["steps"])
-    fileio.export_cobweb(trace, cfg.out, fmt=opts["format"], curve=f)
+    trace = orbit_engine.cobweb_trace(f, args.x0, args.steps)
+    fileio.export_cobweb(trace, args.out, fmt=args.format, curve=f)
     return 0
 
 
-def _cmd_mandelbrot(cfg):
-    opts = cfg.options
-    region = (opts["re_min"], opts["re_max"], opts["im_min"], opts["im_max"])
-    fileio.export_escape_image(region, opts["width"], opts["height"],
-                               opts["max_iter"], cfg.out)
+def _cmd_mandelbrot(args):
+    region = (args.re_min, args.re_max, args.im_min, args.im_max)
+    fileio.export_escape_image(region, args.width, args.height,
+                               args.max_iter, args.out)
     return 0
 
 
-def _cmd_verify(cfg):
-    results = verification.run_verification(cfg.c, cfg.depth,
-                                            _parse_target(cfg))
+def _cmd_verify(args):
+    results = verification.run_verification(args.c, args.depth,
+                                            _parse_target(args))
     ok = True
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}")
@@ -354,42 +342,22 @@ def _config_tokens(path):
     return tokens
 
 
-def _config_from_args(args):
-    extras = vars(args).copy()
-    extras.pop("config", None)
-    return RunConfig(
-        command=extras.pop("command"),
-        c=float(extras.pop("c", -3.0)),
-        depth=int(extras.pop("depth", 12)),
-        target=extras.pop("target", "middle-thirds"),
-        mode=extras.pop("mode", "strict"),
-        hull=extras.pop("hull", None),
-        out=extras.pop("out", None),
-        options=extras,
-    )
-
-
-def _validate_config(cfg):
-    if not 0 <= cfg.depth <= MAX_DEPTH:
-        raise _UsageError(f"--depth must be in 0..{MAX_DEPTH}, got {cfg.depth}")
-    opts = cfg.options
+def _validate_config(args):
+    """The limits shared by the subcommands, on whichever of the flags the
+    parsed subcommand declares."""
+    depth = getattr(args, "depth", 0)
+    if not 0 <= depth <= MAX_DEPTH:
+        raise _UsageError(f"--depth must be in 0..{MAX_DEPTH}, got {depth}")
     for key, floor in (("width", 1), ("height", 1), ("max_iter", 1),
                        ("steps", 1), ("n_points", 2)):
-        if opts.get(key) is not None and opts[key] < floor:
+        value = getattr(args, key, None)
+        if value is not None and value < floor:
             flag = "--" + key.replace("_", "-")
-            raise _UsageError(f"{flag} must be >= {floor}, got {opts[key]}")
-    if cfg.hull is not None and cfg.target.startswith("gaps:"):
+            raise _UsageError(f"{flag} must be >= {floor}, got {value}")
+    if (getattr(args, "hull", None) is not None
+            and args.target.startswith("gaps:")):
         raise _UsageError("--hull cannot be combined with gaps: "
                           "(the file stores its hull)")
-
-
-def run(config):
-    """Dispatch a RunConfig; returns the process exit status."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
-        raise _UsageError(f"unknown command {config.command!r}")
-    _validate_config(config)
-    return handler(config)
 
 
 def _with_config(argv):
@@ -415,7 +383,8 @@ def main(argv=None):
             args = _build_parser().parse_args(_with_config(list(argv)))
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        return run(_config_from_args(args))
+        _validate_config(args)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ genuine escape: a true escape grows by a factor ~lambda per step and crosses
 any such band immediately.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,14 +51,16 @@ def _resolve_model(params_or_c):
 
     For c > 1/4 there is no fixed point and every orbit diverges; any iterate
     past max(1, |c|) is then provably on its way out, which keeps plain
-    parameters like c = 1/2 usable for cobweb demonstrations.
+    parameters like c = 1/2 usable for cobweb demonstrations.  A c that is
+    not finite, or whose fixed point overflows, raises DomainError from
+    derive_params.
     """
     if isinstance(params_or_c, QuadraticParams):
         return params_or_c.c, params_or_c.escape_radius
     c = float(params_or_c)
-    if c <= 0.25:
-        return c, derive_params(c).escape_radius
-    return c, max(1.0, abs(c))
+    if 0.25 < c < math.inf:
+        return c, max(1.0, abs(c))
+    return c, derive_params(c).escape_radius
 
 
 def iterate_model(params_or_c, x0, max_iter, keep_trajectory=0):

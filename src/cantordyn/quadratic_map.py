@@ -9,6 +9,7 @@ downstream consumers (interval systems, conjugacies, orbit classification)
 inherit endpoints that are correctly rounded doubles with known tails.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import _dd
@@ -37,13 +38,22 @@ class QuadraticParams:
 
 
 def _roots_dd(c):
-    """Both fixed points of x^2 + c as double-double pairs, (smaller, larger)."""
+    """Both fixed points of x^2 + c as double-double pairs, (smaller, larger).
+
+    DomainError for a c that is not finite, or so large in magnitude that
+    1 - 4c overflows the double-double arithmetic and p is not finite.
+    """
+    if not math.isfinite(c):
+        raise DomainError(f"c must be finite, got {c!r}")
     if not c <= 0.25:
         raise NoRealFixedPoint(f"x^2 + {c!r} = x has no real solution (c > 1/4)")
     # 1 - 4c is exact in double-double form, its square root is not.
     disc = _dd.add(1.0, 0.0, *_dd.two_prod(-4.0, c))
     rt = _dd.sqrt(*disc)
     ph, pl = _dd.add(1.0, 0.0, *rt)
+    if not (math.isfinite(ph) and math.isfinite(pl)):
+        raise DomainError(f"c = {c!r} is too large in magnitude: the fixed "
+                          f"point p overflows")
     p = (ph / 2.0, pl / 2.0)  # p >= 1/2, halving is exact
     q = _dd.div(c, 0.0, *p)  # smaller root via the stable form c / p
     return q, p
@@ -52,7 +62,8 @@ def _roots_dd(c):
 def derive_params(c):
     """Build QuadraticParams for a parameter c <= 1/4.
 
-    Raises NoRealFixedPoint for c > 1/4.
+    Raises NoRealFixedPoint for c > 1/4, DomainError for a c that is not
+    finite or whose fixed point p overflows (c below about -1.3e300).
     """
     c = float(c)
     _, p = _roots_dd(c)
@@ -77,7 +88,7 @@ def fixed_points(c):
     """Both solutions of x^2 + c = x in increasing order.
 
     For c = 1/4 the roots coincide and (0.5, 0.5) is returned exactly.
-    Raises NoRealFixedPoint for c > 1/4.
+    Raises NoRealFixedPoint for c > 1/4, DomainError as derive_params does.
     """
     q, p = _roots_dd(float(c))
     return q[0], p[0]

@@ -1,11 +1,13 @@
 """Self-check suites behind the `verify` command.
 
-Each suite re-derives a property of the library from scratch (bisection
-oracles, enumeration, brute-force iteration) and compares it with what the
-library computes.  Tolerances mirror the documented guarantees; a failed
-suite reports the first violation it saw.  The conjugacy-map and dichotomy
-suites evaluate and iterate whole arrays, then report the first violation
-in the order of a point-by-point scan.
+A run builds once and then checks: after the scalar suites it builds the
+model system, the strict target system and phi a single time, and every
+construction suite checks those objects.  Each suite re-derives a property
+of the library from scratch (bisection oracles, enumeration, brute-force
+iteration) and compares it with what the library computes.  Tolerances
+mirror the documented guarantees; a failed suite reports the first
+violation it saw.  The suites evaluate and iterate whole arrays, then
+report the first violation in the order of a point-by-point scan.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import conjugacy, model_cantor, orbit_engine, quadratic_map
-from .errors import NoRealFixedPoint
+from .errors import DomainError, NoRealFixedPoint
 from .target_cantor import (_descent_limit, build_target_system, membership,
                             middle_thirds)
 
@@ -93,75 +95,71 @@ def _suite_escape_gap(c):
     return True, f"c={c!r}: lambda={lam!r} ({word}), gap consistent"
 
 
-def _structure_errors(system, shrink=None):
+def _structure_errors(system, shrink):
     """Checks of the deepest level, whose views are every shallower level
-    and gap; shrink(n) is an optional max-length bound per level."""
+    and gap; shrink(n) is the max-length bound of level n."""
     a, b, N = system.a_N, system.b_N, system.depth
     if not np.all(a < b):
         return f"level {N}: empty segment"
     if np.any(b[:-1] >= a[1:]):
         return f"level {N}: segments overlap or touch"
-    if shrink is not None:
-        for n in range(system.depth + 1):
-            top = float(np.max(system.level_b[n] - system.level_a[n]))
-            if top > shrink(n):
-                return (
-                    f"level {n}: max length {top!r} exceeds bound {shrink(n)!r}"
-                )
+    for n in range(N + 1):
+        top = float(np.max(system.level_b[n] - system.level_a[n]))
+        if top > shrink(n):
+            return f"level {n}: max length {top!r} exceeds bound {shrink(n)!r}"
     return None
 
 
-def _suite_model_structure(params, depth):
-    system = model_cantor.build_model_system(params, depth)
+def _suite_model_structure(model):
+    params, depth = model.params, model.depth
     bound = lambda n: 2.0 * params.p * params.lambda_ ** (-n) * (1.0 + 1e-9)
-    err = _structure_errors(system, shrink=bound)
+    err = _structure_errors(model, bound)
     if err:
         return False, err
-    top = model_cantor.max_segment_length(system, depth)
+    top = model_cantor.max_segment_length(model, depth)
     return True, (
         f"depth {depth}: {1 << depth} segments nested, "
         f"max level-{depth} length {top!r}"
     )
 
 
-def _suite_endpoint_orbits(params, depth):
-    system = model_cantor.build_model_system(params, depth)
+def _suite_endpoint_orbits(model):
+    params, top = model.params, min(model.depth, 10)
     worst = 0.0
-    for n in range(min(depth, 10) + 1):
-        for x in np.concatenate([system.level_a[n], system.level_b[n]]):
-            y = float(x)
+    for n in range(top + 1):
+        x = np.concatenate([model.level_a[n], model.level_b[n]])
+        y = x
+        with np.errstate(over="ignore"):  # an escaping orbit may reach inf
             for _ in range(n):
                 y = quadratic_map.eval_map(params, y)
-            err = min(abs(y - params.p), abs(y + params.p))
-            worst = max(worst, err)
-            if err > 1e-6:
-                return False, (
-                    f"level-{n} endpoint {float(x)!r}: F^{n} lands {err!r} "
-                    f"from +-p"
-                )
-    return True, f"level <= {min(depth, 10)} endpoints reach +-p within {worst:.3e}"
+        err = np.minimum(np.abs(y - params.p), np.abs(y + params.p))
+        k = _first(err > 1e-6)
+        if k is not None:
+            return False, (
+                f"level-{n} endpoint {float(x[k])!r}: F^{n} lands "
+                f"{float(err[k])!r} from +-p"
+            )
+        worst = max(worst, float(err.max()))
+    return True, f"level <= {top} endpoints reach +-p within {worst:.3e}"
 
 
-def _suite_target_construction(spec, depth):
-    system = build_target_system(spec, depth, mode="strict")
-    err = _structure_errors(system)
+def _suite_target_construction(target):
+    spec, depth = target.spec, target.depth
+    a, b = target.hull
+    width = b - a
+    err = _structure_errors(
+        target, lambda n: width * (2.0 / 3.0) ** n * (1.0 + 1e-9))
     if err:
         return False, err
-    a, b = system.hull
-    width = b - a
-    for n in range(depth + 1):
-        top = float(np.max(system.level_b[n] - system.level_a[n]))
-        if top > width * (2.0 / 3.0) ** n * (1.0 + 1e-9):
-            return False, f"level {n}: length {top!r} above (2/3)^n certificate"
     probe = min(depth, 6)
-    for x in system.level_a[probe]:
+    for x in target.level_a[probe]:
         if not membership(spec, float(x), max(depth, 1)):
             return False, f"stored endpoint {float(x)!r} rejected by membership"
     # a strict gap is a natural gap of the spec's tree, possibly deeper than
     # level `depth`: test its midpoint as deep as the strict descents go
     limit = _descent_limit(spec)
     for n in range(1, min(depth, 4) + 1):
-        for gc, gd in zip(system.gap_c[n], system.gap_d[n]):
+        for gc, gd in zip(target.gap_c[n], target.gap_d[n]):
             mid = 0.5 * (float(gc) + float(gd))
             if membership(spec, mid, limit):
                 return False, f"gap midpoint {mid!r} accepted by membership"
@@ -279,6 +277,8 @@ def run_verification(c=-3.0, depth=10, spec=None):
 
     When c is not a certified expanding parameter the construction suites
     cannot run; a single failing record explains why and the rest is skipped.
+    Otherwise the model, the strict target and phi are built once, and an
+    exception from those builds propagates.
     """
     if spec is None:
         spec = middle_thirds()
@@ -297,7 +297,7 @@ def run_verification(c=-3.0, depth=10, spec=None):
     try:
         params = quadratic_map.derive_params(c)
         certified = params.lambda_ > 1.0
-    except NoRealFixedPoint:
+    except (NoRealFixedPoint, DomainError):
         params, certified = None, False
     if not certified:
         results.append(CheckResult(
@@ -305,13 +305,12 @@ def run_verification(c=-3.0, depth=10, spec=None):
             f"c={c!r} is not a certified expanding parameter"))
         return results
 
-    run("model-structure", _suite_model_structure, params, depth)
-    run("endpoint-orbits", _suite_endpoint_orbits, params, depth)
-    run("target-construction", _suite_target_construction, spec, depth)
-
     model = model_cantor.build_model_system(params, depth)
     target = build_target_system(spec, depth, mode="strict")
     pl = conjugacy.build_phi(model, target, depth)
+    run("model-structure", _suite_model_structure, model)
+    run("endpoint-orbits", _suite_endpoint_orbits, model)
+    run("target-construction", _suite_target_construction, target)
     run("conjugacy-map", _suite_conjugacy_map, pl, model, target)
     run("conjugacy-spot-values", _suite_conjugacy_spot_values, pl, params,
         target)

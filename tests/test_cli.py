@@ -113,10 +113,10 @@ def test_build_target_variants(capsys, tmp_path):
 
 
 def test_build_target_custom_hull(capsys):
-    # leading-dash values need the = form, as usual with argparse
-    rc, out, _ = run(capsys, "build-target", "--target", "middle-alpha:0.5",
-                     "--hull=-1,3", "--depth", "1")
-    assert rc == 0 and "hull -1 3" in out
+    for hull in (("--hull=-1,3",), ("--hull", "-1,3")):
+        rc, out, _ = run(capsys, "build-target", "--target",
+                         "middle-alpha:0.5", *hull, "--depth", "1")
+        assert rc == 0 and "hull -1 3" in out
 
 
 def test_target_grammar_errors(capsys):
@@ -294,3 +294,127 @@ def test_help_and_no_args(capsys):
     assert rc == 0 and "cantordyn" in out
     rc, _, err = run(capsys, *[])
     assert rc == 1
+
+
+# (argv, rc, stdout, stderr) of each usage path, recorded from the CLI that
+# copied the parsed flags into a config record before dispatch; the handlers
+# now read the parsed namespace and must answer byte for byte the same.
+# {tmp} stands for the test's directory, which holds it.cfg
+# (c=-3, y0=1/3, max-iter=50, depth=49), bad.cfg and g.json (one gap).
+USAGE_PATHS = [
+    (['mandelbrot', '--width', '0', '--out', '{tmp}/m.ppm'],
+     1, '', 'usage error: --width must be >= 1, got 0\n'),
+    (['mandelbrot', '--height', '0', '--out', '{tmp}/m.ppm'],
+     1, '', 'usage error: --height must be >= 1, got 0\n'),
+    (['mandelbrot', '--max-iter', '0', '--out', '{tmp}/m.ppm'],
+     1, '', 'usage error: --max-iter must be >= 1, got 0\n'),
+    (['iterate', '--x0', '0', '--max-iter', '0'],
+     1, '', 'usage error: --max-iter must be >= 1, got 0\n'),
+    (['cobweb', '--x0', '0', '--steps', '0', '--out', '{tmp}/c.csv'],
+     1, '', 'usage error: --steps must be >= 1, got 0\n'),
+    (['classify', '--lo', '0', '--hi', '1', '--n-points', '1'],
+     1, '', 'usage error: --n-points must be >= 2, got 1\n'),
+    (['classify', '--lo', '0', '--hi', '1', '--max-iter', '0'],
+     1, '', 'usage error: --max-iter must be >= 1, got 0\n'),
+    (['verify', '--depth', '49'],
+     1, '', 'usage error: --depth must be in 0..48, got 49\n'),
+    (['build-model', '--depth', '49'],
+     1, '', 'usage error: --depth must be in 0..48, got 49\n'),
+    (['build-target', '--depth', '-1'],
+     1, '', 'usage error: --depth must be in 0..48, got -1\n'),
+    (['phi', '--depth', '49', '--eval', '0'],
+     1, '', 'usage error: --depth must be in 0..48, got 49\n'),
+    (['build-target', '--target', 'gaps:{tmp}/g.json', '--hull', '0,2', '--depth', '1'],
+     1, '', 'usage error: --hull cannot be combined with gaps: (the file stores its hull)\n'),
+    (['verify', '--target', 'gaps:{tmp}/g.json', '--hull', '0,2', '--depth', '1'],
+     1, '', 'usage error: --hull cannot be combined with gaps: (the file stores its hull)\n'),
+    (['phi'],
+     1, '', 'usage error: phi needs --eval, --inverse, or --knots-out\n'),
+    (['phi', '--depth', '2'],
+     1, '', 'usage error: phi needs --eval, --inverse, or --knots-out\n'),
+    (['iterate', '--x0', '0', '--y0', '0'],
+     1, '', 'usage error: give exactly one of --x0 (model orbit) or --y0 (target orbit)\n'),
+    (['iterate'],
+     1, '', 'usage error: give exactly one of --x0 (model orbit) or --y0 (target orbit)\n'),
+    (['iterate', '--config', '{tmp}/it.cfg', '--depth', '3', '--max-iter', '7'],
+     0, 'bounded 7\n', ''),
+    (['iterate', '--max-iter', '7', '--depth', '3', '--config={tmp}/it.cfg'],
+     0, 'bounded 7\n', ''),
+    (['iterate', '--config', '{tmp}/it.cfg'],
+     1, '', 'usage error: --depth must be in 0..48, got 49\n'),
+    (['iterate', '--config', '{tmp}/bad.cfg', '--x0', '0'],
+     1, '', 'usage error: {tmp}/bad.cfg: line 2: expected key=value\n'),
+    (['build-target', '--hull', '1,0'],
+     1, '', "usage error: --hull needs a < b, got '1,0'\n"),
+    (['build-target', '--target', 'bogus'],
+     1, '', "usage error: unknown target 'bogus'; expected middle-thirds, middle-alpha:A, affine:R1,R2, fat:G0,RHO, or gaps:FILE\n"),
+    (['fstar'],
+     1, '', 'usage error: the following arguments are required: --eval\n'),
+    (['verify', '--mode', 'bogus'],
+     1, '', "usage error: argument --mode: invalid choice: 'bogus' (choose from 'strict', 'natural')\n"),
+]
+
+
+@pytest.mark.parametrize("argv, rc, out, err", USAGE_PATHS,
+                         ids=[" ".join(p[0]) for p in USAGE_PATHS])
+def test_usage_paths_unchanged(capsys, tmp_path, argv, rc, out, err):
+    (tmp_path / "it.cfg").write_text(
+        "c=-3\ny0=0.3333333333333333\nmax-iter=50\ndepth=49\n")
+    (tmp_path / "bad.cfg").write_text("c=-3\nnonsense\n")
+    (tmp_path / "g.json").write_text(
+        '{"format":"cantor-gaps/1","hull":[0.0,1.0],"levels":[[[0.4,0.6]]]}\n')
+    tmp = str(tmp_path)
+    got = run(capsys, *[a.replace("{tmp}", tmp) for a in argv])
+    assert got == (rc, out.replace("{tmp}", tmp), err.replace("{tmp}", tmp))
+
+
+NEGATIVE_SPELLINGS = ["-3", "-0.5", "-3e0", "-3E0", "-1e-3", "-1e+3", "-.5",
+                      "-5.", "-1_000", "-inf", "-Inf", "-infinity",
+                      "-INFINITY", "-nan", "-NaN", "-1e308"]
+
+
+@pytest.mark.parametrize("value", NEGATIVE_SPELLINGS)
+@pytest.mark.parametrize("cmd", [
+    ("iterate", "--max-iter", "5", "--x0", "0", "--c"),
+    ("iterate", "--max-iter", "5", "--x0"),
+    ("classify", "--lo", "-3", "--hi", "3", "--n-points", "3", "--c"),
+    ("fstar", "--depth", "2", "--eval"),
+    ("mandelbrot", "--width", "4", "--height", "3", "--max-iter", "5",
+     "--re-min"),
+], ids=["iterate-c", "iterate-x0", "classify-c", "fstar-eval",
+        "mandelbrot-re-min"])
+def test_negative_value_after_space(capsys, tmp_path, cmd, value):
+    # --flag V answers exactly as --flag=V, however float() spells V
+    *head, flag = cmd
+    out = []
+    for i, tail in enumerate(([flag, value], [f"{flag}={value}"])):
+        path = tmp_path / f"m{i}.ppm"
+        extra = ["--out", str(path)] if head[0] == "mandelbrot" else []
+        got = run(capsys, *head, *tail, *extra)
+        out.append((got, path.read_bytes() if path.exists() else None))
+    assert out[0] == out[1]
+    assert "expected one argument" not in out[0][0][2]
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf", "-1e308", "-1.4e300"])
+@pytest.mark.parametrize("cmd", [
+    ("iterate", "--x0", "0"),
+    ("classify", "--lo", "0", "--hi", "1", "--n-points", "2"),
+    ("build-model", "--depth", "2"),
+    ("fstar", "--depth", "2", "--eval", "0.5"),
+], ids=["iterate", "classify", "build-model", "fstar"])
+def test_bad_c_exits_2(capsys, cmd, c):
+    # not "bounded 100" with exit 0: a c that is not finite, or whose
+    # fixed point overflows, is refused
+    rc, out, err = run(capsys, *cmd, f"--c={c}")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: c ")
+
+
+@pytest.mark.parametrize("c", ["nan", "-inf", "-1e308"])
+def test_verify_bad_c_fails(capsys, c):
+    rc, out, _ = run(capsys, "verify", f"--c={c}", "--depth", "2")
+    assert rc == 2
+    assert out.splitlines()[-1] == (
+        f"FAIL model-structure: c={float(c)!r} is not a certified expanding "
+        f"parameter")

@@ -64,6 +64,15 @@ class TestIterateModel:
         with pytest.raises(DomainError):
             iterate_model(params3, 0.0, 0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1e308])
+    def test_bad_bare_c_rejected(self, c):
+        # formerly "bounded" for every start: the radius came out nan
+        with pytest.raises(DomainError):
+            iterate_model(c, 0.0, 100)
+        with pytest.raises(DomainError):
+            classify_grid(lambda x0, n: iterate_model(c, x0, n), 0.0, 1.0,
+                          2, 100)
+
 
 class TestIterateTarget:
     def test_endpoints_stay_bounded(self, phi12, params3):

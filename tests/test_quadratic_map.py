@@ -86,6 +86,27 @@ def test_no_real_fixed_point_above_quarter():
         derive_params(0.5)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_c_rejected(c):
+    for fn in (derive_params, fixed_points):
+        with pytest.raises(DomainError, match="c must be finite"):
+            fn(c)
+
+
+@pytest.mark.parametrize("c", [-1e308, -4.5e307, -1e301, -1.4e300])
+def test_overflowing_p_rejected(c):
+    # 1 - 4c overflows the double-double arithmetic: p would be nan
+    for fn in (derive_params, fixed_points):
+        with pytest.raises(DomainError, match="p overflows"):
+            fn(c)
+
+
+def test_largest_finite_p():
+    params = derive_params(-1.3e300)
+    assert math.isfinite(params.p) and math.isfinite(params.p_lo)
+    assert params.p == pytest.approx(math.sqrt(1.3e300), rel=1e-15)
+
+
 def test_gap_frozen_and_empty():
     params = derive_params(-3.0)
     assert gap_A0(params) == (-0.8349996181244668, 0.8349996181244668)
