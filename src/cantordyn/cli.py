@@ -183,7 +183,7 @@ def _cmd_classify(args):
 
 
 def _cmd_cobweb(args):
-    c = args.c
+    c, _ = orbit_engine._resolve_model(args.c)
 
     def f(x):
         return x * x + c

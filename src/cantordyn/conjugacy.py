@@ -122,29 +122,38 @@ def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
     the scalar version would take: the paired knot on an exact (hi, lo)
     match (hull corners included), the slope-one tail outside the hull, and
     otherwise the dd interpolation on its piece, a point dd-below a knot
-    belonging to the piece left of it.  Every branch runs on all lanes and
-    np.where keeps the one each lane needs, so no lane sees another's
-    arithmetic.
+    belonging to the piece left of it.  Knot hits are a table read; the
+    tail and the interpolation each run only on their own lanes, and their
+    results are scattered back.  The result has the shape of xh.
     """
+    shape = np.shape(xh)
+    xh, xl = np.ravel(xh), np.ravel(xl)
     last = xs.size - 1
     i = np.clip(np.searchsorted(xs, xh, side="right") - 1, 0, last)
     on_knot = xs[i] == xh
     hit = on_knot & (xs_lo[i] == xl)
+    h, l = ys[i], ys_lo[i]  # fancy indexing copies: the hits are final
     left = _dd.le(xh, xl, xs[0], xs_lo[0])
-    tail = left | _dd.le(xs[-1], xs_lo[-1], xh, xl)
-    j = np.clip(i - (on_knot & (xl < xs_lo[i])), 0, last - 1)
-    off_l = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
-    off_r = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
+    tail = ~hit & (left | _dd.le(xs[-1], xs_lo[-1], xh, xl))
+    inner = ~(hit | tail)
     with np.errstate(over="ignore", invalid="ignore"):
-        th, tl = _dd.add(xh, xl, np.where(left, off_l[0], off_r[0]),
-                         np.where(left, off_l[1], off_r[1]))
-        dx = _dd.sub(xh, xl, xs[j], xs_lo[j])
-        t = _dd.div(*dx, *_dd.sub(xs[j + 1], xs_lo[j + 1], xs[j], xs_lo[j]))
-        dy = _dd.mul(*t, *_dd.sub(ys[j + 1], ys_lo[j + 1], ys[j], ys_lo[j]))
-        ih, il = _dd.add(ys[j], ys_lo[j], *dy)
-    h = np.where(hit, ys[i], np.where(tail, th, ih))
-    l = np.where(hit, ys_lo[i], np.where(tail, tl, il))
-    return h, l
+        if tail.any():
+            k = np.flatnonzero(tail)
+            off_l = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
+            off_r = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
+            lk = left[k]
+            h[k], l[k] = _dd.add(xh[k], xl[k],
+                                 np.where(lk, off_l[0], off_r[0]),
+                                 np.where(lk, off_l[1], off_r[1]))
+        if inner.any():
+            k = np.flatnonzero(inner)
+            xh, xl, i = xh[k], xl[k], i[k]
+            j = np.clip(i - (on_knot[k] & (xl < xs_lo[i])), 0, last - 1)
+            dx = _dd.sub(xh, xl, xs[j], xs_lo[j])
+            t = _dd.div(*dx, *_dd.sub(xs[j + 1], xs_lo[j + 1], xs[j], xs_lo[j]))
+            dy = _dd.mul(*t, *_dd.sub(ys[j + 1], ys_lo[j + 1], ys[j], ys_lo[j]))
+            h[k], l[k] = _dd.add(ys[j], ys_lo[j], *dy)
+    return h.reshape(shape), l.reshape(shape)
 
 
 def _finite(x):
@@ -168,14 +177,20 @@ def _eval_double(xs, xs_lo, ys, ys_lo, x):
     A query matching a knot's public (hi) coordinate counts as that knot:
     public doubles are the only coordinates callers can name.  It yields the
     paired full-precision knot, and r is then the knot's public ordinate.
-    An ndarray x is evaluated lane by lane with the same bits.
+    An ndarray x is evaluated lane by lane with the same bits; only the
+    lanes that are not knots go through _eval_dd_array.
     """
     if isinstance(x, np.ndarray):
+        shape, x = x.shape, x.ravel()
         i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
-        knot = xs[i] == x
-        h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
-        return (np.where(knot, ys[i], h), np.where(knot, ys_lo[i], l),
-                np.where(knot, ys[i], h + l))
+        h, l = ys[i], ys_lo[i]
+        r = h.copy()
+        rest = np.flatnonzero(xs[i] != x)
+        if rest.size:
+            rh, rl = _eval_dd_array(xs, xs_lo, ys, ys_lo, x[rest],
+                                    np.zeros(rest.size))
+            h[rest], l[rest], r[rest] = rh, rl, rh + rl
+        return h.reshape(shape), l.reshape(shape), r.reshape(shape)
     i = int(np.searchsorted(xs, x))
     if i < xs.size and xs[i] == x:
         return ys[i], ys_lo[i], float(ys[i])

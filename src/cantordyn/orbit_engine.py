@@ -64,19 +64,25 @@ def _resolve_model(params_or_c):
 
 
 def iterate_model(params_or_c, x0, max_iter, keep_trajectory=0):
-    """Iterate F_c from x0, classifying against the escape radius."""
+    """Iterate F_c from x0, classifying against the escape radius.
+
+    x0 must be finite (DomainError otherwise).  An iterate whose square
+    overflows the double range has escaped.
+    """
     max_iter = int(max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     c, radius = _resolve_model(params_or_c)
     threshold = radius * (1.0 + ORBIT_DRIFT_BUDGET)
-    xh, xl = float(x0), 0.0
+    xh, xl = _finite(float(x0)), 0.0
     traj = [] if keep_trajectory else None
     for n in range(max_iter + 1):
         x = xh + xl
         if traj is not None and len(traj) < keep_trajectory:
             traj.append(x)
-        if abs(x) > threshold:
+        # an overflowing square makes the dd iterate nan, which must count
+        # as escaped, so the test is not written as abs(x) > threshold
+        if not abs(x) <= threshold:
             return OrbitResult(True, n, tuple(traj) if traj is not None else None)
         if n == max_iter:
             break
@@ -92,9 +98,9 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
     eval_fstar) before mapping back, so orbit and pointwise evaluation agree.
 
     y0 must be finite (DomainError otherwise).  An ndarray y0 iterates
-    every lane at once: the result's `escaped` (bool) and `iteration`
-    (int64) are arrays of y0's shape, equal lane by lane to the scalar
-    call, and `trajectory` is None.
+    every lane at once, each distinct state once: the result's `escaped`
+    (bool) and `iteration` (int64) are arrays of y0's shape, equal lane by
+    lane to the scalar call, and `trajectory` is None.
     """
     max_iter = int(max_iter)
     if max_iter < 1:
@@ -121,25 +127,39 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
 
 
 def _iterate_target_array(pl, params, y0, max_iter, threshold):
-    """The loop of iterate_target over the lanes of y0 that have not yet
-    escaped: like mandelbrot_grid, it records the lanes that escape and
-    drops them, so each step costs the lanes still alive."""
+    """The loop of iterate_target over the distinct live states of y0.
+
+    A step's outcome depends only on the state's bits, and F* is 2-to-1 on
+    the Cantor set, so endpoint orbits merge as they go.  The loop keeps
+    the distinct states, deduplicated by bit pattern (0.0 and -0.0 stay
+    apart), and an owner index from each live lane to its state; it
+    re-deduplicates after every step.  When a state escapes, every lane it
+    owns is recorded escaped at that n and dropped, like mandelbrot_grid
+    drops its escaped pixels, so each step costs the distinct states still
+    alive.
+    """
     escaped = np.zeros(y0.shape, dtype=bool)
     iteration = np.full(y0.shape, max_iter, dtype=np.int64)
-    alive = np.arange(y0.size)
-    y = y0.ravel()
+    lanes = np.arange(y0.size)
+    bits, owner = np.unique(y0.ravel().view(np.int64), return_inverse=True)
+    y = bits.view(np.float64)
     for n in range(max_iter + 1):
         xh, xl = _phi_inv_dd(pl, y)
         esc = np.abs(xh + xl) > threshold
         if esc.any():
-            escaped.flat[alive[esc]] = True
-            iteration.flat[alive[esc]] = n
-            alive, xh, xl = alive[~esc], xh[~esc], xl[~esc]
-        if n == max_iter or alive.size == 0:
+            out = esc[owner]
+            escaped.flat[lanes[out]] = True
+            iteration.flat[lanes[out]] = n
+            keep = ~esc
+            # renumber the surviving states 0, 1, ... in their old order
+            lanes, owner = lanes[~out], (np.cumsum(keep) - 1)[owner[~out]]
+            xh, xl = xh[keep], xl[keep]
+        if n == max_iter or lanes.size == 0:
             break
         fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
         yh, yl = _phi_dd(pl, fh, fl)
-        y = yh + yl
+        bits, merged = np.unique((yh + yl).view(np.int64), return_inverse=True)
+        y, owner = bits.view(np.float64), merged[owner]
     return OrbitResult(escaped, iteration)
 
 
@@ -148,11 +168,12 @@ def cobweb_trace(f, x0, steps):
 
     Starts at (x0, f(x0)), then alternates horizontally to the diagonal and
     vertically to the graph, ending on the diagonal: 2*steps - 1 segments.
+    x0 must be finite (DomainError otherwise).
     """
     steps = int(steps)
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    x = float(x0)
+    x = _finite(float(x0))
     fx = f(x)
     verts = [(x, fx)]
     for _ in range(steps - 1):

@@ -16,7 +16,8 @@ formulas to the whole level at once.  Strict mode runs the middle-third
 search (_find_gaps) and the tightening (_tighten_gaps) as masked descents
 down the gap tree; the public helpers run them on one lane from the hull.
 All splits come from _NodeSplitter, which membership calls one node at a
-time.  A descent stops at _descent_limit(spec).  In the build a lane starts
+time for a float and one level at a time for an array of points.  A
+descent stops at _descent_limit(spec).  In the build a lane starts
 its descents not at the hull but at the deepest tree node already known to
 contain its segment: the matching child of the parent's gap node when a
 comparison confirms the containment, else the parent's own start node.
@@ -245,7 +246,9 @@ def membership(spec, x, depth):
 
     Endpoints count as members; anything outside the hull is out.  Explicit
     gap trees deeper than their stored data clamp at the deepest stored level.
-    Raises DomainError for depth < 1.
+    Raises DomainError for depth < 1.  An ndarray x gives a bool array of
+    its shape, equal lane by lane to the scalar call: one descent over all
+    lanes that drops each lane where it falls into a gap.
     """
     depth = int(depth)
     if depth < 1:
@@ -253,6 +256,8 @@ def membership(spec, x, depth):
     split = _NodeSplitter(spec)
     if isinstance(spec, ExplicitGapTree):
         depth = min(depth, len(spec.levels))
+    if isinstance(x, np.ndarray):
+        return _members(split, x, depth)
     x = float(x)
     a, b = spec.hull
     U, V = (float(a), 0.0), (float(b), 0.0)
@@ -268,6 +273,35 @@ def membership(spec, x, depth):
         else:
             return False
     return True
+
+
+def _members(split, x, depth):
+    """membership's descent over the lanes of the array x."""
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.ravel()
+    a, b = (float(v) for v in split.spec.hull)
+    # the scalar hull test: nan passes it and falls at the first gap, or
+    # stays a member of a tree without levels
+    lane = np.flatnonzero(~((flat < a) | (flat > b)))
+    m = lane.size
+    U = (np.full(m, a), np.zeros(m))
+    V = (np.full(m, b), np.zeros(m))
+    j = np.zeros(m, np.int64)
+    for n in range(depth):
+        if not lane.size:
+            break
+        G, H = split(U, V, np.full(lane.size, n), j)
+        xs = flat[lane]
+        down = xs <= G[0]
+        up = ~down & (xs >= H[0])
+        U, V = _pick(up, H, U), _pick(down, G, V)
+        j = 2 * j + up
+        keep = down | up
+        lane, j = lane[keep], j[keep]
+        U, V = (tuple(u[keep] for u in w) for w in (U, V))
+    out = np.zeros(flat.size, dtype=bool)
+    out[lane] = True
+    return out.reshape(x.shape)
 
 
 def find_gap_in_middle_third(spec, interval):

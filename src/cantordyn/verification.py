@@ -6,8 +6,9 @@ construction suite checks those objects.  Each suite re-derives a property
 of the library from scratch (bisection oracles, enumeration, brute-force
 iteration) and compares it with what the library computes.  Tolerances
 mirror the documented guarantees; a failed suite reports the first
-violation it saw.  The suites evaluate and iterate whole arrays, then
-report the first violation in the order of a point-by-point scan.
+violation it saw.  The suites evaluate, iterate and test membership on
+whole arrays, then report the first violation in the order of a
+point-by-point scan.
 """
 
 from dataclasses import dataclass
@@ -151,18 +152,20 @@ def _suite_target_construction(target):
         target, lambda n: width * (2.0 / 3.0) ** n * (1.0 + 1e-9))
     if err:
         return False, err
-    probe = min(depth, 6)
-    for x in target.level_a[probe]:
-        if not membership(spec, float(x), max(depth, 1)):
-            return False, f"stored endpoint {float(x)!r} rejected by membership"
+    ends = target.level_a[min(depth, 6)]
+    k = _first(~membership(spec, ends, max(depth, 1)))
+    if k is not None:
+        return False, f"stored endpoint {float(ends[k])!r} rejected by membership"
     # a strict gap is a natural gap of the spec's tree, possibly deeper than
     # level `depth`: test its midpoint as deep as the strict descents go
-    limit = _descent_limit(spec)
-    for n in range(1, min(depth, 4) + 1):
-        for gc, gd in zip(target.gap_c[n], target.gap_d[n]):
-            mid = 0.5 * (float(gc) + float(gd))
-            if membership(spec, mid, limit):
-                return False, f"gap midpoint {mid!r} accepted by membership"
+    mids = [0.5 * (target.gap_c[n] + target.gap_d[n])
+            for n in range(1, min(depth, 4) + 1)]
+    if mids:
+        mids = np.concatenate(mids)
+        k = _first(membership(spec, mids, _descent_limit(spec)))
+        if k is not None:
+            return False, (f"gap midpoint {float(mids[k])!r} accepted by "
+                           "membership")
     return True, f"depth {depth}: strict refinement consistent with membership"
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from cantordyn import (
     AffineIFS2,
+    FatCantor,
+    MiddleAlpha,
     build_model_system,
     build_phi,
     build_target_system,
@@ -58,3 +60,22 @@ def phi13(model13, thirds13):
 @pytest.fixture(scope="session")
 def affine():
     return AffineIFS2(0.8, 0.1)
+
+
+@pytest.fixture(scope="session")
+def oracle_cases():
+    """(phi, params, target) over c x family x depth x mode, the grid the
+    array paths are compared on against their frozen predecessors."""
+    specs = [middle_thirds(), MiddleAlpha(0.5, hull=(-0.0, 1.0)),
+             AffineIFS2(0.3, 0.2), AffineIFS2(0.8, 0.1), FatCantor(0.3, 0.5)]
+    cases = []
+    for c in (-3.0, -2.5, -4.0):
+        params = derive_params(c)
+        for spec in specs:
+            for depth in (0, 1, 4, 8):
+                model = build_model_system(params, depth)
+                for mode in ("strict", "natural"):
+                    target = build_target_system(spec, depth, mode)
+                    cases.append((build_phi(model, target, depth), params,
+                                  target))
+    return cases

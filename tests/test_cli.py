@@ -189,6 +189,53 @@ def test_cobweb_svg(capsys, tmp_path):
     assert "<svg" in path.read_text()
 
 
+@pytest.mark.parametrize("flags", [("--c=nan", "--x0", "0"),
+                                   ("--c=inf", "--x0", "0"),
+                                   ("--c=-1e308", "--x0", "0"),
+                                   ("--c", "0.5", "--x0", "nan"),
+                                   ("--c", "-3", "--x0=-inf")],
+                         ids=["c-nan", "c-inf", "c-overflows", "x0-nan",
+                              "x0-minus-inf"])
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_cobweb_bad_input_exits_2(capsys, tmp_path, flags, fmt):
+    # formerly an all-nan trace written with exit 0
+    path = tmp_path / f"t.{fmt}"
+    rc, out, err = run(capsys, "cobweb", *flags, "--steps", "2", "--format",
+                       fmt, "--out", str(path))
+    assert (rc, out) == (2, "") and err.startswith("error: ")
+    assert not path.exists()
+
+
+def test_cobweb_c_between_minus_2_and_quarter(capsys, tmp_path):
+    path = tmp_path / "trace.csv"
+    rc, _, _ = run(capsys, "cobweb", "--c", "-1", "--x0", "0.5", "--steps",
+                   "2", "--out", str(path))
+    assert rc == 0
+    assert path.read_text().splitlines()[1:] == [
+        "0.5,-0.75,-0.75,-0.75", "-0.75,-0.75,-0.75,-0.4375",
+        "-0.75,-0.4375,-0.4375,-0.4375"]
+
+
+@pytest.mark.parametrize("x0", ["0", "1", "-1"])
+def test_iterate_overflow_escapes(capsys, x0):
+    # x_2 = x_1^2 + c overflows: formerly "bounded 100"
+    rc, out, _ = run(capsys, "iterate", "--c=1e200", "--x0", x0)
+    assert (rc, out) == (0, "escaped_at 2\n")
+
+
+def test_classify_overflow_escapes(capsys):
+    rc, out, _ = run(capsys, "classify", "--c=1e200", "--lo", "0", "--hi",
+                     "1", "--n-points", "2")
+    assert (rc, out) == (0, "0 escaped_at 2\n1 escaped_at 2\n")
+
+
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_iterate_nonfinite_x0_exits_2(capsys, x0):
+    rc, out, err = run(capsys, "iterate", "--c=-3", f"--x0={x0}")
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: query must be finite")
+
+
 def test_cobweb_zero_steps(capsys, tmp_path):
     rc, _, err = run(capsys, "cobweb", "--x0", "0", "--steps", "0",
                      "--out", str(tmp_path / "t.csv"))

@@ -32,10 +32,12 @@ from cantordyn import (
     middle_thirds,
     segment_mapping_check,
 )
+from cantordyn import _dd
 from cantordyn.conjugacy import (
     MappingReport,
     _eval_dd,
     _eval_dd_array,
+    _eval_double,
     _mapping_samples,
 )
 
@@ -352,3 +354,111 @@ def test_segment_mapping_violations_match_loop(model12, thirds12):
     ref, _ = segment_mapping_loop(pl, model12, other, 3, 1)
     assert report.violations and report == ref
     assert repr(report.violations) == repr(ref.violations)
+
+
+# _eval_dd_array and the array branch of _eval_double as they were when
+# every branch ran on every lane and np.where kept each lane's answer,
+# frozen as the oracle of the versions that compute only the lanes that
+# need it.
+
+def reference_eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
+    last = xs.size - 1
+    i = np.clip(np.searchsorted(xs, xh, side="right") - 1, 0, last)
+    on_knot = xs[i] == xh
+    hit = on_knot & (xs_lo[i] == xl)
+    left = _dd.le(xh, xl, xs[0], xs_lo[0])
+    tail = left | _dd.le(xs[-1], xs_lo[-1], xh, xl)
+    j = np.clip(i - (on_knot & (xl < xs_lo[i])), 0, last - 1)
+    off_l = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
+    off_r = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        th, tl = _dd.add(xh, xl, np.where(left, off_l[0], off_r[0]),
+                         np.where(left, off_l[1], off_r[1]))
+        dx = _dd.sub(xh, xl, xs[j], xs_lo[j])
+        t = _dd.div(*dx, *_dd.sub(xs[j + 1], xs_lo[j + 1], xs[j], xs_lo[j]))
+        dy = _dd.mul(*t, *_dd.sub(ys[j + 1], ys_lo[j + 1], ys[j], ys_lo[j]))
+        ih, il = _dd.add(ys[j], ys_lo[j], *dy)
+    h = np.where(hit, ys[i], np.where(tail, th, ih))
+    l = np.where(hit, ys_lo[i], np.where(tail, tl, il))
+    return h, l
+
+
+def reference_eval_double_array(xs, xs_lo, ys, ys_lo, x):
+    i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
+    knot = xs[i] == x
+    h, l = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
+    return (np.where(knot, ys[i], h), np.where(knot, ys_lo[i], l),
+            np.where(knot, ys[i], h + l))
+
+
+def oracle_queries(knots):
+    """Named query arrays over one knot table: all knots, no knots, a mix,
+    duplicates with 0.0 beside -0.0, a 2-D block and an empty array."""
+    rng = np.random.default_rng(knots.size)
+    none = np.concatenate([
+        np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+        [knots[0] - 1.0, knots[-1] + 2.5],
+        rng.uniform(knots[0] - 0.5, knots[-1] + 0.5, 97)])
+    none = none[~np.isin(none, knots)]
+    mix = rng.permutation(np.concatenate([knots, none]))
+    dup = np.concatenate([knots[::-1], knots, [0.0, -0.0, 0.0, -0.0],
+                          none[:5], none[:5]])
+    return {"knots": knots, "none": none, "mix": mix, "dup": dup,
+            "2-D": mix[:mix.size // 6 * 6].reshape(-1, 6),
+            "empty": np.empty(0)}
+
+
+def test_eval_double_matches_frozen_oracle(oracle_cases):
+    for pl, _, _ in oracle_cases:
+        for table in ((pl.xs, pl.xs_lo, pl.ys, pl.ys_lo),
+                      (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)):
+            for name, q in oracle_queries(table[0]).items():
+                got = _eval_double(*table, q)
+                want = reference_eval_double_array(*table, q)
+                for g, w in zip(got, want):
+                    assert same_bits(g, w), (pl.depth, name)
+
+
+def test_eval_dd_array_matches_frozen_oracle(oracle_cases):
+    """Plain and double-double queries: exact (hi, lo) knot hits, points
+    dd-below and dd-above a knot, both tails, and F_c images of knots."""
+    for pl, params, _ in oracle_cases:
+        for xs, xs_lo, ys, ys_lo in ((pl.xs, pl.xs_lo, pl.ys, pl.ys_lo),
+                                     (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)):
+            for name, q in oracle_queries(xs).items():
+                for lo in (np.zeros_like(q), np.full_like(q, 1e-30),
+                           np.full_like(q, -1e-30)):
+                    if name == "knots":
+                        lo = xs_lo + lo
+                    got = _eval_dd_array(xs, xs_lo, ys, ys_lo, q, lo)
+                    want = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, q, lo)
+                    assert same_bits(got[0], want[0]), (pl.depth, name)
+                    assert same_bits(got[1], want[1]), (pl.depth, name)
+            fh, fl = _dd.add(*_dd.sqr(xs, xs_lo), params.c, 0.0)
+            got = _eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
+            want = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_eval_double_all_knots_reads_the_table(phi12):
+    # every lane a knot: the interpolation never runs
+    q = phi12.xs[::-1].copy()
+    h, l, r = _eval_double(phi12.xs, phi12.xs_lo, phi12.ys, phi12.ys_lo, q)
+    assert same_bits(h, phi12.ys[::-1]) and same_bits(l, phi12.ys_lo[::-1])
+    assert same_bits(r, phi12.ys[::-1])
+
+
+def test_public_array_evaluators_match_frozen_oracle(oracle_cases):
+    for pl, params, _ in oracle_cases:
+        q = oracle_queries(pl.ys)["mix"]
+        want_inv = reference_eval_double_array(pl.ys, pl.ys_lo, pl.xs,
+                                               pl.xs_lo, q)
+        assert same_bits(eval_phi_inverse(pl, q), want_inv[2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            fh, fl = _dd.add(*_dd.sqr(*want_inv[:2]), params.c, 0.0)
+        yh, yl = reference_eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo,
+                                         fh, fl)
+        assert same_bits(eval_fstar(pl, params, q), yh + yl)
+        x = oracle_queries(pl.xs)["mix"]
+        assert same_bits(eval_phi(pl, x), reference_eval_double_array(
+            pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, x)[2])

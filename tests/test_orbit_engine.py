@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from cantordyn import (
     DomainError,
     ORBIT_DRIFT_BUDGET,
+    OrbitResult,
+    build_phi,
+    eval_fstar,
     classify_grid,
     cobweb_trace,
     iterate_model,
@@ -23,6 +26,8 @@ from cantordyn import (
     mandelbrot_escape,
     mandelbrot_grid,
 )
+from cantordyn import _dd
+from cantordyn.conjugacy import _phi_dd, _phi_inv_dd
 
 
 class TestIterateModel:
@@ -63,6 +68,28 @@ class TestIterateModel:
     def test_max_iter_validation(self, params3):
         with pytest.raises(DomainError):
             iterate_model(params3, 0.0, 0)
+
+    @pytest.mark.parametrize("c, x0", [(1e200, 0.0), (1e200, 1.0),
+                                       (1e300, -1.0), (1.7e308, 0.0)])
+    def test_overflowing_square_escapes(self, c, x0):
+        # x_1 is within the radius max(1, |c|), but x_2 = x_1^2 + c leaves
+        # the double range: the dd square is nan, which formerly read as
+        # "bounded" because nan > threshold is false
+        result = iterate_model(c, x0, 100, keep_trajectory=4)
+        assert result.escaped and result.iteration == 2
+        assert math.isnan(result.trajectory[2])
+
+    def test_overflow_verdicts_in_a_grid(self):
+        rows = classify_grid(lambda x0, n: iterate_model(1e200, x0, n),
+                             0.0, 1.0, 2, 100)
+        assert [(r.escaped, r.iteration) for _, r in rows] == [(True, 2)] * 2
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_start_rejected(self, params3, x0):
+        with pytest.raises(DomainError):
+            iterate_model(params3, x0, 100)
+        with pytest.raises(DomainError):
+            iterate_model(-3.0, x0, 100)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1e308])
     def test_bad_bare_c_rejected(self, c):
@@ -157,6 +184,100 @@ class TestIterateTargetBatched:
             iterate_target(phi12, params3, np.array([0.5, np.nan]), 10)
 
 
+def reference_iterate_target_array(pl, params, y0, max_iter, threshold):
+    """_iterate_target_array as it was when it iterated every live lane,
+    frozen as the oracle of the version that iterates distinct states."""
+    escaped = np.zeros(y0.shape, dtype=bool)
+    iteration = np.full(y0.shape, max_iter, dtype=np.int64)
+    alive = np.arange(y0.size)
+    y = y0.ravel()
+    for n in range(max_iter + 1):
+        xh, xl = _phi_inv_dd(pl, y)
+        esc = np.abs(xh + xl) > threshold
+        if esc.any():
+            escaped.flat[alive[esc]] = True
+            iteration.flat[alive[esc]] = n
+            alive, xh, xl = alive[~esc], xh[~esc], xl[~esc]
+        if n == max_iter or alive.size == 0:
+            break
+        fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
+        yh, yl = _phi_dd(pl, fh, fl)
+        y = yh + yl
+    return OrbitResult(escaped, iteration)
+
+
+def orbit_starts(target):
+    """Start points: endpoints of every level (their orbits merge, F*
+    being 2-to-1 on the set), gap midpoints, points outside the hull, and
+    duplicates with 0.0 beside -0.0, shuffled into one array."""
+    ends = np.concatenate([np.concatenate([target.level_a[n],
+                                           target.level_b[n]])
+                           for n in range(target.depth + 1)])
+    mids = np.concatenate([np.empty(0)] + [
+        0.5 * (target.gap_c[n] + target.gap_d[n])
+        for n in range(1, target.depth + 1)])
+    a, b = target.hull
+    rng = np.random.default_rng(target.depth)
+    return rng.permutation(np.concatenate([
+        ends, ends[:9], mids, mids[:5], rng.uniform(a - 0.5, b + 0.5, 64),
+        [a - 1.0, b + 1.0, 0.0, -0.0, -0.0, 0.0]]))
+
+
+def test_batched_iterate_matches_frozen_oracle(oracle_cases):
+    # each array also as a 2-D block of its first lanes, and once empty
+    for pl, params, target in oracle_cases:
+        threshold = params.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
+        y0 = orbit_starts(target)
+        block = y0[:y0.size // 4 * 4].reshape(-1, 4)
+        for max_iter in (2, 25):
+            want = reference_iterate_target_array(pl, params, y0, max_iter,
+                                                  threshold)
+            got = iterate_target(pl, params, y0, max_iter)
+            assert np.array_equal(got.escaped, want.escaped)
+            assert np.array_equal(got.iteration, want.iteration)
+            assert got.iteration.dtype == np.int64
+            got = iterate_target(pl, params, block, max_iter)
+            assert got.escaped.shape == block.shape
+            assert np.array_equal(got.escaped.ravel(),
+                                  want.escaped[:block.size])
+            assert np.array_equal(got.iteration.ravel(),
+                                  want.iteration[:block.size])
+        got = iterate_target(pl, params, np.empty(0), 25)
+        assert got.escaped.shape == got.iteration.shape == (0,)
+
+
+def test_endpoint_orbits_merge_and_match_oracle(params3, model12, thirds12):
+    # the level <= 8 endpoints of the dichotomy suite: 1022 lanes holding
+    # 512 distinct values that halve every step
+    ends = np.concatenate([np.concatenate([thirds12.level_a[n],
+                                           thirds12.level_b[n]])
+                           for n in range(9)])
+    pl = build_phi(model12, thirds12, 8)
+    assert np.unique(ends).size == 512
+    images = eval_fstar(pl, params3, np.unique(ends))
+    assert np.unique(images).size == 256
+    threshold = params3.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
+    for max_iter in (5, 25, 200):
+        got = iterate_target(pl, params3, ends, max_iter)
+        want = reference_iterate_target_array(pl, params3, ends, max_iter,
+                                              threshold)
+        assert np.array_equal(got.escaped, want.escaped)
+        assert np.array_equal(got.iteration, want.iteration)
+        assert not got.escaped.any()
+
+
+def test_merged_state_escapes_for_all_its_lanes(phi12, params3):
+    # lanes holding the same state (and states that merge after a step)
+    # escape together at the same n; -0.0 is its own state
+    y0 = np.array([0.5, 0.5, 0.4, 1 - 0.4, -0.0, 0.0, 0.5, 2.0, 2.0])
+    res = iterate_target(phi12, params3, y0, 50)
+    for k, y in enumerate(y0):
+        ref = iterate_target(phi12, params3, float(y), 50)
+        assert (bool(res.escaped[k]), int(res.iteration[k])) == \
+            (ref.escaped, ref.iteration)
+    assert res.iteration[0] == res.iteration[1] == res.iteration[6]
+
+
 def test_drift_budget_documented():
     assert ORBIT_DRIFT_BUDGET == 1e-13
 
@@ -195,6 +316,11 @@ class TestCobweb:
     def test_steps_validation(self):
         with pytest.raises(DomainError):
             cobweb_trace(lambda x: x, 0.0, 0)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_start_rejected(self, x0):
+        with pytest.raises(DomainError):
+            cobweb_trace(lambda x: x * x + 0.5, x0, 3)
 
 
 class TestClassifyGrid:

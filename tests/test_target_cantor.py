@@ -703,3 +703,64 @@ def test_helpers_past_stored_data_match_frozen_walks():
                           (1e-12, 0.0))
     assert got == (SpecError, "gap tree has no data below level 2; cannot "
                               "tighten (0.05, 0.06)")
+
+
+MEMBERSHIP_SPECS = ORACLE_SPECS + [
+    MiddleAlpha(0.5, hull=(-0.0, 1.0)),
+    AffineIFS2(0.05, 0.9),
+    ExplicitGapTree(hull=(0.0, 1.0),
+                    levels=(((0.4, 0.6),), ((0.1, 0.2), (0.7, 0.9)))),
+    ExplicitGapTree(hull=(0.0, 1.0), levels=()),
+]
+
+
+def membership_probes(spec):
+    """Stored endpoints of a natural build (exact members), their
+    neighbours, gap midpoints and gap edges, points outside the hull, the
+    hull corners, 0.0 beside -0.0, nan and a uniform spread."""
+    depth = min(6, _descent_limit(spec))
+    system = build_target_system(spec, depth, mode="natural")
+    ends = np.concatenate([system.a_N, system.b_N])
+    gaps = np.concatenate([np.empty(0)] + [
+        np.concatenate([system.gap_c[n], system.gap_d[n],
+                        0.5 * (system.gap_c[n] + system.gap_d[n])])
+        for n in range(1, depth + 1)])
+    a, b = (float(v) for v in spec.hull)
+    return np.concatenate([
+        ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf), gaps,
+        [a, b, np.nextafter(a, -np.inf), np.nextafter(b, np.inf), a - 1.0,
+         b + 1.0, 0.0, -0.0, np.nan, np.inf, -np.inf],
+        np.linspace(a - 0.25, b + 0.25, 301)])
+
+
+@pytest.mark.parametrize("spec", MEMBERSHIP_SPECS, ids=repr)
+def test_array_membership_matches_scalar(spec):
+    # depths past an explicit tree's stored levels clamp on both paths
+    x = membership_probes(spec)
+    for depth in (1, 2, 3, 6, 9, 40):
+        got = membership(spec, x, depth)
+        assert got.dtype == bool and got.shape == x.shape
+        want = [membership(spec, float(v), depth) for v in x]
+        assert got.tolist() == want, depth
+
+
+def test_array_membership_shapes_and_validation(thirds, thirds12):
+    block = thirds12.level_a[4].reshape(4, 4)
+    got = membership(thirds, block, 12)
+    assert got.shape == (4, 4) and got.all()
+    assert membership(thirds, np.empty(0), 12).shape == (0,)
+    assert membership(thirds, np.array(0.5), 3).shape == ()
+    assert not membership(thirds, np.array(0.5), 3)
+    with pytest.raises(DomainError):
+        membership(thirds, np.array([0.5]), 0)
+
+
+def test_array_membership_clamps_explicit_depth():
+    tree = ExplicitGapTree(hull=(0.0, 1.0),
+                           levels=(((0.4, 0.6),), ((0.1, 0.2), (0.7, 0.9))))
+    x = np.array([0.05, 0.15, 0.3, 0.5, 0.65, 0.8, 0.95, 1.0])
+    want = [True, False, True, False, True, False, True, True]
+    for depth in (2, 3, 10, 1000):
+        assert membership(tree, x, depth).tolist() == want
+    assert membership(tree, x, 1).tolist() == [True, True, True, False,
+                                               True, True, True, True]

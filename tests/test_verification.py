@@ -25,7 +25,7 @@ from cantordyn import (
     verification,
 )
 from cantordyn.errors import NoRealFixedPoint
-from cantordyn.target_cantor import _descent_limit, membership
+from cantordyn.target_cantor import TargetSystem, _descent_limit, membership
 from cantordyn.verification import (
     CheckResult,
     _structure_errors,
@@ -356,3 +356,46 @@ def test_target_construction_certificate_detail():
                       f"{bound!r}")
     assert target_construction_loop(target, target.spec, 2) == (
         False, f"level 1: length {0.8!r} above (2/3)^n certificate")
+
+
+CROSS_SPECS = [middle_thirds(), MiddleAlpha(0.5), AffineIFS2(0.3, 0.2),
+               FatCantor(0.3, 0.5),
+               ExplicitGapTree((0.0, 1.0), (((1 / 3, 2 / 3),),)),
+               ExplicitGapTree((0.0, 1.0), (((0.4, 0.6),),
+                                            ((0.1, 0.2), (0.7, 0.9))))]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5, 8])
+def test_target_construction_matches_scan_across_specs(depth):
+    # the strict levels of one family checked against another family's
+    # membership: endpoints rejected and gap midpoints accepted, each
+    # reported at the lane the point-by-point scan meets first
+    outcomes = set()
+    for source in CROSS_SPECS[:4]:
+        target = build_target_system(source, depth, mode="strict")
+        for spec in CROSS_SPECS:
+            bent = TargetSystem(spec, "strict", target.a_N, target.b_N,
+                                target.a_lo_N, target.b_lo_N)
+            got = _suite_target_construction(bent)
+            assert got == target_construction_loop(bent, spec, depth), (
+                source, spec)
+            outcomes.add(got[1].split(" ")[0] if not got[0] else "pass")
+    if depth >= 2:
+        assert outcomes == {"pass", "stored", "gap"}
+
+
+@pytest.mark.parametrize("k, delta", [(4, -1e-9), (40, -1e-12), (252, -1e-7),
+                                      (8, 1e-9)])
+def test_target_construction_reports_perturbed_endpoint(k, delta):
+    # a probed level-6 left endpoint (every 4th of level 8) pushed into the
+    # gap on its left is rejected; pushed right it stays inside its segment
+    target = build_target_system(middle_thirds(), 8)
+    a = target.a_N.copy()
+    a[k] += delta
+    bent = TargetSystem(target.spec, "strict", a, target.b_N, target.a_lo_N,
+                        target.b_lo_N)
+    got = _suite_target_construction(bent)
+    assert got == target_construction_loop(bent, bent.spec, 8)
+    assert got[0] == (delta > 0)
+    if delta < 0:
+        assert got[1] == f"stored endpoint {float(a[k])!r} rejected by membership"
