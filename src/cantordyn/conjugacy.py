@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _dd
 from .errors import CantorDynError, DomainError
+from .model_cantor import _interleave
 
 
 @dataclass(frozen=True)
@@ -51,13 +52,6 @@ class MonotonePLMap:
     @property
     def breakpoints(self):
         return list(zip(self.xs.tolist(), self.ys.tolist()))
-
-
-def _interleave(a, b):
-    out = np.empty(a.size + b.size)
-    out[0::2] = a
-    out[1::2] = b
-    return out
 
 
 def build_phi(model, target, N):

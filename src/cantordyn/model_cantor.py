@@ -123,6 +123,14 @@ class IntervalSystem:
         return float(self.level_a[address.level][j]), float(self.level_b[address.level][j])
 
 
+def _interleave(even, odd):
+    """The entries of even and odd alternating, in even's dtype."""
+    out = np.empty(2 * even.size, even.dtype)
+    out[0::2] = even
+    out[1::2] = odd
+    return out
+
+
 def _gap_views(levels, first):
     """Every other endpoint of each level from index `first`: one gap edge
     per parent segment, none at level 0."""
@@ -201,6 +209,5 @@ def build_model_system(params, depth):
 def max_segment_length(system, n):
     """Largest segment length at level n; DomainError if n is out of range."""
     n = int(n)
-    if not 0 <= n <= system.depth:
-        raise DomainError(f"level {n} out of range 0..{system.depth}")
+    system._check_level(n)
     return float(np.max(system.level_b[n] - system.level_a[n]))

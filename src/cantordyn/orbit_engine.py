@@ -12,8 +12,10 @@ so points that represent members of the invariant set (segment endpoints,
 whose true orbits stay inside the hull forever) sit up to an ulp off the set
 and oscillate around the hull corners by a few 1e-16.  The threshold
 p * (1 + 1e-13) ignores that representation jitter without ever excusing a
-genuine escape: a true escape grows by a factor ~lambda per step and crosses
-any such band immediately.
+genuine escape, which it can only delay: beyond p, F(x) - p equals
+(|x| - p)(|x| + p), so the excess over p grows by a factor above 2p >= 1 per
+step whatever lambda is, and a true escape crosses the band within finitely
+many steps (few for c < -2, where 2p > 4).
 """
 
 import math

@@ -12,13 +12,14 @@ double-double throughout so stored endpoints are correctly rounded members.
 build_target_system refines a level at a time on arrays, with one lane per
 segment, and keeps only the current level; the last one is the deepest
 level, the only one a system stores.  Natural mode applies the split
-formulas to the whole level at once.  Strict mode runs the middle-third
-search (_find_gaps) and the tightening (_tighten_gaps) as masked descents
-down the gap tree; the public helpers run them on one lane from the hull.
+formulas to the whole level at once.  Strict mode runs one masked descent
+per level, the middle-third search (_find_gaps), and splits at the maximal
+gap each lane stops at; the public helpers run the search and the
+tightening (_tighten_gaps, which only tighten_gap needs) on one lane.
 All splits come from _NodeSplitter, which membership calls one node at a
 time for a float and one level at a time for an array of points.  A
 descent stops at _descent_limit(spec).  In the build a lane starts
-its descents not at the hull but at the deepest tree node already known to
+its search not at the hull but at the deepest tree node already known to
 contain its segment: the matching child of the parent's gap node when a
 comparison confirms the containment, else the parent's own start node.
 Every gap above such a node lies wholly left or right of the segment, so a
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import _dd
 from .errors import DomainError, SpecError
-from .model_cantor import IntervalSystem, _validate_depth
+from .model_cantor import IntervalSystem, _interleave, _validate_depth
 
 
 def _check_hull(hull):
@@ -310,7 +311,7 @@ def find_gap_in_middle_third(spec, interval):
 
     [c, d] must be a segment of the refinement (its endpoints members).
     This is the build's strict search (_find_gaps) on one lane from the
-    hull, without the tightening.
+    hull; the build splits at the whole tree gap holding (e, f).
     """
     c, d = float(interval[0]), float(interval[1])
     if not c < d:
@@ -319,8 +320,8 @@ def find_gap_in_middle_third(spec, interval):
         raise DomainError(
             f"segment endpoints [{c!r}, {d!r}] are not members of the target set"
         )
-    E, F, missed = _find_gaps(_NodeSplitter(spec), _lane(c, 0.0),
-                              _lane(d, 0.0), _hull_lane(spec))
+    E, F, *_, missed = _find_gaps(_NodeSplitter(spec), _lane(c, 0.0),
+                                  _lane(d, 0.0), _hull_lane(spec))
     if missed[0] >= 0:
         raise _descent_error(spec, "refine", missed[0], c, d)
     return float(E[0][0]), float(F[0][0])
@@ -331,9 +332,9 @@ def tighten_gap(spec, gap, tol=None):
 
     e' is the largest member below e, f' the smallest member above f.  For
     the tree-backed specs of this module both are computed exactly by the
-    build's tightening (_tighten_gaps) on one lane from the hull; tol is its
-    slack (a natural gap counts as containing (e, f) when it does so up to
-    tol per side), must be positive, and defaults to 1e-12 times the hull
+    tightening (_tighten_gaps) on one lane from the hull; tol is its slack
+    (a natural gap counts as containing (e, f) when it does so up to tol
+    per side), must be positive, and defaults to 1e-12 times the hull
     length.
     """
     a, b = _check_hull(spec.hull)
@@ -346,9 +347,8 @@ def tighten_gap(spec, gap, tol=None):
         raise DomainError(f"invalid open interval ({e!r}, {f!r})")
     if e < a or f > b:
         raise DomainError(f"({e!r}, {f!r}) is not inside the hull [{a!r}, {b!r}]")
-    G, H, _, stuck = _tighten_gaps(_NodeSplitter(spec), _lane(e, 0.0),
-                                   _lane(f, 0.0), _hull_lane(spec),
-                                   *_lane(tol, True))
+    G, H, stuck = _tighten_gaps(_NodeSplitter(spec), _lane(e, 0.0),
+                                _lane(f, 0.0), *_lane(tol))
     if stuck[0] >= 0:
         raise _descent_error(spec, "tighten", stuck[0], e, f)
     return float(G[0][0]), float(H[0][0])
@@ -399,7 +399,7 @@ class TargetSystem(IntervalSystem):
 def build_target_system(spec, depth, mode="strict"):
     """Refine the target hull `depth` times.
 
-    Strict mode splits each segment at the tightened gap found in its middle
+    Strict mode splits each segment at the maximal gap found in its middle
     third, certifying level-n lengths <= (2/3)^n times the hull.  Natural
     mode splits at the spec's principal gaps, whose child/parent length
     ratios every family's constructor already keeps below 1.
@@ -420,24 +420,17 @@ def build_target_system(spec, depth, mode="strict"):
         # check below refuses what they produce
         with np.errstate(over="ignore", invalid="ignore"):
             if mode == "strict":
-                G, H, start, failures = _strict_gaps(split, A, B, start)
+                G, H, start, missed = _strict_gaps(split, A, B, start)
             else:
                 m = A[0].size
                 G, H = split(A, B, np.full(m, n), np.arange(m))
-                failures = None
-            _check_splits(spec, n, A, B, G, H, failures)
+                missed = np.full(m, -1)
+            _check_splits(spec, n, A, B, G, H, missed)
         # children of segment i are [A_i, G_i] (index 2i) and [H_i, B_i] (2i + 1)
         A = tuple(_interleave(u, g) for u, g in zip(A, H))
         B = tuple(_interleave(g, v) for g, v in zip(G, B))
 
     return TargetSystem(spec, mode, A[0], B[0], A[1], B[1])
-
-
-def _interleave(even, odd):
-    out = np.empty(2 * even.size, even.dtype)
-    out[0::2] = even
-    out[1::2] = odd
-    return out
 
 
 def _pick(mask, x, y):
@@ -451,23 +444,18 @@ def _put(out, lane, mask, x):
         o[lane[mask]] = u[mask]
 
 
-def _check_splits(spec, n, U, V, G, H, failures):
-    """Raise for the first failing segment of a level: the error its strict
-    descents recorded (failures, see _strict_gaps; None in natural mode),
-    else a degenerate split."""
+def _check_splits(spec, n, U, V, G, H, missed):
+    """Raise for the first failing segment of a level: the error of a
+    strict search that reached the descent limit (missed, see _strict_gaps;
+    all -1 in natural mode), else a degenerate split."""
     # strict U < G and H < V, false on NaN like tuple comparison
     ok = (_dd.le(*U, *G) & ~_dd.le(*G, *U)) & (_dd.le(*H, *V) & ~_dd.le(*V, *H))
-    missed = stuck = np.full(ok.size, -1)
-    if failures is not None:
-        missed, stuck, E, F = failures
-    bad = ~ok | (missed >= 0) | (stuck >= 0)
+    bad = ~ok | (missed >= 0)
     if not bad.any():
         return
     k = int(np.argmax(bad))
     if missed[k] >= 0:
         raise _descent_error(spec, "refine", missed[k], U[0][k], V[0][k])
-    if stuck[k] >= 0:
-        raise _descent_error(spec, "tighten", stuck[k], E[0][k], F[0][k])
     raise SpecError(
         f"level {n + 1} split degenerated: segment "
         f"[{float(U[0][k])!r}, {float(V[0][k])!r}] with gap "
@@ -491,20 +479,24 @@ def _find_gaps(split, C, D, start):
 
     A lane keeps a window that starts as the closed middle third and
     shrinks past any gap that substantially straddles its edge; it stops at
-    a tree gap inside the window, or at the window's overlap with a gap
-    that swallows it (tightening recovers the full gap).  The window edges
-    carry a 1e-12 relative slack: segment endpoints arrive rounded to
-    doubles, and without the slack a sub-ulp shift of the window could push
-    the genuine middle-third gap just past an edge and send the descent
-    into ever-smaller gaps hugging that edge.  Returns E, F and, per lane,
-    -1 or the level where the search reached the descent limit.
+    a tree gap (G, H) inside the window, recording E, F = G, H, or at the
+    window's overlap (E, F) with a gap that swallows it.  Tree gaps are
+    disjoint, so (G, H) is the maximal gap containing (E, F), the one a
+    tightening would find.  The window edges carry a 1e-12 relative slack:
+    segment endpoints arrive rounded to doubles, and without the slack a
+    sub-ulp shift of the window could push the genuine middle-third gap
+    just past an edge and send the descent into ever-smaller gaps hugging
+    that edge.  Returns E, F, G, H, the node (U, V, n, j) each lane stopped
+    at and, per lane, -1 or the level where the search reached the descent
+    limit.
     """
     w = _dd.sub(*D, *C)
     third = _dd.div(*w, 3.0, 0.0)
     lo = _dd.add(*C, *third)
     hi = _dd.sub(*D, *third)
     m = w[0].size
-    E, F = _blank(m, 2), _blank(m, 2)
+    E, F, G, H = (_blank(m, 2) for _ in range(4))
+    node = (*_blank(m, 4), np.zeros(m, np.int64), np.zeros(m, np.int64))
     missed = np.full(m, -1)
     limit = _descent_limit(split.spec)
     # (lane, Uh, Ul, Vh, Vl, n, j, loh, lol, hih, hil, slack)
@@ -518,6 +510,10 @@ def _find_gaps(split, C, D, start):
                   & _dd.le(*_dd.sub(*Hs, *hi), sl, 0.0))
         swallow = (~inside & _dd.le(*_dd.sub(*Gs, *lo), sl, 0.0)
                    & _dd.le(*_dd.sub(*hi, *Hs), sl, 0.0))
+        stop = inside | swallow
+        _put(G, lane, stop, Gs)
+        _put(H, lane, stop, Hs)
+        _put(node, lane, stop, (Uh, Ul, Vh, Vl, n, j))
         _put(E, lane, inside, Gs)
         _put(F, lane, inside, Hs)
         _put(E, lane, swallow, _pick(_dd.le(*Gs, *lo), lo, Gs))
@@ -531,30 +527,29 @@ def _find_gaps(split, C, D, start):
         hi = _pick(cut_right, Gs, hi)
         U = _pick(right, Hs, (Uh, Ul))
         V = _pick(right, (Vh, Vl), Gs)
-        go = ~(inside | swallow)
+        go = ~stop
         state = _drop_spent(limit, tuple(x[go] for x in (
             lane, *U, *V, n + 1, 2 * j + right, *lo, *hi, sl)), missed)
-    return E, F, missed
+    return E, F, G, H, node, missed
 
 
-def _tighten_gaps(split, E, F, start, slack, live):
-    """The tightening: for every live lane, the maximal natural gap
-    containing the member-free interval (E_i, F_i), as a masked descent
-    from the lane's start node.
+def _tighten_gaps(split, E, F, slack):
+    """The tightening behind tighten_gap: for every lane, the maximal
+    natural gap containing the member-free interval (E_i, F_i), as a masked
+    descent from the hull.
 
     A natural gap counts as containing (E_i, F_i) when it does so up to
-    slack_i per side.  Returns the gaps G, H, the node (U, V, n, j) each
-    was found at and, per lane, -1 or the level where the descent stopped:
-    short of the descent limit when members lie inside (E_i, F_i).
+    slack_i per side.  Returns the gaps G, H and, per lane, -1 or the level
+    where the descent stopped: short of the descent limit when members lie
+    inside (E_i, F_i).
     """
     m = E[0].size
     G, H = _blank(m, 2), _blank(m, 2)
-    node = (*_blank(m, 4), np.zeros(m, np.int64), np.zeros(m, np.int64))
     stuck = np.full(m, -1)
     limit = _descent_limit(split.spec)
+    hull = (np.repeat(x, m) for x in _hull_lane(split.spec))
     # (lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl, slack)
-    state = _drop_spent(limit, (np.flatnonzero(live), *(
-        x[live] for x in (*start, *E, *F, slack))), stuck)
+    state = _drop_spent(limit, (np.arange(m), *hull, *E, *F, slack), stuck)
     while state[0].size:
         lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl, sl = state
         e, f = (eh, el), (fh, fl)
@@ -563,7 +558,6 @@ def _tighten_gaps(split, E, F, start, slack, live):
                & _dd.le(*_dd.sub(*f, *Hs), sl, 0.0))
         _put(G, lane, hit, Gs)
         _put(H, lane, hit, Hs)
-        _put(node, lane, hit, (Uh, Ul, Vh, Vl, n, j))
         left = ~hit & _dd.le(*f, *Gs)
         right = ~hit & ~left & _dd.le(*Hs, *e)
         members = ~(hit | left | right)
@@ -573,22 +567,19 @@ def _tighten_gaps(split, E, F, start, slack, live):
         go = left | right
         state = _drop_spent(limit, tuple(x[go] for x in (
             lane, *U, *V, n + 1, 2 * j + right, *e, *f, sl)), stuck)
-    return G, H, node, stuck
+    return G, H, stuck
 
 
 def _strict_gaps(split, C, D, start):
-    """The tightened middle-third gap of every segment [C_i, D_i] of a
-    level, one lane per segment.
+    """The maximal middle-third gap of every segment [C_i, D_i] of a level,
+    one lane per segment: the tree gap its middle-third search stops at.
 
-    Each lane begins its descents at its start node instead of the hull
-    (see the module docstring).  Returns the gaps G, H, the start nodes of
-    the 2m children, and the failure record (missed, stuck, E, F): the
-    levels where the search and the tightening stopped (-1 where they did
-    not fail) and the intervals the tightening was given.
+    Each lane begins its search at its start node instead of the hull (see
+    the module docstring).  Returns the gaps G, H, the start nodes of the
+    2m children, and, per lane, -1 or the level where the search reached
+    the descent limit.
     """
-    E, F, missed = _find_gaps(split, C, D, start)
-    G, H, node, stuck = _tighten_gaps(split, E, F, start,
-                                      np.zeros(missed.size), missed < 0)
+    _, _, G, H, node, missed = _find_gaps(split, C, D, start)
 
     # a child starts at the matching child of its gap's node when that node
     # contains it, else where its parent started
@@ -596,7 +587,7 @@ def _strict_gaps(split, C, D, start):
     left = _pick(_dd.le(Uh, Ul, *C), (Uh, Ul, *G, n + 1, 2 * j), start)
     right = _pick(_dd.le(*D, Vh, Vl), (*H, Vh, Vl, n + 1, 2 * j + 1), start)
     children = tuple(_interleave(x, y) for x, y in zip(left, right))
-    return G, H, children, (missed, stuck, E, F)
+    return G, H, children, missed
 
 
 def _blank(m, k):

@@ -30,9 +30,11 @@ from cantordyn import (
     tighten_gap,
 )
 from cantordyn import _dd
+from cantordyn.model_cantor import _interleave
 from cantordyn.target_cantor import (_cut, _descent_error, _descent_limit,
                                      _find_gaps, _hull_lane, _lane,
-                                     _NodeSplitter, _tighten_gaps)
+                                     _NodeSplitter, _strict_gaps,
+                                     _tighten_gaps)
 
 
 def exact_thirds_level(n):
@@ -639,8 +641,8 @@ def outcome(fn, *args):
 
 def one_lane_find(spec, c, d):
     """find_gap_in_middle_third past its argument checks."""
-    E, F, missed = _find_gaps(_NodeSplitter(spec), _lane(c, 0.0),
-                              _lane(d, 0.0), _hull_lane(spec))
+    E, F, *_, missed = _find_gaps(_NodeSplitter(spec), _lane(c, 0.0),
+                                  _lane(d, 0.0), _hull_lane(spec))
     if missed[0] >= 0:
         raise _descent_error(spec, "refine", missed[0], c, d)
     return float(E[0][0]), float(F[0][0])
@@ -648,9 +650,8 @@ def one_lane_find(spec, c, d):
 
 def one_lane_tighten(spec, e, f, tol):
     """tighten_gap past its argument checks."""
-    G, H, _, stuck = _tighten_gaps(_NodeSplitter(spec), _lane(e, 0.0),
-                                   _lane(f, 0.0), _hull_lane(spec),
-                                   *_lane(tol, True))
+    G, H, stuck = _tighten_gaps(_NodeSplitter(spec), _lane(e, 0.0),
+                                _lane(f, 0.0), *_lane(tol))
     if stuck[0] >= 0:
         raise _descent_error(spec, "tighten", stuck[0], e, f)
     return float(G[0][0]), float(H[0][0])
@@ -703,6 +704,41 @@ def test_helpers_past_stored_data_match_frozen_walks():
                           (1e-12, 0.0))
     assert got == (SpecError, "gap tree has no data below level 2; cannot "
                               "tighten (0.05, 0.06)")
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS + [AffineIFS2(0.05, 0.9)],
+                         ids=repr)
+def test_search_stops_at_the_gap_a_tightening_finds(spec):
+    # the strict build splits at the tree gap its search stops at and runs
+    # no tightening: on every strict level, the search from the build's
+    # start nodes and from the hull reports the same gap and node, the node
+    # splits to that gap, and a zero-slack tightening of the search's
+    # (E, F) from the hull returns that gap
+    depth = spec.depth if isinstance(spec, ExplicitGapTree) else 8
+    split = _NodeSplitter(spec)
+    start = _hull_lane(spec)
+    A, B = start[0:2], start[2:4]
+    for _ in range(depth):
+        m = A[0].size
+        hull = tuple(np.repeat(x, m) for x in _hull_lane(spec))
+        *found, missed = _find_gaps(split, A, B, start)
+        *from_hull, hull_missed = _find_gaps(split, A, B, hull)
+        assert np.all(missed == -1) and np.all(hull_missed == -1)
+        for got, want in zip(from_hull, found):
+            assert all(map(np.array_equal, got, want))
+        E, F, G, H, node = found
+        U0, U1, V0, V1, n, j = node
+        assert all(map(np.array_equal, split((U0, U1), (V0, V1), n, j), (G, H)))
+        tG, tH, stuck = _tighten_gaps(split, E, F, np.zeros(m))
+        assert np.all(stuck == -1)
+        assert all(map(np.array_equal, (*tG, *tH), (*G, *H)))
+        G, H, start, _ = _strict_gaps(split, A, B, start)
+        A = tuple(_interleave(u, g) for u, g in zip(A, H))
+        B = tuple(_interleave(g, v) for g, v in zip(G, B))
+    # the loop above is the build's
+    system = build_target_system(spec, depth)
+    for got, want in zip((*A, *B), ("level_a", "a_lo", "level_b", "b_lo")):
+        assert np.array_equal(got, getattr(system, want)[depth])
 
 
 MEMBERSHIP_SPECS = ORACLE_SPECS + [
