@@ -14,6 +14,7 @@ carries 17 significant digits so output round-trips to the exact double.
 
 import argparse
 import csv
+import functools
 import re
 import sys
 
@@ -164,8 +165,12 @@ def _cmd_iterate(args):
 
 
 def _cmd_classify(args):
+    # c is resolved once, at the first point, so that classify_grid's own
+    # checks of the grid still come before those of c
+    model = functools.cache(lambda: orbit_engine._resolve_model(args.c))
+
     def classify(x0, max_iter):
-        return orbit_engine.iterate_model(args.c, x0, max_iter)
+        return orbit_engine._iterate_model(*model(), x0, max_iter)
 
     rows = orbit_engine.classify_grid(classify, args.lo, args.hi,
                                       args.n_points, args.max_iter)

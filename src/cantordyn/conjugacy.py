@@ -276,11 +276,14 @@ def _mapping_samples(pl, model, target, samples, seed):
 
 def segment_mapping_check(pl, model, target, samples, seed=0):
     """Sample points inside every segment and gap through level N and verify
-    phi maps each into the paired target segment or gap."""
+    phi maps each into the paired target segment or gap.  One eval_phi
+    call maps the samples of every level."""
+    groups = list(_mapping_samples(pl, model, target, samples, seed))
+    images = eval_phi(pl, np.concatenate([xs.ravel() for _, xs, _, _ in groups]))
     checked = 0
     bad = []
-    for n, xs, lo, hi in _mapping_samples(pl, model, target, samples, seed):
-        ys = eval_phi(pl, xs)
+    for n, xs, lo, hi in groups:
+        ys = images[checked:checked + xs.size].reshape(xs.shape)
         checked += xs.size
         inside = (lo[:, None] <= ys) & (ys <= hi[:, None])
         for j, k in zip(*np.nonzero(~inside)):

@@ -74,7 +74,13 @@ def iterate_model(params_or_c, x0, max_iter, keep_trajectory=0):
     max_iter = int(max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    c, radius = _resolve_model(params_or_c)
+    return _iterate_model(*_resolve_model(params_or_c), x0, max_iter,
+                          keep_trajectory)
+
+
+def _iterate_model(c, radius, x0, max_iter, keep_trajectory=0):
+    """iterate_model past its max_iter check, with c and its escape radius
+    already resolved (_resolve_model)."""
     threshold = radius * (1.0 + ORBIT_DRIFT_BUDGET)
     xh, xl = _finite(float(x0)), 0.0
     traj = [] if keep_trajectory else None

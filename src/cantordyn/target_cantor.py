@@ -25,6 +25,17 @@ comparison confirms the containment, else the parent's own start node.
 Every gap above such a node lies wholly left or right of the segment, so a
 descent from the hull would pass those nodes without changing state;
 starting below them saves a descent of length ~n per segment at level n.
+
+For the centred families (MiddleAlpha, FatCantor) a segment's own gap
+meets its middle third: it lies inside the third when the removed
+proportion is at most 1/3 and covers it otherwise.  The search then stops
+at the node it starts from, the segment's own, and returns the natural
+split, on every level where the dd rounding of the window test stays
+below the search's slack: _search_stops_at_own_node derives that bound,
+under which the narrowest segment is at least about 2^-62 times the
+hull's magnitude.  On those levels strict mode splits directly, with
+natural mode's formula; from the first level past the bound on, it runs
+the search from each segment's own node.
 """
 
 import math
@@ -402,7 +413,11 @@ def build_target_system(spec, depth, mode="strict"):
     Strict mode splits each segment at the maximal gap found in its middle
     third, certifying level-n lengths <= (2/3)^n times the hull.  Natural
     mode splits at the spec's principal gaps, whose child/parent length
-    ratios every family's constructor already keeps below 1.
+    ratios every family's constructor already keeps below 1.  For a
+    centred spec the two coincide: strict mode splits each level with the
+    natural formula while _search_stops_at_own_node proves that the search
+    would return that split, and runs the search from the first level it
+    cannot prove it on; the result is a strict system either way.
     """
     depth = _validate_depth(depth)
     if mode not in ("strict", "natural"):
@@ -412,19 +427,24 @@ def build_target_system(spec, depth, mode="strict"):
         raise SpecError(f"gap tree stores {len(spec.levels)} levels, cannot "
                         f"build depth {depth} naturally")
     split = _NodeSplitter(spec)
-    start = _hull_lane(spec)
-    A, B = start[0:2], start[2:4]
+    hull = _hull_lane(spec)
+    A, B = hull[0:2], hull[2:4]
+    start = None  # the search's start nodes, from the first level it runs
 
     for n in range(depth):
+        m = A[0].size
+        own = (np.full(m, n), np.arange(m))  # each segment's own tree node
         # overflow and NaN stay silent, as in float arithmetic; the split
         # check below refuses what they produce
         with np.errstate(over="ignore", invalid="ignore"):
-            if mode == "strict":
-                G, H, start, missed = _strict_gaps(split, A, B, start)
-            else:
-                m = A[0].size
-                G, H = split(A, B, np.full(m, n), np.arange(m))
+            if start is None and (mode == "natural"
+                                  or _search_stops_at_own_node(spec, n, A, B)):
+                G, H = split(A, B, *own)
                 missed = np.full(m, -1)
+            else:
+                if start is None:
+                    start = (*A, *B, *own)
+                G, H, start, missed = _strict_gaps(split, A, B, start)
             _check_splits(spec, n, A, B, G, H, missed)
         # children of segment i are [A_i, G_i] (index 2i) and [H_i, B_i] (2i + 1)
         A = tuple(_interleave(u, g) for u, g in zip(A, H))
@@ -568,6 +588,49 @@ def _tighten_gaps(split, E, F, slack):
         state = _drop_spent(limit, tuple(x[go] for x in (
             lane, *U, *V, n + 1, 2 * j + right, *e, *f, sl)), stuck)
     return G, H, stuck
+
+
+def _search_stops_at_own_node(spec, n, C, D):
+    """Whether the middle-third search provably stops, on every segment
+    [C_i, D_i] of level n, at the first node it visits when that node is
+    the segment's own, (C_i, D_i, n, i): then its gaps are the natural
+    split's, and its children start at their own nodes.
+
+    Only centred gaps qualify (MiddleAlpha, FatCantor).  At its own node a
+    lane's search compares lo = C + t and hi = D - t, t the computed third
+    of w = D - C, with G = C + h and H = D - h, h the computed half of what
+    the gap leaves.  As reals lo - G = H - hi = t - h exactly, so both
+    window differences share one sign: the gap lies inside the window
+    (t <= h) or swallows it (t >= h), whatever the removed proportion.
+    What remains is the rounding of the four dd sums and the two dd
+    differences, each below eps = 3u^2/(1 - 4u) < 2^-104 relative
+    (u = 2^-53; Joldes, Muller and Popescu, ACM TOMS 44, 2017; the proof
+    uses only float additions, which stay within u relative under gradual
+    underflow).  The sums lie in [C, D], inside the hull, so with
+    M = max(|a|, |b|) each window difference is within
+    2*eps*M*(1 + eps) + eps*w of t - h, below the search's slack
+    fl(1e-12 * w_hi) when
+
+        1e-12 * w_min >= max(2^-102 * M, 2^-1021),
+
+    w_min the narrowest segment's width.  The test reads it as the float
+    (D_hi - C_hi) + (D_lo - C_lo), within 2.01u*w + 4.01u^2*M of w; the
+    factor-2 margin over 2*eps*M absorbs that, eps*w and the roundings of
+    the slack and of the test, and the second term keeps the slack a
+    normal double.  Segments shrink level by level, so once the test
+    fails the build runs the search on every deeper level.  The test also
+    fails for hulls reaching 2^994, since dd products of widths near 2^997
+    overflow, and on levels at or past the descent limit, where the search
+    must report its own error.
+    """
+    if (not isinstance(spec, (MiddleAlpha, FatCantor))
+            or n >= _descent_limit(spec)):
+        return False
+    a, b = _check_hull(spec.hull)
+    M = max(abs(a), abs(b))
+    w_min = ((D[0] - C[0]) + (D[1] - C[1])).min()
+    return bool(M < 2.0 ** 994
+                and 1e-12 * w_min >= max(2.0 ** -102 * M, 2.0 ** -1021))
 
 
 def _strict_gaps(split, C, D, start):

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from cantordyn import cli
+from cantordyn import cli, orbit_engine
 from cantordyn.fileio import load_system
 
 
@@ -168,6 +168,52 @@ def test_classify_stdout_and_csv(capsys, tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "x,escaped,iteration"
     assert rows[1] == "-2.5,1,0"
+
+
+@pytest.mark.parametrize("c", ["-3", "-2.5", "0.25", "0.3", "2"])
+def test_classify_matches_iterate_model_per_point(capsys, tmp_path, c):
+    # stdout and CSV bytes of the per-point public call, on both sides of
+    # the c > 1/4 radius rule
+    grid = ("--lo", "-3", "--hi", "3", "--n-points", "61", "--max-iter", "40")
+    rows = orbit_engine.classify_grid(
+        lambda x0, n: orbit_engine.iterate_model(float(c), x0, n),
+        -3.0, 3.0, 61, 40)
+    rc, out, _ = run(capsys, "classify", f"--c={c}", *grid)
+    assert rc == 0
+    assert out == "".join(
+        f"{x:.17g} {'escaped_at' if r.escaped else 'bounded'} {r.iteration}\n"
+        for x, r in rows)
+    path = tmp_path / "grid.csv"
+    rc, _, _ = run(capsys, "classify", f"--c={c}", *grid, "--out", str(path))
+    assert rc == 0
+    assert path.read_bytes() == ("x,escaped,iteration\r\n" + "".join(
+        f"{x!r},{int(r.escaped)},{r.iteration}\r\n" for x, r in rows)).encode()
+
+
+def test_classify_derives_the_parameters_once(capsys, monkeypatch):
+    calls = []
+    derive = orbit_engine.derive_params
+
+    def counted(c):
+        calls.append(c)
+        return derive(c)
+
+    monkeypatch.setattr(orbit_engine, "derive_params", counted)
+    rc, _, _ = run(capsys, "classify", "--lo", "-3", "--hi", "3",
+                   "--n-points", "101")
+    assert (rc, calls) == (0, [-3.0])
+
+
+@pytest.mark.parametrize("argv, rc, err", [
+    (["--n-points", "1"], 1, "usage error: --n-points must be >= 2, got 1"),
+    (["--max-iter", "0"], 1, "usage error: --max-iter must be >= 1, got 0"),
+    (["--lo", "1", "--hi", "0"], 2, "error: invalid grid range [1.0, 0.0]"),
+    (["--lo", "nan"], 2, "error: invalid grid range [nan, 1.0]"),
+    ([], 2, "error: c must be finite, got nan"),
+])
+def test_classify_grid_errors_win_over_a_bad_c(capsys, argv, rc, err):
+    got = run(capsys, "classify", "--c=nan", "--lo", "0", "--hi", "1", *argv)
+    assert got == (rc, "", err + "\n")
 
 
 def test_cobweb_csv(capsys, tmp_path):

@@ -83,6 +83,21 @@ class TestSystemRoundTrip:
         assert loaded.spec.alpha == 0.3333333333333333
         assert loaded.spec.alpha_lo != 0.0  # exact-third tail survives
 
+    @pytest.mark.parametrize("spec", [
+        FatCantor(0.3, 0.5),
+        # splits directly through level 7, then runs the middle-third search
+        middle_thirds((1e15, 1e15 + 1)),
+    ], ids=repr)
+    def test_centred_strict_file_stays_strict(self, spec, tmp_path):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        system = build_target_system(spec, 10)
+        save_system(system, p1)
+        assert '"mode":"strict"' in p1.read_text()
+        loaded = load_system(p1)
+        assert loaded.mode == "strict"
+        save_system(loaded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_depth0_target_single_segment(self, thirds, tmp_path):
         path = tmp_path / "t0.json"
         save_system(build_target_system(thirds, 0), path)

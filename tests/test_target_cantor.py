@@ -31,9 +31,10 @@ from cantordyn import (
 )
 from cantordyn import _dd
 from cantordyn.model_cantor import _interleave
-from cantordyn.target_cantor import (_cut, _descent_error, _descent_limit,
-                                     _find_gaps, _hull_lane, _lane,
-                                     _NodeSplitter, _strict_gaps,
+from cantordyn.target_cantor import (_check_splits, _cut, _descent_error,
+                                     _descent_limit, _find_gaps, _hull_lane,
+                                     _lane, _NodeSplitter,
+                                     _search_stops_at_own_node, _strict_gaps,
                                      _tighten_gaps)
 
 
@@ -739,6 +740,123 @@ def test_search_stops_at_the_gap_a_tightening_finds(spec):
     system = build_target_system(spec, depth)
     for got, want in zip((*A, *B), ("level_a", "a_lo", "level_b", "b_lo")):
         assert np.array_equal(got, getattr(system, want)[depth])
+
+
+def searched_levels(spec, depth):
+    """The strict build with the middle-third search on every level, the
+    way every spec was built before centred ones split directly: per depth
+    0..depth, the level's endpoints (A, B) as dd pairs, or the type and
+    text of the error a build to that depth raises."""
+    split = _NodeSplitter(spec)
+    start = _hull_lane(spec)
+    A, B = start[0:2], start[2:4]
+    out = [(A, B)]
+    for n in range(depth):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                G, H, start, missed = _strict_gaps(split, A, B, start)
+                _check_splits(spec, n, A, B, G, H, missed)
+        except CantorDynError as exc:
+            return out + [(type(exc), str(exc))] * (depth - n)
+        A = tuple(_interleave(u, g) for u, g in zip(A, H))
+        B = tuple(_interleave(g, v) for g, v in zip(G, B))
+        out.append((A, B))
+    return out
+
+
+def level_bits(level):
+    """A searched_levels entry with its arrays as bytes (-0.0 != 0.0)."""
+    if isinstance(level[0], type):
+        return level
+    return tuple(x.tobytes() for pair in level for x in pair)
+
+
+def strict_build_bits(spec, depth):
+    try:
+        system = build_target_system(spec, depth, "strict")
+    except CantorDynError as exc:
+        return type(exc), str(exc)
+    assert system.mode == "strict"
+    return tuple(x.tobytes() for x in (system.a_N, system.a_lo_N,
+                                       system.b_N, system.b_lo_N))
+
+
+CENTRED_HULLS = [(0.0, 1.0), (-0.0, 1.0), (1e6, 1e6 + 3), (1e15, 1e15 + 1),
+                 (1e20, 1e20 + 16384), (-1e-300, 1e-300)]
+CENTRED_SPECS = {
+    "middle-thirds": middle_thirds,  # alpha = 1/3 in double-double
+    # the doubles on either side of 1/3
+    "alpha-below-third": lambda hull: MiddleAlpha(0.3333333333333333, hull),
+    "alpha-above-third": lambda hull: MiddleAlpha(0.33333333333333337, hull),
+    "alpha-0.5": lambda hull: MiddleAlpha(0.5, hull),
+    "alpha-0.001": lambda hull: MiddleAlpha(0.001, hull),
+    "alpha-0.999": lambda hull: MiddleAlpha(0.999, hull),
+    "fat-0.5-third": lambda hull: FatCantor(0.5, 1 / 3, hull),
+}
+
+
+@pytest.mark.parametrize("hull", CENTRED_HULLS, ids=repr)
+@pytest.mark.parametrize("name", CENTRED_SPECS)
+def test_centred_strict_build_matches_the_search(name, hull):
+    # bit for bit, errors included, to two levels past the descent limit
+    spec = CENTRED_SPECS[name](hull)
+    depth = min(_descent_limit(spec) + 2, 14)
+    for d, level in enumerate(searched_levels(spec, depth)):
+        assert strict_build_bits(spec, d) == level_bits(level), d
+
+
+def test_direct_splits_end_at_the_rounding_bound():
+    # on (1e15, 1e15 + 1) the narrowest level-n segment is about 3^-n, and
+    # 1e-12 * 3^-n >= 2^-102 * 1e15 holds for n <= 7: levels 0..7 split
+    # directly, deeper ones run the search, and builds on both sides of
+    # the switch match the search on every level
+    spec = middle_thirds((1e15, 1e15 + 1))
+    levels = searched_levels(spec, 12)
+    split = _NodeSplitter(spec)
+    for n, (A, B) in enumerate(levels[:12]):
+        direct = _search_stops_at_own_node(spec, n, A, B)
+        assert direct == (n <= 7), n
+        if direct:
+            # the search from the own nodes stops there on every lane
+            m = A[0].size
+            own = (np.full(m, n), np.arange(m))
+            *_, G, H, node, missed = _find_gaps(split, A, B, (*A, *B, *own))
+            assert np.all(missed == -1)
+            assert all(map(np.array_equal, node, (*A, *B, *own)))
+            sG, sH = split(A, B, *own)
+            assert all(map(np.array_equal, (*G, *H), (*sG, *sH)))
+    for d in range(7, 13):
+        assert strict_build_bits(spec, d) == level_bits(levels[d]), d
+
+
+def test_direct_splits_skip_other_families_and_spent_levels():
+    affine = AffineIFS2(0.3, 0.2)
+    tree = TestExplicitGapTree().centred_tree()
+    for spec in (affine, tree):
+        A, B = _hull_lane(spec)[0:2], _hull_lane(spec)[2:4]
+        assert not _search_stops_at_own_node(spec, 0, A, B)
+    spec = middle_thirds()
+    A, B = _hull_lane(spec)[0:2], _hull_lane(spec)[2:4]
+    assert _search_stops_at_own_node(spec, 0, A, B)
+    assert not _search_stops_at_own_node(spec, _descent_limit(spec), A, B)
+    # dd products of hull-wide segments would overflow
+    wide = middle_thirds((0.0, 2.0 ** 995))
+    A, B = _hull_lane(wide)[0:2], _hull_lane(wide)[2:4]
+    assert not _search_stops_at_own_node(wide, 0, A, B)
+
+
+def test_strict_descent_error_past_the_limit_keeps_its_text():
+    # level 0 splits directly, level 1 runs the search, which reaches the
+    # descent limit (5) on a segment that rounds to one double
+    spec = MiddleAlpha(0.999, hull=(1e16, 1e16 + 2))
+    assert _descent_limit(spec) == 5
+    with pytest.raises(SpecError) as got:
+        build_target_system(spec, 6)
+    assert str(got.value) == (
+        "no gap found in the middle third of [1e+16, 1e+16] within 5 "
+        "levels; the specification may describe degenerate segments")
+    with pytest.raises(SpecError, match="split degenerated"):
+        build_target_system(spec, 6, mode="natural")
 
 
 MEMBERSHIP_SPECS = ORACLE_SPECS + [
