@@ -228,7 +228,10 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argparse tree, built once per process: parse_args reads it and
+    never changes it, so every main call starts from the same parser."""
     parser = _Parser(
         prog="cantordyn",
         description="Cantor sets of the real quadratic family, their "

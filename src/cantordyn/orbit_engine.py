@@ -4,7 +4,11 @@ Escape is decided by the sound radius test |x| > p in model coordinates: once
 an iterate clears the larger fixed point the orbit increases monotonically to
 infinity, so "escaped at n" is a proof, while "bounded" always means "did not
 escape within max_iter" (no finite computation can certify true boundedness
-on a measure-zero invariant set).
+on a measure-zero invariant set).  A batched iterate_target stops early
+once its live states close under F*: those states are then certified never
+to escape.  The certificate covers the F* the program computes in doubles,
+not the true orbit, and the result is reported exactly as before, bounded
+with iteration max_iter.
 
 The escape threshold carries a small documented slack, ORBIT_DRIFT_BUDGET:
 orbits are iterated in double-double but their observable states are doubles,
@@ -37,10 +41,11 @@ class OrbitResult:
     """Outcome of iterating a point.
 
     escaped=True: `iteration` is the first index n with |x_n| beyond the
-    escape radius.  escaped=False: `iteration` is the number of iterations
-    run without escaping.  `trajectory` optionally keeps the first iterates
-    (capped), starting with the initial point.  A batched iterate_target
-    fills `escaped` and `iteration` with arrays, one entry per start point.
+    escape radius.  escaped=False: `iteration` is max_iter, the number of
+    iterations the orbit stayed within the radius.  `trajectory`
+    optionally keeps the first iterates (capped), starting with the
+    initial point.  A batched iterate_target fills `escaped` and
+    `iteration` with arrays, one entry per start point.
     """
 
     escaped: bool
@@ -108,7 +113,10 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
     y0 must be finite (DomainError otherwise).  An ndarray y0 iterates
     every lane at once, each distinct state once: the result's `escaped`
     (bool) and `iteration` (int64) are arrays of y0's shape, equal lane by
-    lane to the scalar call, and `trajectory` is None.
+    lane to the scalar call, and `trajectory` is None.  The array loop
+    stops as soon as the images of its live states are all live states
+    themselves (closed under F*), since none of them can escape later; see
+    _iterate_target_array.  The scalar loop runs every step.
     """
     max_iter = int(max_iter)
     if max_iter < 1:
@@ -145,14 +153,24 @@ def _iterate_target_array(pl, params, y0, max_iter, threshold):
     owns is recorded escaped at that n and dropped, like mandelbrot_grid
     drops its escaped pixels, so each step costs the distinct states still
     alive.
+
+    Let T_n be the states that passed the escape test at step n and
+    S_{n+1} = F*(T_n) the next step's states.  When S_{n+1} is a subset of
+    T_n the loop stops and every live lane keeps escaped=False and
+    iteration=max_iter.  This is exact: a state's verdict and image depend
+    only on its bits, so every state of S_{n+1} passes the test again, and
+    F*(S_{n+1}) is a subset of F*(T_n) = S_{n+1}; by induction no live
+    lane escapes at any later step.  The weaker test "S_{n+1} lies in the
+    union of earlier T_k" would be wrong, since F*(T_k) may hold states
+    that escape at step k + 1.  Endpoint batches close after a step or two,
+    as F* shifts the addresses of stored endpoints onto stored endpoints.
     """
     escaped = np.zeros(y0.shape, dtype=bool)
     iteration = np.full(y0.shape, max_iter, dtype=np.int64)
     lanes = np.arange(y0.size)
     bits, owner = np.unique(y0.ravel().view(np.int64), return_inverse=True)
-    y = bits.view(np.float64)
     for n in range(max_iter + 1):
-        xh, xl = _phi_inv_dd(pl, y)
+        xh, xl = _phi_inv_dd(pl, bits.view(np.float64))
         esc = np.abs(xh + xl) > threshold
         if esc.any():
             out = esc[owner]
@@ -161,13 +179,18 @@ def _iterate_target_array(pl, params, y0, max_iter, threshold):
             keep = ~esc
             # renumber the surviving states 0, 1, ... in their old order
             lanes, owner = lanes[~out], (np.cumsum(keep) - 1)[owner[~out]]
-            xh, xl = xh[keep], xl[keep]
+            bits, xh, xl = bits[keep], xh[keep], xl[keep]
         if n == max_iter or lanes.size == 0:
             break
         fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
         yh, yl = _phi_dd(pl, fh, fl)
-        bits, merged = np.unique((yh + yl).view(np.int64), return_inverse=True)
-        y, owner = bits.view(np.float64), merged[owner]
+        image, merged = np.unique((yh + yl).view(np.int64), return_inverse=True)
+        # bits is sorted (np.unique, then the escape mask): one searchsorted
+        # tells whether every image is a state that just passed the test
+        at = np.searchsorted(bits, image)
+        if at[-1] < bits.size and np.array_equal(bits[at], image):
+            break
+        bits, owner = image, merged[owner]
     return OrbitResult(escaped, iteration)
 
 

@@ -511,3 +511,28 @@ def test_verify_bad_c_fails(capsys, c):
     assert out.splitlines()[-1] == (
         f"FAIL model-structure: c={float(c)!r} is not a certified expanding "
         f"parameter")
+
+
+def test_repeated_main_answers_as_separate_calls(capsys, tmp_path):
+    # main reuses one parser per process; each call must still answer as a
+    # call with a freshly built parser, with no value carried over from an
+    # earlier call.  At x0 = 0 both c = -2.5 and c = -3 escape at step 1,
+    # so x0 = 1 (a 2-cycle at c = -3 only) shows a leaked c.
+    cfg = tmp_path / "it.cfg"
+    cfg.write_text("c=-2.5\nx0=1\n")
+    calls = [["verify", "--depth", "2"], ["verify", "--depth", "x"],
+             ["--help"], ["iterate", "--config", str(cfg)],
+             ["iterate", "--x0", "1"],
+             ["iterate", "--c", "-2.5", "--x0", "0"], ["iterate", "--x0", "0"],
+             ["iterate", "--c", "-2.5", "--x0", "1"], ["iterate", "--x0", "1"]]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    again = [run(capsys, *argv) for argv in calls]
+    assert again == fresh
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in again] == [0, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert again[3][1] == again[7][1] == "escaped_at 3\n"
+    assert again[4][1] == again[8][1] == "bounded 100\n"

@@ -14,10 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantordyn import (
+    AffineIFS2,
     DomainError,
+    FatCantor,
     ORBIT_DRIFT_BUDGET,
     OrbitResult,
+    build_model_system,
     build_phi,
+    build_target_system,
+    derive_params,
     eval_fstar,
     classify_grid,
     cobweb_trace,
@@ -25,8 +30,9 @@ from cantordyn import (
     iterate_target,
     mandelbrot_escape,
     mandelbrot_grid,
+    middle_thirds,
 )
-from cantordyn import _dd
+from cantordyn import _dd, orbit_engine
 from cantordyn.conjugacy import _phi_dd, _phi_inv_dd
 
 
@@ -276,6 +282,116 @@ def test_merged_state_escapes_for_all_its_lanes(phi12, params3):
         assert (bool(res.escaped[k]), int(res.iteration[k])) == \
             (ref.escaped, ref.iteration)
     assert res.iteration[0] == res.iteration[1] == res.iteration[6]
+
+
+def assert_matches_oracle(pl, params, y0, max_iter):
+    threshold = params.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
+    want = reference_iterate_target_array(pl, params, y0, max_iter, threshold)
+    got = iterate_target(pl, params, y0, max_iter)
+    assert np.array_equal(got.escaped, want.escaped), max_iter
+    assert np.array_equal(got.iteration, want.iteration), max_iter
+    return got
+
+
+def level_endpoints(target, depth):
+    return np.concatenate([np.concatenate([target.level_a[n],
+                                           target.level_b[n]])
+                           for n in range(depth + 1)])
+
+
+def test_early_exit_matches_oracle_at_one_and_200_steps(oracle_cases):
+    # the loop stops once its live states close under F*; a single step,
+    # and a long horizon on every seventh case, must still agree lane by lane
+    for k, (pl, params, target) in enumerate(oracle_cases):
+        y0 = orbit_starts(target)
+        assert_matches_oracle(pl, params, y0, 1)
+        if k % 7 == 0:
+            assert_matches_oracle(pl, params, y0, 200)
+
+
+@pytest.mark.parametrize("c, spec", [(-4.0, AffineIFS2(0.3, 0.2)),
+                                     (-2.4, FatCantor(0.3, 0.5))],
+                         ids=["c-4-affine", "c-2.4-fat"])
+def test_escaping_endpoints_escape_at_the_same_step(c, spec):
+    # stored endpoints whose F* orbits leave the hull (the dichotomy FAILs
+    # of these pairs): they escape before the survivors close, at the same
+    # n as when every lane ran every step
+    params = derive_params(c)
+    target = build_target_system(spec, 8)
+    pl = build_phi(build_model_system(params, 8), target, 8)
+    ends = level_endpoints(target, 8)
+    for max_iter in (25, 200):
+        got = assert_matches_oracle(pl, params, ends, max_iter)
+        assert got.escaped.any() and not got.escaped.all()
+
+
+def count_fstar_steps(monkeypatch, limit=math.inf):
+    """Count the engine's F* steps, failing fast past `limit`."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > limit:
+            raise AssertionError(f"more than {limit} F* steps")
+        return _phi_dd(*args)
+
+    monkeypatch.setattr(orbit_engine, "_phi_dd", counted)
+    return calls
+
+
+def test_late_escape_delays_the_exit(monkeypatch, params3, model12,
+                                     thirds12):
+    # endpoints that close at once, beside a lane 1e-12 off a level-8
+    # endpoint that escapes many steps later and a lane three F* steps
+    # ahead of it on the same orbit.  Once the lane ahead has escaped, the
+    # late lane only visits states the lane ahead passed through, so the
+    # loop must not stop on "every image was live at some earlier step":
+    # it may only stop once the late lane is gone
+    pl = build_phi(model12, thirds12, 8)
+    late = thirds12.level_a[8][5] + 1e-12
+    ahead = eval_fstar(pl, params3, eval_fstar(
+        pl, params3, eval_fstar(pl, params3, late)))
+    y0 = np.append(level_endpoints(thirds12, 8), [late, ahead])
+    calls = count_fstar_steps(monkeypatch)
+    got = assert_matches_oracle(pl, params3, y0, 200)
+    assert got.escaped.tolist() == [False] * (y0.size - 2) + [True, True]
+    assert got.iteration[-2] == got.iteration[-1] + 3
+    assert got.iteration[-2] < len(calls) < 200
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_knot_subsets_match_oracle(oracle_cases, data):
+    pl, params, _ = data.draw(st.sampled_from(oracle_cases))
+    knots = data.draw(st.lists(st.sampled_from(pl.ys.tolist()), min_size=1,
+                               max_size=40))
+    nudges = data.draw(st.lists(st.sampled_from(
+        [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6]),
+        min_size=len(knots), max_size=len(knots)))
+    ulps = data.draw(st.lists(st.integers(-2, 2), min_size=len(knots),
+                              max_size=len(knots)))
+    y0 = np.array(knots) + np.array(nudges)
+    for k, u in enumerate(ulps):
+        for _ in range(abs(u)):
+            y0[k] = np.nextafter(y0[k], math.copysign(math.inf, u))
+    assert_matches_oracle(pl, params, y0,
+                          data.draw(st.integers(1, 40), label="max_iter"))
+
+
+@pytest.mark.parametrize("c, most", [(-3.0, 2), (-2.5, 3)])
+def test_dichotomy_endpoints_close_within_a_few_steps(monkeypatch, c, most):
+    # the dichotomy suite's 1022 level <= 8 endpoints come back bounded
+    # for a million steps after at most `most` evaluations of F*
+    params = derive_params(c)
+    target = build_target_system(middle_thirds(), 8)
+    pl = build_phi(build_model_system(params, 8), target, 8)
+    ends = level_endpoints(target, 8)
+    assert ends.size == 1022
+    calls = count_fstar_steps(monkeypatch, limit=most)
+    got = iterate_target(pl, params, ends, 10**6)
+    assert not got.escaped.any()
+    assert (got.iteration == 10**6).all()
+    assert calls
 
 
 def test_drift_budget_documented():
