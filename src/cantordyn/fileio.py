@@ -12,6 +12,16 @@ rebuilds the system with build_model_system or build_target_system, and
 refuses the file unless every stored level and gap reads exactly as the
 writer renders the rebuild.  A loaded system is therefore the builder's
 own, double-double tails included.
+
+The loader first tries the bytes.  When the file starts as the writer
+starts one, it parses only the parameters object, rebuilds, and returns
+the rebuild if the writer's text for it equals the file's text.  Anything
+else (another layout, an error on the way, a mismatch) goes to the full
+parse and the level-by-level comparison, fed the same text.  The two
+agree: a file equal to the writer's text of a rebuild is one the full
+comparison accepts, returning that same rebuild, since save -> load ->
+save is the identity; so the files accepted, the systems returned and
+every error stay those of the full comparison.
 """
 
 import csv
@@ -20,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SpecError
+from .errors import CantorDynError, DomainError, SpecError
 from .model_cantor import build_model_system
 from .orbit_engine import mandelbrot_grid
 from .quadratic_map import derive_params
@@ -124,15 +134,15 @@ def _write_json(doc, path):
         f.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def save_system(system, path):
-    """Write a cantor-system/1 document for a model or target system.
+def _render_system(system):
+    """The cantor-system/1 text of a model or target system.
 
     The header goes through json.dumps.  The levels and gaps are strided
     views of the deepest level (see IntervalSystem), so its a and b ends are
     rendered once, with repr (the float.__repr__ that json.dumps uses for
     finite reals), and every level and gap is sliced out of those strings
-    with the views' strides: the file is the compact json.dumps of the
-    whole document, byte for byte.
+    with the views' strides: the text is the compact json.dumps of the
+    whole document, byte for byte, and a newline.
     """
     head = json.dumps(_system_header(system), separators=(",", ":"))
     a = list(map(repr, system.a_N.tolist()))
@@ -143,17 +153,71 @@ def save_system(system, path):
         level_a, level_b = a[::k], b[k - 1::k]
         levels.append(_pair_array(level_a, level_b))
         gaps.append(_pair_array(level_b[0::2], level_a[1::2]))
+    return (f'{head[:-1]},"levels":[{",".join(levels)}],'
+            f'"gaps":[{",".join(gaps)}]}}\n')
+
+
+def save_system(system, path):
+    """Write a cantor-system/1 document for a model or target system.
+
+    The file holds _render_system's text, the compact json.dumps of the
+    document; load_system compares a file's text with it before parsing.
+    """
+    text = _render_system(system)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f'{head[:-1]},"levels":[{",".join(levels)}],'
-                f'"gaps":[{",".join(gaps)}]}}\n')
+        f.write(text)
 
 
-def _load_json(path):
+def _read_text(path):
+    with open(path, "r", encoding="utf-8") as f:
+        return f.read()
+
+
+def _parse_json(text, path):
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def _rebuild(kind, params_doc, depth, path):
+    """The system a header names, built from its parameters."""
+    if kind == "model":
+        c = _real(params_doc.get("c"), path, "parameters.c")
+        return build_model_system(derive_params(c), depth)
+    spec = _spec_from_doc(params_doc.get("spec"), path)
+    return build_target_system(spec, depth, params_doc.get("mode"))
+
+
+def _load_as_written(text, path):
+    """The system rebuilt from the header of text when text is exactly what
+    save_system writes for it, else None.
+
+    Only the parameters object is parsed, at its fixed offset after the
+    writer's prefix, and checked as load_system checks it.  A writer-made
+    depth-N file lists 2^N deepest pairs, so a depth with 2^depth past the
+    text's length is not built.  A parameters object that does not parse
+    or that the checks or builders refuse returns None, leaving the file to
+    load_system's full parse to refuse or accept.
+    """
+    for kind in ("model", "target"):
+        prefix = f'{{"format":"{SYSTEM_FORMAT}","kind":"{kind}","parameters":'
+        if text.startswith(prefix):
+            break
+    else:
+        return None
+    try:
+        params_doc, _ = json.JSONDecoder().raw_decode(text, len(prefix))
+    except json.JSONDecodeError:
+        return None
+    depth = params_doc.get("depth") if isinstance(params_doc, dict) else None
+    if type(depth) is not int or not 0 <= depth < len(text).bit_length():
+        return None
+    try:
+        system = _rebuild(kind, params_doc, depth, path)
+    except CantorDynError:
+        return None
+    return system if _render_system(system) == text else None
 
 
 def load_system(path):
@@ -167,8 +231,17 @@ def load_system(path):
     naming the file (and the first differing level); parameters the
     builders refuse raise their DomainError or RegimeError.  The rebuilt
     system is returned, double-double tails included.
+
+    A file whose text is exactly save_system's text for the system its
+    header names is returned without parsing the levels and gaps (see
+    _load_as_written); every other file is parsed and compared in full.
+    Both give the same system, and only the full comparison refuses.
     """
-    doc = _load_json(path)
+    text = _read_text(path)
+    system = _load_as_written(text, path)
+    if system is not None:
+        return system
+    doc = _parse_json(text, path)
     if not isinstance(doc, dict) or doc.get("format") != SYSTEM_FORMAT:
         raise SpecError(
             f"{path}: not a {SYSTEM_FORMAT} document "
@@ -196,13 +269,7 @@ def load_system(path):
                 raise SpecError(f"{path}: {what} level {n} is not an array "
                                 f"of {want} entries")
 
-    if kind == "model":
-        c = _real(params_doc.get("c"), path, "parameters.c")
-        system = build_model_system(derive_params(c), depth)
-    else:
-        spec = _spec_from_doc(params_doc.get("spec"), path)
-        system = build_target_system(spec, depth, params_doc.get("mode"))
-
+    system = _rebuild(kind, params_doc, depth, path)
     views = (("levels", "segment", system.level_a, system.level_b),
              ("gaps", "gap", system.gap_c, system.gap_d))
     for key, what, lo, hi in views:
@@ -242,7 +309,7 @@ def load_gap_tree(path):
     their parent segment, or the wrong per-level counts raise SpecError
     naming the file.
     """
-    doc = _load_json(path)
+    doc = _parse_json(_read_text(path), path)
     if not isinstance(doc, dict) or doc.get("format") != GAPS_FORMAT:
         raise SpecError(
             f"{path}: not a {GAPS_FORMAT} document "
@@ -255,9 +322,9 @@ def export_cobweb(trace, path, fmt="csv", curve=None, curve_samples=512):
     """Write a cobweb trace as CSV segments or a standalone SVG figure.
 
     CSV columns are x0,y0,x1,y1, one row per segment.  The SVG contains the
-    diagonal, the graph of the map sampled at curve_samples points (the map
-    callable is required for SVG), the trace polyline, and a marker on the
-    starting point.
+    diagonal, the graph of the map sampled at max(curve_samples, 512)
+    points (the map callable is required for SVG), the trace polyline, and
+    a marker on the starting point.
     """
     if not trace:
         raise DomainError("cannot export an empty trace")

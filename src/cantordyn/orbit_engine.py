@@ -270,9 +270,14 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
     or bailout that is not finite, or a region too wide for its pixel
     centres to be finite doubles, raises DomainError.
 
-    The loop runs on flat arrays of the live pixels only: each iteration
-    writes the count of the pixels that escaped and drops them, so the work
-    per iteration is the number of pixels still inside.
+    The loop runs on flat arrays of lanes.  A pixel that escapes gets its
+    count and retires in place: its z and c are set to 0.0, and z = c = 0
+    is a fixed point with |z|^2 = 0, never past any bailout (b2 >= 0), so a
+    retired lane never writes a second count.  The arrays are compacted to
+    the lanes still inside only once more than a quarter of them have
+    retired, and the loop stops when all have.  Live lanes run the same
+    operations in the same order whichever lanes share their arrays, so
+    every count is unchanged by when compaction happens.
     """
     width, height = int(width), int(height)
     if width < 1 or height < 1:
@@ -295,14 +300,19 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
     zr = np.zeros_like(cr)
     zi = np.zeros_like(ci)
     live = np.arange(out.size)
+    retired = 0
     for n in range(1, max_iter + 1):
         zr, zi = zr * zr - zi * zi + cr, 2.0 * zr * zi + ci
-        esc = zr * zr + zi * zi > b2
-        if esc.any():
+        esc = np.flatnonzero(zr * zr + zi * zi > b2)
+        if esc.size:
             out[live[esc]] = n
-            keep = ~esc
-            live, zr, zi = live[keep], zr[keep], zi[keep]
-            cr, ci = cr[keep], ci[keep]
-            if live.size == 0:
+            zr[esc] = zi[esc] = cr[esc] = ci[esc] = 0.0
+            retired += esc.size
+            if retired == live.size:
                 break
+            if 4 * retired > live.size:
+                keep = out[live] < 0
+                live, zr, zi = live[keep], zr[keep], zi[keep]
+                cr, ci = cr[keep], ci[keep]
+                retired = 0
     return out.reshape(height, width)

@@ -52,6 +52,12 @@ def corrupt(path, edit):
     path.write_text(json.dumps(doc))
 
 
+def compact(doc):
+    """A document laid out as the writer lays it out (compact separators and
+    a final newline), so that load_system reaches its byte comparison."""
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
 class TestSystemRoundTrip:
     def test_model_bytes(self, model12, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -226,6 +232,35 @@ def test_save_bytes_match_reference_writer(name, tmp_path):
         assert path.read_text(encoding="utf-8") == reference_save_text(system), depth
 
 
+# header and entry edits, with the error load_system must raise for each
+MALFORMED = [
+    ("model", lambda d: d["parameters"].update(depth="x"), SpecError),
+    ("model", lambda d: d["parameters"].update(depth=None), SpecError),
+    ("target", lambda d: d["parameters"].update(depth=2.7), SpecError),
+    ("target", lambda d: d["parameters"].update(depth=True), SpecError),
+    ("model", lambda d: d["parameters"].update(c="abc"), SpecError),
+    ("model", lambda d: d["parameters"].update(c=None), SpecError),
+    ("model", lambda d: d["parameters"].update(c=-3), SpecError),
+    ("model", lambda d: d["parameters"].update(c=math.inf), SpecError),
+    ("target", lambda d: d["parameters"].update(spec=[0.5]), SpecError),
+    ("target", lambda d: d["parameters"]["spec"].update(hull=[0, 1]),
+     SpecError),
+    ("target", lambda d: d["parameters"]["spec"].update(alpha=math.nan),
+     SpecError),
+    ("target", lambda d: d["levels"][0].__setitem__(0, [False, True]),
+     SpecError),
+    ("target", lambda d: d["levels"][1][0].__setitem__(0, -0.0),
+     SpecError),
+    ("target", lambda d: d["parameters"].update(mode="loose"),
+     DomainError),
+    ("model", lambda d: d["parameters"].update(c=-2.1), RegimeError),
+]
+MALFORMED_IDS = ["depth-str", "depth-null", "depth-float", "depth-bool",
+                 "c-str", "c-null", "c-int", "c-inf", "spec-list", "hull-ints",
+                 "alpha-nan", "segment-bools", "negative-zero", "mode",
+                 "c-uncertified"]
+
+
 class TestSystemValidation:
     @pytest.fixture
     def target_file(self, thirds, tmp_path):
@@ -315,30 +350,7 @@ class TestSystemValidation:
         with pytest.raises(SpecError, match="deep.json"):
             load_system(path)
 
-    @pytest.mark.parametrize("kind, edit, error", [
-        ("model", lambda d: d["parameters"].update(depth="x"), SpecError),
-        ("model", lambda d: d["parameters"].update(depth=None), SpecError),
-        ("target", lambda d: d["parameters"].update(depth=2.7), SpecError),
-        ("target", lambda d: d["parameters"].update(depth=True), SpecError),
-        ("model", lambda d: d["parameters"].update(c="abc"), SpecError),
-        ("model", lambda d: d["parameters"].update(c=None), SpecError),
-        ("model", lambda d: d["parameters"].update(c=-3), SpecError),
-        ("model", lambda d: d["parameters"].update(c=math.inf), SpecError),
-        ("target", lambda d: d["parameters"].update(spec=[0.5]), SpecError),
-        ("target", lambda d: d["parameters"]["spec"].update(hull=[0, 1]),
-         SpecError),
-        ("target", lambda d: d["parameters"]["spec"].update(alpha=math.nan),
-         SpecError),
-        ("target", lambda d: d["levels"][0].__setitem__(0, [False, True]),
-         SpecError),
-        ("target", lambda d: d["levels"][1][0].__setitem__(0, -0.0),
-         SpecError),
-        ("target", lambda d: d["parameters"].update(mode="loose"),
-         DomainError),
-        ("model", lambda d: d["parameters"].update(c=-2.1), RegimeError),
-    ], ids=["depth-str", "depth-null", "depth-float", "depth-bool", "c-str",
-            "c-null", "c-int", "c-inf", "spec-list", "hull-ints", "alpha-nan",
-            "segment-bools", "negative-zero", "mode", "c-uncertified"])
+    @pytest.mark.parametrize("kind, edit, error", MALFORMED, ids=MALFORMED_IDS)
     def test_malformed_header_or_entry(self, tmp_path, kind, edit, error):
         path = tmp_path / "bad.json"
         save_system(SYSTEMS["model-3.0" if kind == "model"
@@ -348,6 +360,74 @@ class TestSystemValidation:
             load_system(path)
         if error is SpecError:
             assert "bad.json" in str(info.value)
+
+
+    @pytest.mark.parametrize("kind, edit, error", MALFORMED, ids=MALFORMED_IDS)
+    def test_malformed_compact_file_fails_alike(self, tmp_path, kind, edit,
+                                                error):
+        path = tmp_path / "bad.json"
+        save_system(SYSTEMS["model-3.0" if kind == "model"
+                            else "middle-thirds-strict"](2), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        raised = []
+        for text in (json.dumps(doc), compact(doc)):
+            path.write_text(text)
+            with pytest.raises(error) as info:
+                load_system(path)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("depth", [40, 10**9])
+    @pytest.mark.parametrize("kind", ["model", "target"])
+    def test_deep_compact_header_fails_before_build(self, tmp_path,
+                                                    monkeypatch, kind, depth):
+        path = tmp_path / "deep.json"
+        save_system(SYSTEMS["model-3.0" if kind == "model"
+                            else "middle-thirds-strict"](2), path)
+        doc = json.loads(path.read_text())
+        doc["parameters"]["depth"] = depth
+        path.write_text(compact(doc))
+
+        def refuse(*args):
+            raise AssertionError("built a system for a short file")
+
+        monkeypatch.setattr(fileio, "build_model_system", refuse)
+        monkeypatch.setattr(fileio, "build_target_system", refuse)
+        with pytest.raises(SpecError, match="deep.json"):
+            load_system(path)
+
+
+# every family of writer-made file: models at two values of c, each target
+# family in both modes, the explicit gap tree
+WRITER_SYSTEMS = [name for name in SYSTEMS if name != "model-2.5"]
+
+
+@pytest.mark.parametrize("name", WRITER_SYSTEMS)
+def test_writer_file_loads_without_full_parse(name, tmp_path, monkeypatch):
+    system = SYSTEMS[name](8)
+    path = tmp_path / "s.json"
+    save_system(system, path)
+
+    def refuse(*args):
+        raise AssertionError("parsed the whole document")
+
+    monkeypatch.setattr(fileio, "_parse_json", refuse)
+    assert same_system(load_system(path), system)
+
+
+@pytest.mark.parametrize("name", WRITER_SYSTEMS)
+def test_relaid_file_loads_the_same_system(name, tmp_path):
+    system = SYSTEMS[name](8)
+    path = tmp_path / "s.json"
+    save_system(system, path)
+    text = path.read_text()
+    doc = json.loads(text)
+    pretty = json.dumps(doc, indent=1)
+    for layout in (json.dumps(doc), pretty, pretty.replace("\n", "\r\n"),
+                   text.replace("\n", "\r\n"), text[:-1]):
+        path.write_bytes(layout.encode("utf-8"))
+        assert same_system(load_system(path), system)
 
 
 def _paths(node, path=()):
@@ -436,6 +516,36 @@ def test_mutated_documents(data, tmp_path_factory):
     if json.dumps(mutated["parameters"]) == json.dumps(doc["parameters"]):
         assert same_system(loaded, system)
 
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_compact_documents(data, tmp_path_factory):
+    # test_mutated_documents with each mutation written in the writer's
+    # compact layout, where load_system compares bytes before parsing
+    system, doc = data.draw(st.sampled_from(fuzz_documents()))
+    where = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    op = data.draw(st.sampled_from(
+        ["replace", "negate", "nudge", "bump", "pop", "dup"]))
+    value = data.draw(st.integers(0, len(REPLACEMENTS) - 1))
+    mutated = json.loads(json.dumps(doc))
+    parent = mutated
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = _mutate(parent[where[-1]], op, value)
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(compact(mutated))
+    try:
+        loaded = load_system(path)
+    except CantorDynError:
+        return
+    assert same_system(loaded, _rebuild(loaded))
+    resaved = tmp_path_factory.getbasetemp() / "resaved.json"
+    save_system(loaded, resaved)
+    written = json.loads(resaved.read_text())
+    for key in ("levels", "gaps"):
+        assert json.dumps(written[key]) == json.dumps(mutated[key])
+    if json.dumps(mutated["parameters"]) == json.dumps(doc["parameters"]):
+        assert same_system(loaded, system)
 
 class TestGapTreeFile:
     def test_round_trip_bytes(self, tmp_path):

@@ -34,6 +34,7 @@ from cantordyn import (
 )
 from cantordyn import _dd, orbit_engine
 from cantordyn.conjugacy import _phi_dd, _phi_inv_dd
+from cantordyn.fileio import PALETTE, export_escape_image
 
 
 class TestIterateModel:
@@ -596,6 +597,38 @@ def test_grid_escape_test_is_strict():
 def test_all_escape_region_has_no_inside():
     grid = mandelbrot_grid(GRID_REGIONS["all-escape"][0], 9, 7, 1000)
     assert (grid == 1).all()
+
+
+def test_benchmark_region_matches_reference():
+    # the benchmark's render: pixels escape on most of the 256 steps, so the
+    # lanes are compacted many times along the way
+    region = (-2.0, 0.5, -1.25, 1.25)
+    got = mandelbrot_grid(region, 160, 160, 256)
+    assert np.array_equal(got, reference_mandelbrot_grid(region, 160, 160, 256))
+
+
+def test_bailout_zero_keeps_c_zero_inside():
+    # pixel centres at the integers -4..4 on both axes: with bailout 0 every
+    # c != 0 escapes at step 1, and c = 0 stays at z = 0, the fixed point
+    # that escaped lanes are retired to
+    region = (-4.5, 4.5, -4.5, 4.5)
+    grid = mandelbrot_grid(region, 9, 9, 300, bailout=0.0)
+    want = np.ones((9, 9), dtype=np.int32)
+    want[4, 4] = -1
+    assert np.array_equal(grid, want)
+    assert np.array_equal(grid, reference_mandelbrot_grid(region, 9, 9, 300,
+                                                          bailout=0.0))
+
+
+def test_escape_image_is_the_reference_grid(tmp_path):
+    region, width, height, max_iter = (-2.0, 0.5, -1.25, 1.25), 48, 40, 256
+    counts = reference_mandelbrot_grid(region, width, height, max_iter)
+    pixels = bytes(v for n in counts.flat
+                   for v in (PALETTE[(n - 1) % 16] if n > 0 else (0, 0, 0)))
+    path = tmp_path / "m.ppm"
+    export_escape_image(region, width, height, max_iter, path)
+    assert path.read_bytes() == (f"P6\n{width} {height}\n255\n".encode("ascii")
+                                 + pixels)
 
 
 @settings(max_examples=60, deadline=None)
