@@ -28,14 +28,17 @@ starting below them saves a descent of length ~n per segment at level n.
 
 For the centred families (MiddleAlpha, FatCantor) a segment's own gap
 meets its middle third: it lies inside the third when the removed
-proportion is at most 1/3 and covers it otherwise.  The search then stops
-at the node it starts from, the segment's own, and returns the natural
-split, on every level where the dd rounding of the window test stays
-below the search's slack: _search_stops_at_own_node derives that bound,
-under which the narrowest segment is at least about 2^-62 times the
-hull's magnitude.  On those levels strict mode splits directly, with
-natural mode's formula; from the first level past the bound on, it runs
-the search from each segment's own node.
+proportion is at most 1/3 and covers it otherwise.  So does an AffineIFS2
+gap whose two ratios lie on one side of 1/3, inside when both exceed it
+and covering when both fall short.  The search then stops at the node it
+starts from, the segment's own, and returns the natural split, on every
+level where the dd rounding of the window test stays below the search's
+slack: _search_stops_at_own_node derives that bound, under which the
+narrowest segment is at least about 2^-62 times the hull's magnitude.  On
+those levels strict mode splits directly, with natural mode's formula;
+from the first level past the bound on, it runs the search from each
+segment's own node.  Affine specs with ratios on opposite sides of 1/3
+run the search on every level.
 """
 
 import math
@@ -414,10 +417,11 @@ def build_target_system(spec, depth, mode="strict"):
     third, certifying level-n lengths <= (2/3)^n times the hull.  Natural
     mode splits at the spec's principal gaps, whose child/parent length
     ratios every family's constructor already keeps below 1.  For a
-    centred spec the two coincide: strict mode splits each level with the
-    natural formula while _search_stops_at_own_node proves that the search
-    would return that split, and runs the search from the first level it
-    cannot prove it on; the result is a strict system either way.
+    centred spec, and an affine one whose ratios lie on one side of 1/3,
+    the two coincide: strict mode splits each level with the natural
+    formula while _search_stops_at_own_node proves that the search would
+    return that split, and runs the search from the first level it cannot
+    prove it on; the result is a strict system either way.
     """
     depth = _validate_depth(depth)
     if mode not in ("strict", "natural"):
@@ -427,6 +431,7 @@ def build_target_system(spec, depth, mode="strict"):
         raise SpecError(f"gap tree stores {len(spec.levels)} levels, cannot "
                         f"build depth {depth} naturally")
     split = _NodeSplitter(spec)
+    direct = _search_stops_at_own_node(spec)
     hull = _hull_lane(spec)
     A, B = hull[0:2], hull[2:4]
     start = None  # the search's start nodes, from the first level it runs
@@ -437,8 +442,7 @@ def build_target_system(spec, depth, mode="strict"):
         # overflow and NaN stay silent, as in float arithmetic; the split
         # check below refuses what they produce
         with np.errstate(over="ignore", invalid="ignore"):
-            if start is None and (mode == "natural"
-                                  or _search_stops_at_own_node(spec, n, A, B)):
+            if start is None and (mode == "natural" or direct(n, A, B)):
                 G, H = split(A, B, *own)
                 missed = np.full(m, -1)
             else:
@@ -590,26 +594,39 @@ def _tighten_gaps(split, E, F, slack):
     return G, H, stuck
 
 
-def _search_stops_at_own_node(spec, n, C, D):
-    """Whether the middle-third search provably stops, on every segment
-    [C_i, D_i] of level n, at the first node it visits when that node is
-    the segment's own, (C_i, D_i, n, i): then its gaps are the natural
-    split's, and its children start at their own nodes.
+def _search_stops_at_own_node(spec):
+    """The test, as a function stops(n, C, D) of a level, of whether the
+    middle-third search provably stops, on every segment [C_i, D_i] of
+    level n, at the first node it visits when that node is the segment's
+    own, (C_i, D_i, n, i): then its gaps are the natural split's, and its
+    children start at their own nodes.  The spec-only part is computed
+    once, here.
 
-    Only centred gaps qualify (MiddleAlpha, FatCantor).  At its own node a
-    lane's search compares lo = C + t and hi = D - t, t the computed third
-    of w = D - C, with G = C + h and H = D - h, h the computed half of what
-    the gap leaves.  As reals lo - G = H - hi = t - h exactly, so both
-    window differences share one sign: the gap lies inside the window
-    (t <= h) or swallows it (t >= h), whatever the removed proportion.
+    At its own node a lane's search compares lo = C + t and hi = D - t, t
+    the computed third of w = D - C, with G = C + h1 and H = D - h2.  For
+    a centred gap (MiddleAlpha, FatCantor) h1 = h2 = h, the computed half
+    of what the gap leaves, and as reals lo - G = H - hi = t - h exactly,
+    so both window differences share one sign: the gap lies inside the
+    window (t <= h) or swallows it (t >= h), whatever the removed
+    proportion.  For AffineIFS2, h1 and h2 are the computed dd products
+    w*r1 and w*r2, and as reals lo - G = t - h1 and H - hi = t - h2.  The
+    dd third and products are within 2^-100 relative of w/3 and w*r_k (a
+    product that underflows adds a few 2^-1074, while the test below
+    admits only w >= 2^-981), and every double is at least 2^-54/3 away
+    from 1/3, so t - h_k has the sign of 1/3 - r_k.  When
+    (r1 <= 1/3) == (r2 <= 1/3) the two differences therefore share one
+    sign, as for a centred gap; affine specs with ratios on opposite sides
+    of 1/3 never qualify.  That one extra rounding, of the affine
+    products, enters only this sign argument.
+
     What remains is the rounding of the four dd sums and the two dd
     differences, each below eps = 3u^2/(1 - 4u) < 2^-104 relative
     (u = 2^-53; Joldes, Muller and Popescu, ACM TOMS 44, 2017; the proof
     uses only float additions, which stay within u relative under gradual
     underflow).  The sums lie in [C, D], inside the hull, so with
-    M = max(|a|, |b|) each window difference is within
-    2*eps*M*(1 + eps) + eps*w of t - h, below the search's slack
-    fl(1e-12 * w_hi) when
+    M = max(|a|, |b|) each window difference, at most w in size, is
+    within 2*eps*M*(1 + eps) + eps*w of its real value, below the
+    search's slack fl(1e-12 * w_hi) when
 
         1e-12 * w_min >= max(2^-102 * M, 2^-1021),
 
@@ -623,14 +640,21 @@ def _search_stops_at_own_node(spec, n, C, D):
     overflow, and on levels at or past the descent limit, where the search
     must report its own error.
     """
-    if (not isinstance(spec, (MiddleAlpha, FatCantor))
-            or n >= _descent_limit(spec)):
-        return False
+    if isinstance(spec, AffineIFS2):
+        qualifies = (spec.r1 <= 1 / 3) == (spec.r2 <= 1 / 3)
+    else:
+        qualifies = isinstance(spec, (MiddleAlpha, FatCantor))
     a, b = _check_hull(spec.hull)
     M = max(abs(a), abs(b))
-    w_min = ((D[0] - C[0]) + (D[1] - C[1])).min()
-    return bool(M < 2.0 ** 994
-                and 1e-12 * w_min >= max(2.0 ** -102 * M, 2.0 ** -1021))
+    if not (qualifies and M < 2.0 ** 994):
+        return lambda n, C, D: False
+    limit = _descent_limit(spec)
+    floor = max(2.0 ** -102 * M, 2.0 ** -1021)
+
+    def stops(n, C, D):
+        return bool(n < limit
+                    and 1e-12 * ((D[0] - C[0]) + (D[1] - C[1])).min() >= floor)
+    return stops
 
 
 def _strict_gaps(split, C, D, start):

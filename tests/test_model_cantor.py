@@ -261,3 +261,48 @@ def test_gap_endpoints_correctly_rounded(c):
             assert system.gap_d[n].tolist() == [float(v) for _, v in gaps], n
             right = [(mpmath.sqrt(u - mc), mpmath.sqrt(v - mc)) for u, v in gaps]
             gaps = [(-v, -u) for u, v in reversed(right)] + right
+
+
+# --- the level loop against the two-pass loop it replaced -----------------
+
+def two_pass_model(params, depth):
+    """build_model_system as it was before both gap edges shared one pass:
+    a dd add and a dd square root per edge and level, frozen as the
+    oracle.  Returns a_N, b_N, a_lo_N, b_lo_N."""
+    from cantordyn import _dd
+    from cantordyn.model_cantor import IntervalSystem
+    from cantordyn.quadratic_map import _params_dd
+
+    (ph, pl), (sh, sl) = _params_dd(params)
+    c = params.c
+    system = IntervalSystem(*(np.empty(1 << depth) for _ in range(4)))
+    system.level_a[0][:], system.a_lo[0][:] = -ph, -pl
+    system.level_b[0][:], system.b_lo[0][:] = ph, pl
+    gch, gcl = np.array([-sh]), np.array([-sl])
+    gdh, gdl = np.array([sh]), np.array([sl])
+    for n in range(1, depth + 1):
+        system.gap_c[n][:], system.c_lo[n][:] = gch, gcl
+        system.gap_d[n][:], system.d_lo[n][:] = gdh, gdl
+        if n == depth:
+            break
+        puh, pul = _dd.v_sqrt(*_dd.add(gch, gcl, -c, 0.0))
+        pvh, pvl = _dd.v_sqrt(*_dd.add(gdh, gdl, -c, 0.0))
+        gch = np.concatenate([-pvh[::-1], puh])
+        gcl = np.concatenate([-pvl[::-1], pul])
+        gdh = np.concatenate([-puh[::-1], pvh])
+        gdl = np.concatenate([-pul[::-1], pvl])
+    return system.a_N, system.b_N, system.a_lo_N, system.b_lo_N
+
+
+@pytest.mark.parametrize("c", [-2.37, -2.5, -3.0, -20.0, -1e3])
+def test_one_pass_levels_match_two_pass_reference(c):
+    params = derive_params(c)
+    # depth 16 runs its deepest square roots in more than one block
+    for depth in [*range(15), 16]:
+        system = build_model_system(params, depth)
+        got = (system.a_N, system.b_N, system.a_lo_N, system.b_lo_N)
+        want = two_pass_model(params, depth)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], depth
+        # the set is symmetric about 0: level N mirrors itself bit for bit
+        assert np.array_equal(system.a_N.view(np.int64),
+                              (-system.b_N[::-1]).view(np.int64)), depth

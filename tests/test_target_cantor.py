@@ -795,27 +795,55 @@ CENTRED_SPECS = {
 }
 
 
-@pytest.mark.parametrize("hull", CENTRED_HULLS, ids=repr)
-@pytest.mark.parametrize("name", CENTRED_SPECS)
-def test_centred_strict_build_matches_the_search(name, hull):
+def assert_strict_build_matches_the_search(spec):
     # bit for bit, errors included, to two levels past the descent limit
-    spec = CENTRED_SPECS[name](hull)
     depth = min(_descent_limit(spec) + 2, 14)
     for d, level in enumerate(searched_levels(spec, depth)):
         assert strict_build_bits(spec, d) == level_bits(level), d
 
 
-def test_direct_splits_end_at_the_rounding_bound():
-    # on (1e15, 1e15 + 1) the narrowest level-n segment is about 3^-n, and
-    # 1e-12 * 3^-n >= 2^-102 * 1e15 holds for n <= 7: levels 0..7 split
-    # directly, deeper ones run the search, and builds on both sides of
-    # the switch match the search on every level
-    spec = middle_thirds((1e15, 1e15 + 1))
-    levels = searched_levels(spec, 12)
+@pytest.mark.parametrize("hull", CENTRED_HULLS, ids=repr)
+@pytest.mark.parametrize("name", CENTRED_SPECS)
+def test_centred_strict_build_matches_the_search(name, hull):
+    assert_strict_build_matches_the_search(CENTRED_SPECS[name](hull))
+
+
+# both ratios on one side of 1/3 (the doubles on either side of 1/3 included,
+# alone and mixed) split directly; opposite sides always search
+AFFINE_SPECS = {
+    "below-third-and-0.2": (0.3333333333333333, 0.2),
+    "0.2-and-below-third": (0.2, 0.3333333333333333),
+    "above-third-and-0.5": (0.33333333333333337, 0.5),
+    "0.5-and-above-third": (0.5, 0.33333333333333337),
+    "below-third-and-0.5": (0.3333333333333333, 0.5),
+    "0.2-and-above-third": (0.2, 0.33333333333333337),
+    "both-below-third": (0.3333333333333333, 0.3333333333333333),
+    "both-above-third": (0.33333333333333337, 0.33333333333333337),
+    "below-and-above-third": (0.3333333333333333, 0.33333333333333337),
+    "above-and-below-third": (0.33333333333333337, 0.3333333333333333),
+    "0.3-0.2": (0.3, 0.2),
+    "0.4-0.5": (0.4, 0.5),
+    "0.8-0.1": (0.8, 0.1),
+    "0.05-0.9": (0.05, 0.9),
+    "0.01-0.97": (0.01, 0.97),
+}
+
+
+@pytest.mark.parametrize("hull", CENTRED_HULLS, ids=repr)
+@pytest.mark.parametrize("name", AFFINE_SPECS)
+def test_affine_strict_build_matches_the_search(name, hull):
+    assert_strict_build_matches_the_search(AffineIFS2(*AFFINE_SPECS[name], hull))
+
+
+def assert_direct_splits_end_at(spec, last, depth=12):
+    # levels 0..last split directly, deeper ones run the search, and builds
+    # on both sides of the switch match the search on every level
+    levels = searched_levels(spec, depth)
     split = _NodeSplitter(spec)
-    for n, (A, B) in enumerate(levels[:12]):
-        direct = _search_stops_at_own_node(spec, n, A, B)
-        assert direct == (n <= 7), n
+    stops = _search_stops_at_own_node(spec)
+    for n, (A, B) in enumerate(levels[:depth]):
+        direct = stops(n, A, B)
+        assert direct == (n <= last), n
         if direct:
             # the search from the own nodes stops there on every lane
             m = A[0].size
@@ -825,24 +853,40 @@ def test_direct_splits_end_at_the_rounding_bound():
             assert all(map(np.array_equal, node, (*A, *B, *own)))
             sG, sH = split(A, B, *own)
             assert all(map(np.array_equal, (*G, *H), (*sG, *sH)))
-    for d in range(7, 13):
+    for d in range(last, depth + 1):
         assert strict_build_bits(spec, d) == level_bits(levels[d]), d
 
 
+def test_direct_splits_end_at_the_rounding_bound():
+    # on (1e15, 1e15 + 1) the narrowest level-n segment is about 3^-n, and
+    # 1e-12 * 3^-n >= 2^-102 * 1e15 holds for n <= 7
+    assert_direct_splits_end_at(middle_thirds((1e15, 1e15 + 1)), 7)
+
+
+def test_affine_direct_splits_end_at_the_rounding_bound():
+    # the narrowest level-n segment of affine:0.3,0.2 is about 0.2^n, and
+    # 1e-12 * 0.2^n >= 2^-102 * 1e15 holds for n <= 5
+    assert_direct_splits_end_at(AffineIFS2(0.3, 0.2, (1e15, 1e15 + 1)), 5)
+
+
 def test_direct_splits_skip_other_families_and_spent_levels():
-    affine = AffineIFS2(0.3, 0.2)
+    # affine ratios on opposite sides of 1/3, and explicit trees, always
+    # search; one-sided affine ratios split directly like centred gaps
     tree = TestExplicitGapTree().centred_tree()
-    for spec in (affine, tree):
+    for spec in (AffineIFS2(0.8, 0.1), AffineIFS2(0.05, 0.9),
+                 AffineIFS2(0.01, 0.97), tree):
         A, B = _hull_lane(spec)[0:2], _hull_lane(spec)[2:4]
-        assert not _search_stops_at_own_node(spec, 0, A, B)
-    spec = middle_thirds()
-    A, B = _hull_lane(spec)[0:2], _hull_lane(spec)[2:4]
-    assert _search_stops_at_own_node(spec, 0, A, B)
-    assert not _search_stops_at_own_node(spec, _descent_limit(spec), A, B)
+        assert not _search_stops_at_own_node(spec)(0, A, B)
+    for spec in (middle_thirds(), AffineIFS2(0.3, 0.2), AffineIFS2(0.4, 0.5)):
+        A, B = _hull_lane(spec)[0:2], _hull_lane(spec)[2:4]
+        stops = _search_stops_at_own_node(spec)
+        assert stops(0, A, B)
+        assert not stops(_descent_limit(spec), A, B)
     # dd products of hull-wide segments would overflow
-    wide = middle_thirds((0.0, 2.0 ** 995))
-    A, B = _hull_lane(wide)[0:2], _hull_lane(wide)[2:4]
-    assert not _search_stops_at_own_node(wide, 0, A, B)
+    for wide in (middle_thirds((0.0, 2.0 ** 995)),
+                 AffineIFS2(0.3, 0.2, (0.0, 2.0 ** 995))):
+        A, B = _hull_lane(wide)[0:2], _hull_lane(wide)[2:4]
+        assert not _search_stops_at_own_node(wide)(0, A, B)
 
 
 def test_strict_descent_error_past_the_limit_keeps_its_text():
