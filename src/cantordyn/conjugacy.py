@@ -255,11 +255,26 @@ class MappingReport:
         return not self.violations
 
 
+def _random_draws(rng, k):
+    """The next k values of rng.random() for a random.Random rng, as an
+    array, bit for bit.  random() is genrand_res53: (a * 2^26 + b) / 2^53
+    from two Mersenne Twister outputs, a >> 5 then b >> 6; getrandbits
+    hands the same outputs out as 32-bit words, least significant first,
+    and advances the generator past them alike.  Every step is exact in
+    doubles.  (numpy.random would replay the state too, but importing it
+    costs a few MB.)"""
+    words = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"),
+                          dtype="<u4")
+    return (((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6))
+            * (1.0 / 9007199254740992.0))
+
+
 def _mapping_samples(pl, model, target, samples, seed):
     """Yield (n, xs, lo, hi) per level n <= pl.depth, segments before gaps:
     the sampled abscissae with one row of `samples` per segment or gap and
     the paired target interval of each row.  The draws are those of
-    rng.uniform(a, b) = a + (b - a) * rng.random(), taken in the same order.
+    rng.uniform(a, b) = a + (b - a) * rng.random(), taken in the same order,
+    each group's at once (see _random_draws).
     """
     rng = random.Random(seed)
     for n in range(pl.depth + 1):
@@ -269,8 +284,8 @@ def _mapping_samples(pl, model, target, samples, seed):
             pairs.append((model.gap_c[n], model.gap_d[n],
                           target.gap_c[n], target.gap_d[n]))
         for ma, mb, ta, tb in pairs:
-            u = np.array([rng.random() for _ in range(ma.size * samples)])
-            u = u.reshape(ma.size, samples)
+            u = _random_draws(rng, ma.size * samples).reshape(ma.size,
+                                                              samples)
             yield n, ma[:, None] + (mb - ma)[:, None] * u, ta, tb
 
 

@@ -6,7 +6,10 @@ so save -> load -> save reproduces files byte for byte.
 A system document is a checked cache of a build.  It lists every level and
 gap, though all of them are views of the deepest level (see
 IntervalSystem), so the writer renders the deepest level's ends once and
-slices every level and gap out of those strings.  The loader reads the
+slices every level and gap out of those strings.  A system symmetric about
+0 bit for bit (every model, and any target whose ends happen to mirror)
+has its left ends rendered alone: each right end is a left end negated, so
+its string is that one's with a leading "-" toggled.  The loader reads the
 header (kind, parameters, depth), checks the level and gap counts,
 rebuilds the system with build_model_system or build_target_system, and
 refuses the file unless every stored level and gap reads exactly as the
@@ -143,10 +146,21 @@ def _render_system(system):
     finite reals), and every level and gap is sliced out of those strings
     with the views' strides: the text is the compact json.dumps of the
     whole document, byte for byte, and a newline.
+
+    When b_N is -a_N reversed as bit patterns (the system mirrors about 0,
+    as every model does), only a_N goes through repr: b's strings are a's
+    in reverse order with a leading "-" toggled, since repr(-x) is
+    "-" + repr(x) for every x with its sign bit clear, 0.0 and inf
+    included.  NaN, whose repr carries no sign, takes the repr of both.
     """
     head = json.dumps(_system_header(system), separators=(",", ":"))
-    a = list(map(repr, system.a_N.tolist()))
-    b = list(map(repr, system.b_N.tolist()))
+    a_N, b_N = system.a_N, system.b_N
+    a = list(map(repr, a_N.tolist()))
+    if (np.array_equal(a_N.view(np.int64), (-b_N[::-1]).view(np.int64))
+            and not np.isnan(a_N).any()):
+        b = [s[1:] if s[0] == "-" else "-" + s for s in reversed(a)]
+    else:
+        b = list(map(repr, b_N.tolist()))
     levels, gaps = [], []
     for n in range(system.depth + 1):
         k = 1 << (system.depth - n)
@@ -195,10 +209,11 @@ def _load_as_written(text, path):
 
     Only the parameters object is parsed, at its fixed offset after the
     writer's prefix, and checked as load_system checks it.  A writer-made
-    depth-N file lists 2^N deepest pairs, so a depth with 2^depth past the
-    text's length is not built.  A parameters object that does not parse
-    or that the checks or builders refuse returns None, leaving the file to
-    load_system's full parse to refuse or accept.
+    depth-N file lists 3 * 2^N - 2 pairs (2^(N+1) - 1 segments and 2^N - 1
+    gaps), each at least as long as "[0.0,0.0],", so a depth that needs
+    more text than there is is not built.  A parameters object that does
+    not parse or that the checks or builders refuse returns None, leaving
+    the file to load_system's full parse to refuse or accept.
     """
     for kind in ("model", "target"):
         prefix = f'{{"format":"{SYSTEM_FORMAT}","kind":"{kind}","parameters":'
@@ -211,7 +226,8 @@ def _load_as_written(text, path):
     except json.JSONDecodeError:
         return None
     depth = params_doc.get("depth") if isinstance(params_doc, dict) else None
-    if type(depth) is not int or not 0 <= depth < len(text).bit_length():
+    if (type(depth) is not int or not 0 <= depth < len(text).bit_length()
+            or len("[0.0,0.0],") * (3 * (1 << depth) - 2) > len(text)):
         return None
     try:
         system = _rebuild(kind, params_doc, depth, path)

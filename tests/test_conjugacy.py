@@ -345,6 +345,22 @@ def test_segment_mapping_matches_loop(phi12, model12, thirds12):
     assert same_bits(xs, drawn)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 3])
+def test_segment_mapping_draws_match_loop_at_depths_0_to_8(params3, thirds,
+                                                          seed):
+    """Each group's samples, drawn at once, are the per-draw loop's
+    random.Random draws bit for bit."""
+    for depth in range(9):
+        model = build_model_system(params3, depth)
+        target = build_target_system(thirds, depth)
+        pl = build_phi(model, target, depth)
+        ref, drawn = segment_mapping_loop(pl, model, target, 3, seed)
+        assert segment_mapping_check(pl, model, target, 3, seed) == ref
+        xs = np.concatenate([x.ravel() for _, x, _, _ in
+                             _mapping_samples(pl, model, target, 3, seed)])
+        assert same_bits(xs, drawn), depth
+
+
 def test_segment_mapping_violations_match_loop(model12, thirds12):
     """Checked against the wrong target, every violation is reported in the
     loop's order with the loop's values."""

@@ -23,6 +23,7 @@ from cantordyn import (
     DomainError,
     ExplicitGapTree,
     FatCantor,
+    IntervalSystem,
     MiddleAlpha,
     RegimeError,
     SpecError,
@@ -211,6 +212,28 @@ def reference_save_text(system):
     return json.dumps(reference_system_doc(system), separators=(",", ":")) + "\n"
 
 
+def nudged_model(depth):
+    """A c = -3 model with its last left end one ulp up: params and all, but
+    no longer symmetric about 0."""
+    model = build_model_system(derive_params(-3.0), depth)
+    a_N = model.a_N.copy()
+    a_N[-1] = np.nextafter(a_N[-1], np.inf)
+    return IntervalSystem(a_N, model.b_N, model.a_lo_N, model.b_lo_N,
+                          model.params)
+
+
+def signed_zeros_model(depth):
+    """A c = -3 model with its middle ends replaced by 0.0 and -0.0, still
+    symmetric about 0 bit for bit."""
+    model = build_model_system(derive_params(-3.0), depth)
+    a_N, b_N = model.a_N.copy(), model.b_N.copy()
+    m = a_N.size
+    a_N[m // 2], b_N[m - 1 - m // 2] = 0.0, -0.0
+    if m > 1:
+        a_N[m // 2 - 1], b_N[m // 2] = -0.0, 0.0
+    return IntervalSystem(a_N, b_N, model.a_lo_N, model.b_lo_N, model.params)
+
+
 ORACLE_SYSTEMS = {
     **SYSTEMS,
     **{f"middle-alpha-{mode}": _target(lambda: MiddleAlpha(0.5), mode)
@@ -218,7 +241,17 @@ ORACLE_SYSTEMS = {
     **{f"negative-zero-hull-{mode}":
        _target(lambda: MiddleAlpha(0.5, hull=(-0.0, 1.0)), mode)
        for mode in ("strict", "natural")},
+    **{f"centred-hull-{mode}":
+       _target(lambda: MiddleAlpha(0.5, hull=(-1.0, 1.0)), mode)
+       for mode in ("strict", "natural")},
+    "hand-nudged": nudged_model,
+    "hand-signed-zeros": signed_zeros_model,
 }
+
+# the systems symmetric about 0 bit for bit, whose right ends the writer
+# renders from their left ends
+MIRRORED = {name for name in ORACLE_SYSTEMS if name.startswith("model")} | {
+    "centred-hull-strict", "centred-hull-natural", "hand-signed-zeros"}
 
 
 @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
@@ -230,6 +263,45 @@ def test_save_bytes_match_reference_writer(name, tmp_path):
         system = ORACLE_SYSTEMS[name](depth)
         save_system(system, path)
         assert path.read_text(encoding="utf-8") == reference_save_text(system), depth
+
+
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_writer_renders_mirror_pairs_once(name, tmp_path, monkeypatch):
+    """A mirrored system's ends go through repr once per mirror pair, any
+    other's once per end, and the file loads back through the byte
+    comparison alone.  The hand-made systems are their own rebuild."""
+    system = ORACLE_SYSTEMS[name](10)
+    path = tmp_path / "s.json"
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
+    save_system(system, path)
+    assert len(calls) == (1 if name in MIRRORED else 2) << 10
+    assert path.read_text(encoding="utf-8") == reference_save_text(system)
+
+    def refuse(*args):
+        raise AssertionError("parsed the whole document")
+
+    monkeypatch.setattr(fileio, "_parse_json", refuse)
+    if name.startswith("hand"):
+        monkeypatch.setattr(fileio, "build_model_system",
+                            lambda params, depth: system)
+    assert same_system(load_system(path), system)
+
+
+def test_nan_ends_render_as_repr(tmp_path):
+    """NaN's repr has no sign, so a NaN end is rendered by repr even where
+    its sign bit mirrors the other end's."""
+    nan = np.array([np.nan])
+    system = IntervalSystem(nan, -nan, np.zeros(1), np.zeros(1),
+                            derive_params(-3.0))
+    path = tmp_path / "s.json"
+    save_system(system, path)
+    assert path.read_text().endswith(',"levels":[[[nan,nan]]],"gaps":[[]]}\n')
 
 
 # header and entry edits, with the error load_system must raise for each
@@ -388,6 +460,30 @@ class TestSystemValidation:
         doc = json.loads(path.read_text())
         doc["parameters"]["depth"] = depth
         path.write_text(compact(doc))
+
+        def refuse(*args):
+            raise AssertionError("built a system for a short file")
+
+        monkeypatch.setattr(fileio, "build_model_system", refuse)
+        monkeypatch.setattr(fileio, "build_target_system", refuse)
+        with pytest.raises(SpecError, match="deep.json"):
+            load_system(path)
+
+    @pytest.mark.parametrize("depth", [9, 10, 11, 12])
+    @pytest.mark.parametrize("kind", ["model", "target"])
+    def test_short_compact_header_fails_before_build(self, tmp_path,
+                                                     monkeypatch, kind,
+                                                     depth):
+        """A depth-6 file is too short to list the pairs of depth 9 and up,
+        though it is long enough for 2^depth characters."""
+        path = tmp_path / "deep.json"
+        save_system(SYSTEMS["model-3.0" if kind == "model"
+                            else "middle-thirds-strict"](6), path)
+        doc = json.loads(path.read_text())
+        doc["parameters"]["depth"] = depth
+        text = compact(doc)
+        assert 1 << depth <= len(text)
+        path.write_text(text)
 
         def refuse(*args):
             raise AssertionError("built a system for a short file")
