@@ -21,8 +21,8 @@ from .quadratic_map import _check_interval, _params_dd, expansion_bound
 
 # A hard cap on the depth, not a resolution limit: neighbouring endpoints
 # collide in doubles much sooner for every c (about depth 26 near the
-# regime edge, 25 at c = -3, 14 at c = -50 and 9 at c = -1e3), and nothing
-# below the cap checks for it.
+# regime edge, 25 at c = -3, 14 at c = -50 and 9 at c = -1e3), and the
+# builders refuse a system whose endpoints collide (_check_resolved).
 MAX_DEPTH = 48
 
 # Lanes per dd pass of the model build.  A level's square roots run over
@@ -170,13 +170,36 @@ def _validate_depth(depth):
     return depth
 
 
+def _check_resolved(system, what):
+    """system, once its deepest level resolves in doubles: a_N < b_N, and
+    each segment ends before the next begins (b_N[:-1] < a_N[1:]).
+
+    Otherwise raise DomainError naming the depth and the deepest level that
+    resolves.  Resolving levels run from 0 up: level n's endpoints are every
+    2^(N-n)-th of level N's, so it resolves whenever level N does.
+    """
+    def resolves(n):
+        a, b = system.level_a[n], system.level_b[n]
+        return bool((a < b).all() and (b[:-1] < a[1:]).all())
+
+    if resolves(system.depth):
+        return system
+    n = system.depth - 1
+    while n > 0 and not resolves(n):
+        n -= 1
+    raise DomainError(f"{what} at depth {system.depth}: neighbouring endpoints "
+                      f"collide in doubles; the deepest level that resolves "
+                      f"is {n}")
+
+
 def build_model_system(params, depth):
     """Backward-construct the nested system C_0 .. C_depth for certified params.
 
     A level costs one dd add and one dd square root over both edges of
     every gap at once, stacked as two rows, in blocks of _BLOCK lanes once
     a level outgrows one.  Raises RegimeError unless the expansion bound
-    certifies lambda > 1, and DomainError for depth outside 0..MAX_DEPTH.
+    certifies lambda > 1, and DomainError for depth outside 0..MAX_DEPTH
+    or deeper than the doubles resolve (_check_resolved).
     """
     depth = _validate_depth(depth)
     lam, certified = expansion_bound(params)
@@ -217,7 +240,7 @@ def build_model_system(params, depth):
         gh = np.concatenate((-rh[::-1, ::-1], rh), axis=1)
         gl = np.concatenate((-rl[::-1, ::-1], rl), axis=1)
 
-    return system
+    return _check_resolved(system, f"model c = {c!r}")
 
 
 def max_segment_length(system, n):

@@ -278,6 +278,46 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
     retired, and the loop stops when all have.  Live lanes run the same
     operations in the same order whichever lanes share their arrays, so
     every count is unchanged by when compaction happens.
+
+    A lane is also retired, as inside, once a certificate proves that its
+    orbit under the float step F the loop computes can never pass the
+    bailout.  Let f(z) = z^2 + c and u = 2^-53.  For |z| <= 1/2 and
+    |Re c|, |Im c| <= 1, |F(z) - f(z)| <= E = 2^-51: the real part's two
+    squares, difference and sum are off by at most u*(1/4 + 1/4 + 5/4)
+    plus 2^-1074 for underflow, the imaginary part's product and sum by
+    u*(1/4 + 5/4) plus 2^-1075, 3.3u in all.
+
+    Every 8 steps, when b2 >= 1, each live lane's last two states
+    w = z_(n-1) and z_n = F(w) are tested.  Let a = 1 - 2|w|.  If |w| < 1/2
+    and a^2/4 >= |z_n - w| + 2E, the closed disk D = D(w, a/2) holds every
+    later z_k:
+    - z_n is in D, since |z_n - w| <= a^2/4 <= a/2;
+    - every z in D has |z| <= |w| + a/2 = 1/2 and |z + w| <= 1 - a/2, so
+      |F(z) - w| <= E + |z - w||z + w| + E + |z_n - w|
+                  <= a/2 - a^2/4 + 2E + |z_n - w| <= a/2;
+    - on D the float escape test reads at most 1/4 * (1 + 3u) < 1 <= b2,
+      so it never fires, and the lane's count is -1.  For b2 < 1 the
+      certificate is off.
+    E applies at w and on D: |z_n| <= |w| + 1/16 below, and z_n's parts
+    are c's parts plus terms of size at most 1/4 * (1 + 3u), each sum
+    rounded once, so |Re c|, |Im c| < 1.
+
+    The test uses squares only (_trapped).  With s = 1 - 4|w|^2, s/2 <= a
+    on |w| <= 1/2 (a - s/2 = 2(|w| - 1/2)^2), so |z_n - w| <= s^2/16 - 2E
+    is enough.  In doubles the loop checks
+        s = 1 - 4*(wr*wr + wi*wi) > 0,   r = s*s/16 - (2E + M) > 0,
+        (zr - wr)^2 + (zi - wi)^2 <= r*r,
+    with the margin M = 2^-52 = 2u.  The rounded s is within 4u of the
+    real one, and r > 0 makes it at least 2^-23, so the real s is
+    positive.  The rounded r exceeds the real s^2/16 - 2E - M by at most
+    0.7u, and the comparison's roundings let |z_n - w| exceed r by at
+    most 0.2u, so a passing test has |z_n - w| <= s^2/16 - 2E - M + 0.9u,
+    and M covers the 0.9u.
+
+    Certified lanes retire to z = c = 0 like escaped ones, with the marker
+    count 0 (no escape count is below 1) so that compaction drops them;
+    the marker becomes -1 at the end.  Retired lanes pass the test too,
+    so a lane is marked only while its count is still -1.
     """
     width, height = int(width), int(height)
     if width < 1 or height < 1:
@@ -301,11 +341,18 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
     zi = np.zeros_like(ci)
     live = np.arange(out.size)
     retired = 0
+    trap = b2 >= 1.0
     for n in range(1, max_iter + 1):
+        w = (zr, zi) if trap and n % 8 == 0 else None
         zr, zi = zr * zr - zi * zi + cr, 2.0 * zr * zi + ci
         esc = np.flatnonzero(zr * zr + zi * zi > b2)
+        out[live[esc]] = n
+        if w is not None:
+            held = np.flatnonzero(_trapped(*w, zr, zi))
+            held = held[out[live[held]] < 0]
+            out[live[held]] = 0
+            esc = np.concatenate((esc, held))
         if esc.size:
-            out[live[esc]] = n
             zr[esc] = zi[esc] = cr[esc] = ci[esc] = 0.0
             retired += esc.size
             if retired == live.size:
@@ -315,4 +362,19 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
                 live, zr, zi = live[keep], zr[keep], zi[keep]
                 cr, ci = cr[keep], ci[keep]
                 retired = 0
+    out[out == 0] = -1
     return out.reshape(height, width)
+
+
+# E and M of mandelbrot_grid's certificate: a bound on the rounding error of
+# one float step near the origin, and the test's rounding margin
+_STEP_ERROR = 2.0 ** -51
+_TRAP_MARGIN = 2.0 ** -52
+
+
+def _trapped(wr, wi, zr, zi):
+    """Lanes whose step w -> z passes mandelbrot_grid's trapping-disk test;
+    the argument and its rounding margins are in that docstring."""
+    s = 1.0 - 4.0 * (wr * wr + wi * wi)
+    r = 0.0625 * s * s - (2.0 * _STEP_ERROR + _TRAP_MARGIN)
+    return (s > 0.0) & (r > 0.0) & ((zr - wr) ** 2 + (zi - wi) ** 2 <= r * r)

@@ -49,7 +49,8 @@ import numpy as np
 
 from . import _dd
 from .errors import DomainError, SpecError
-from .model_cantor import IntervalSystem, _interleave, _validate_depth
+from .model_cantor import (IntervalSystem, _check_resolved, _interleave,
+                           _validate_depth)
 
 
 def _check_hull(hull):
@@ -421,7 +422,8 @@ def build_target_system(spec, depth, mode="strict"):
     the two coincide: strict mode splits each level with the natural
     formula while _search_stops_at_own_node proves that the search would
     return that split, and runs the search from the first level it cannot
-    prove it on; the result is a strict system either way.
+    prove it on; the result is a strict system either way.  A depth whose
+    endpoints collide in doubles raises DomainError (_check_resolved).
     """
     depth = _validate_depth(depth)
     if mode not in ("strict", "natural"):
@@ -454,7 +456,8 @@ def build_target_system(spec, depth, mode="strict"):
         A = tuple(_interleave(u, g) for u, g in zip(A, H))
         B = tuple(_interleave(g, v) for g, v in zip(G, B))
 
-    return TargetSystem(spec, mode, A[0], B[0], A[1], B[1])
+    return _check_resolved(TargetSystem(spec, mode, A[0], B[0], A[1], B[1]),
+                           f"{mode} target {spec!r}")
 
 
 def _pick(mask, x, y):

@@ -309,6 +309,24 @@ def test_mandelbrot_non_finite_region(capsys, tmp_path, flags):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["build-model", "--c", "-1000", "--depth", "12"],
+    ["build-model", "--c", "-100", "--depth", "13"],
+    ["build-model", "--c", "-50", "--depth", "14"],
+    ["build-target", "--target", "middle-alpha:0.999", "--depth", "9"],
+    ["build-target", "--target", "middle-alpha:0.999", "--depth", "9",
+     "--mode", "natural"],
+    ["build-target", "--target", "affine:0.01,0.97", "--mode", "natural",
+     "--depth", "12"],
+], ids=["model-c-1000", "model-c-100", "model-c-50", "middle-alpha-strict",
+        "middle-alpha-natural", "affine-natural"])
+def test_colliding_endpoints_exit_2_without_a_file(capsys, tmp_path, argv):
+    path = tmp_path / "F.json"
+    rc, out, err = run(capsys, *argv, "--out", str(path))
+    assert rc == 2 and "collide in doubles" in err and "resolves is" in err
+    assert not path.exists()
+
+
 def test_depth_out_of_range(capsys):
     rc, _, err = run(capsys, "build-model", "--depth", "49")
     assert rc == 1 and "usage error" in err

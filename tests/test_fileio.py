@@ -35,7 +35,7 @@ from cantordyn import (
     mandelbrot_escape,
     middle_thirds,
 )
-from cantordyn import fileio
+from cantordyn import fileio, model_cantor, target_cantor
 from cantordyn.fileio import (
     PALETTE,
     export_cobweb,
@@ -93,7 +93,9 @@ class TestSystemRoundTrip:
     @pytest.mark.parametrize("spec", [
         FatCantor(0.3, 0.5),
         # splits directly through level 7, then runs the middle-third search
-        middle_thirds((1e15, 1e15 + 1)),
+        # (on the hull (1e15, 1e15 + 1) it did the same, but its endpoints
+        # collide from level 3, which EDGE_SYSTEMS covers)
+        middle_thirds((0.0, 2.0 ** -969)),
     ], ids=repr)
     def test_centred_strict_file_stays_strict(self, spec, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -524,6 +526,51 @@ def test_relaid_file_loads_the_same_system(name, tmp_path):
                    text.replace("\n", "\r\n"), text[:-1]):
         path.write_bytes(layout.encode("utf-8"))
         assert same_system(load_system(path), system)
+
+
+# (build, the deepest level that resolves) for systems whose endpoints
+# collide in doubles one level deeper
+EDGE_SYSTEMS = {
+    "model-c-1000": (_model(-1000.0), 8),
+    "model-c-100": (_model(-100.0), 12),
+    "model-c-50": (_model(-50.0), 13),
+    **{f"middle-alpha-0.999-{mode}": (_target(lambda: MiddleAlpha(0.999), mode),
+                                      4) for mode in ("strict", "natural")},
+    "affine-0.01,0.97-natural": (_target(lambda: AffineIFS2(0.01, 0.97),
+                                         "natural"), 9),
+    "middle-thirds-1e15-strict": (_target(lambda: middle_thirds((1e15, 1e15 + 1)),
+                                          "strict"), 2),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_SYSTEMS)
+def test_systems_at_their_deepest_resolving_level_keep_their_bytes(name,
+                                                                   tmp_path):
+    build, deepest = EDGE_SYSTEMS[name]
+    path = tmp_path / "s.json"
+    system = build(deepest)
+    save_system(system, path)
+    assert path.read_text(encoding="utf-8") == reference_save_text(system)
+    assert same_system(load_system(path), system)
+
+
+@pytest.mark.parametrize("name", EDGE_SYSTEMS)
+def test_file_claiming_colliding_endpoints_refused(name, tmp_path,
+                                                   monkeypatch):
+    """A file of a system one level past the resolution, as a build without
+    the collision check writes it, names a system no builder makes."""
+    build, deepest = EDGE_SYSTEMS[name]
+    path = tmp_path / "s.json"
+    with monkeypatch.context() as m:
+        for module in (model_cantor, target_cantor):
+            m.setattr(module, "_check_resolved", lambda system, what: system)
+        save_system(build(deepest + 1), path)
+    with pytest.raises(DomainError, match="collide in doubles"):
+        load_system(path)
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    with pytest.raises(DomainError, match="collide in doubles"):
+        load_system(pretty)
 
 
 def _paths(node, path=()):

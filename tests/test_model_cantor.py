@@ -17,6 +17,8 @@ from cantordyn import (
     FatCantor,
     IntervalAddress,
     MAX_DEPTH,
+    AffineIFS2,
+    MiddleAlpha,
     RegimeError,
     build_model_system,
     build_target_system,
@@ -26,6 +28,7 @@ from cantordyn import (
     middle_thirds,
     preimage_interval,
 )
+from cantordyn import model_cantor, target_cantor
 from cantordyn.fileio import load_system, save_system
 
 
@@ -295,7 +298,12 @@ def two_pass_model(params, depth):
 
 
 @pytest.mark.parametrize("c", [-2.37, -2.5, -3.0, -20.0, -1e3])
-def test_one_pass_levels_match_two_pass_reference(c):
+def test_one_pass_levels_match_two_pass_reference(c, monkeypatch):
+    # the kernel's bits are compared past the depth the doubles resolve
+    # (from depth 9 at c = -1e3 the build refuses them, which
+    # test_colliding_endpoints_refused checks)
+    monkeypatch.setattr(model_cantor, "_check_resolved",
+                        lambda system, what: system)
     params = derive_params(c)
     # depth 16 runs its deepest square roots in more than one block
     for depth in [*range(15), 16]:
@@ -306,3 +314,46 @@ def test_one_pass_levels_match_two_pass_reference(c):
         # the set is symmetric about 0: level N mirrors itself bit for bit
         assert np.array_equal(system.a_N.view(np.int64),
                               (-system.b_N[::-1]).view(np.int64)), depth
+
+
+# Systems whose deepest level collides in doubles: (build, depth, the deepest
+# level that resolves).  c = -1000 at depth 12 overlaps neighbouring model
+# segments; the targets build segments of zero width.
+UNRESOLVED = {
+    "model-c-1000": (lambda d: build_model_system(derive_params(-1000.0), d),
+                     12, 8),
+    "model-c-100": (lambda d: build_model_system(derive_params(-100.0), d),
+                    13, 12),
+    "model-c-50": (lambda d: build_model_system(derive_params(-50.0), d),
+                   14, 13),
+    **{f"middle-alpha-0.999-{mode}":
+       (lambda d, mode=mode: build_target_system(MiddleAlpha(0.999), d, mode),
+        9, 4) for mode in ("strict", "natural")},
+    "affine-0.01,0.97-natural":
+        (lambda d: build_target_system(AffineIFS2(0.01, 0.97), d, "natural"),
+         12, 9),
+}
+
+
+def resolves(system, n):
+    a, b = system.level_a[n], system.level_b[n]
+    return bool(np.all(a < b) and np.all(b[:-1] < a[1:]))
+
+
+@pytest.mark.parametrize("build, depth, deepest", UNRESOLVED.values(),
+                         ids=UNRESOLVED.keys())
+def test_colliding_endpoints_refused(build, depth, deepest, monkeypatch):
+    with pytest.raises(DomainError, match=f"at depth {depth}: .* collide .* "
+                       f"the deepest level that resolves is {deepest}$"):
+        build(depth)
+    with pytest.raises(DomainError, match=f"resolves is {deepest}$"):
+        build(deepest + 1)
+    assert_nested_structure(build(deepest))
+    # the same build without the check: level `deepest` is the last whose
+    # public endpoints are strictly increasing
+    for module in (model_cantor, target_cantor):
+        monkeypatch.setattr(module, "_check_resolved",
+                            lambda system, what: system)
+    unchecked = build(depth)
+    assert [resolves(unchecked, n) for n in range(depth + 1)] == \
+        [n <= deepest for n in range(depth + 1)]

@@ -8,6 +8,7 @@ amplifies the half-ulp rounding error past the drift budget.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -568,6 +569,22 @@ GRID_REGIONS = {
     "flipped": ((1.0, -2.5, 1.75, -1.75), 2.0),
     "bailout-10": ((-2.0, 0.5, -1.25, 1.25), 10.0),
     "bailout-half": ((-2.0, 0.5, -1.25, 1.25), 0.5),
+    # bailouts on both sides of b2 = 1, where the trapping-disk certificate
+    # turns on
+    "bailout-0.3": ((-2.0, 0.5, -1.25, 1.25), 0.3),
+    "bailout-0.51": ((-2.0, 0.5, -1.25, 1.25), 0.51),
+    "bailout-1": ((-2.0, 0.5, -1.25, 1.25), 1.0),
+    "bailout-1e3": ((-2.0, 0.5, -1.25, 1.25), 1e3),
+    # fixed points just past the bailout 0.3, which orbits approach from
+    # inside it and pass only after about 14 steps: a certificate at b2 < 1
+    # would call them inside
+    "fixed-point-past-bailout": ((0.2095, 0.2105, -0.001, 0.001), 0.3),
+    # inside the main cardioid, where most lanes are certified; the cusp at
+    # 1/4, where the fixed point is neutral; the joint with the period-2
+    # bulb at -3/4, where the fixed point turns from attracting to repelling
+    "cardioid": ((-0.5, 0.2, -0.4, 0.4), 2.0),
+    "cusp": ((0.24, 0.26, -0.01, 0.01), 2.0),
+    "bulb-edge": ((-0.77, -0.73, -0.02, 0.02), 2.0),
 }
 
 
@@ -583,6 +600,97 @@ def test_grid_matches_reference(region, bailout, size, max_iter):
                                      bailout=bailout)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("max_iter", [7, 8, 9, 16, 17])
+@pytest.mark.parametrize("region, bailout", GRID_REGIONS.values(),
+                         ids=GRID_REGIONS.keys())
+def test_grid_matches_reference_around_checkpoints(region, bailout, max_iter):
+    # the certificate runs every 8 steps: budgets that end just before, on
+    # and just after a checkpoint
+    got = mandelbrot_grid(region, 23, 19, max_iter, bailout=bailout)
+    want = reference_mandelbrot_grid(region, 23, 19, max_iter, bailout=bailout)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9), st.floats(1e-6, 0.1),
+       st.floats(1e-6, 0.1), st.integers(1, 400),
+       st.sampled_from([1.0, 2.0, 1e3]))
+def test_grid_inside_unit_disk_matches_reference(re0, im0, dre, dim, max_iter,
+                                                 bailout):
+    # regions inside |c| < 1, where the certificate retires lanes
+    if math.hypot(abs(re0) + dre, abs(im0) + dim) >= 1.0:
+        return
+    region = (re0, re0 + dre, im0, im0 + dim)
+    got = mandelbrot_grid(region, 9, 7, max_iter, bailout=bailout)
+    assert np.array_equal(got, reference_mandelbrot_grid(region, 9, 7, max_iter,
+                                                         bailout=bailout))
+
+
+def test_certificate_retires_lanes_inside(monkeypatch):
+    """On the benchmark region the certificate retires lanes as inside: the
+    lanes it tests at its last checkpoint are fewer than the inside pixels,
+    which without it would all stay live to the end."""
+    sizes = []
+
+    def trapped(wr, *rest):
+        sizes.append(wr.size)
+        return orbit_engine_trapped(wr, *rest)
+
+    orbit_engine_trapped = orbit_engine._trapped
+    monkeypatch.setattr(orbit_engine, "_trapped", trapped)
+    region = (-2.0, 0.5, -1.25, 1.25)
+    grid = mandelbrot_grid(region, 160, 160, 256)
+    assert np.array_equal(grid, reference_mandelbrot_grid(region, 160, 160, 256))
+    assert len(sizes) == 256 // 8
+    assert sizes[-1] < (grid == -1).sum() // 2
+
+
+def test_certificate_off_below_bailout_one(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("certificate ran with b2 < 1")
+
+    monkeypatch.setattr(orbit_engine, "_trapped", refuse)
+    for bailout in (0.0, 0.5, 0.9999999999999999):
+        mandelbrot_grid((-0.5, 0.2, -0.4, 0.4), 9, 9, 64, bailout=bailout)
+
+
+def _certified_exactly(wr, wi, zr, zi):
+    """The certificate's real condition in exact rationals: s > 0 and
+    |z - w| <= s^2/16 - 2E with s = 1 - 4|w|^2."""
+    wr, wi, zr, zi = map(Fraction, (wr, wi, zr, zi))
+    s = 1 - 4 * (wr * wr + wi * wi)
+    r = s * s / 16 - 2 * Fraction(orbit_engine._STEP_ERROR)
+    return s > 0 and r >= 0 and (zr - wr) ** 2 + (zi - wi) ** 2 <= r * r
+
+
+def test_certificate_boundary_at_the_origin():
+    # at w = 0 every rounding of the test is exact (s = 1), so it passes
+    # exactly up to |z| = 1/16 - 2E - M
+    edge = 1 / 16 - 2 * orbit_engine._STEP_ERROR - orbit_engine._TRAP_MARGIN
+    zero = np.zeros(1)
+    for x, want in ((edge, True), (np.nextafter(edge, 1.0), False),
+                    (1 / 16 - 2.0 ** -53, False), (1 / 16, False)):
+        got = orbit_engine._trapped(zero, zero, np.array([x]), zero)
+        assert got.tolist() == [want], x
+        if want:
+            assert _certified_exactly(0.0, 0.0, x, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 0.4999), st.floats(0.0, 2 * math.pi),
+       st.floats(0.0, 2 * math.pi), st.integers(-64, 64))
+def test_certificate_implies_the_real_condition(radius, arg, direction, ulps):
+    """Steps just either side of the test's edge: whatever it certifies
+    satisfies the real condition, checked in rationals."""
+    wr, wi = radius * math.cos(arg), radius * math.sin(arg)
+    s = 1.0 - 4.0 * (wr * wr + wi * wi)
+    d = s * s / 16 - 2 * orbit_engine._STEP_ERROR
+    d *= 1.0 + ulps * 2.0 ** -52
+    zr, zi = wr + d * math.cos(direction), wi + d * math.sin(direction)
+    if orbit_engine._trapped(*(np.array([v]) for v in (wr, wi, zr, zi)))[0]:
+        assert _certified_exactly(wr, wi, zr, zi)
 
 
 def test_grid_escape_test_is_strict():

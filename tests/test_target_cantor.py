@@ -9,6 +9,7 @@ recomputed in 60-digit Decimal from the binary64 ratios).
 
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from cantordyn import (
     middle_thirds,
     tighten_gap,
 )
-from cantordyn import _dd
+from cantordyn import _dd, target_cantor
 from cantordyn.model_cantor import _interleave
 from cantordyn.target_cantor import (_check_splits, _cut, _descent_error,
                                      _descent_limit, _find_gaps, _hull_lane,
@@ -772,10 +773,20 @@ def level_bits(level):
 
 
 def strict_build_bits(spec, depth):
+    """The strict build's endpoints as bytes, or the type and text of its
+    error.  The build refuses a depth whose public endpoints collide in
+    doubles; the bits of such a depth are read from the same build without
+    that check, after checking that they do collide."""
     try:
         system = build_target_system(spec, depth, "strict")
     except CantorDynError as exc:
-        return type(exc), str(exc)
+        if "collide in doubles" not in str(exc):
+            return type(exc), str(exc)
+        with mock.patch.object(target_cantor, "_check_resolved",
+                               lambda system, what: system):
+            system = build_target_system(spec, depth, "strict")
+        a, b = system.a_N, system.b_N
+        assert not (np.all(a < b) and np.all(b[:-1] < a[1:]))
     assert system.mode == "strict"
     return tuple(x.tobytes() for x in (system.a_N, system.a_lo_N,
                                        system.b_N, system.b_lo_N))
