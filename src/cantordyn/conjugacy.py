@@ -33,7 +33,10 @@ class MonotonePLMap:
     xs/ys are the knot coordinates (model endpoints paired with target
     endpoints at the same address), xs_lo/ys_lo their double-double tails.
     err_bound is the certified sup-distance to the depth-limit map: the
-    widest level-N target segment.
+    widest level-N target segment.  A map that build_phi pairs at a
+    system's own depth shares that system's knot arrays (IntervalSystem's
+    knots and knots_lo) instead of copying them, so writing into one
+    writes into the other.
     """
 
     xs: np.ndarray
@@ -59,7 +62,10 @@ def build_phi(model, target, N):
 
     Both systems must be built at least N deep (DomainError otherwise).  The
     knot set automatically contains every shallower endpoint pair, since a
-    segment endpoint survives into all deeper levels.
+    segment endpoint survives into all deeper levels.  A system built N
+    deep stores level N as its knot arrays, and the map takes those arrays
+    themselves; a deeper system's level N is interleaved into new ones.
+    CantorDynError unless both knot sequences strictly increase.
     """
     N = int(N)
     if N < 0:
@@ -69,15 +75,22 @@ def build_phi(model, target, N):
             f"systems of depth {model.depth} and {target.depth} cannot pair "
             f"level {N}"
         )
-    xs = _interleave(model.level_a[N], model.level_b[N])
-    xs_lo = _interleave(model.a_lo[N], model.b_lo[N])
-    ys = _interleave(target.level_a[N], target.level_b[N])
-    ys_lo = _interleave(target.a_lo[N], target.b_lo[N])
-    if not (np.all(np.diff(xs) > 0.0) and np.all(np.diff(ys) > 0.0)):
+    xs, xs_lo = _level_knots(model, N)
+    ys, ys_lo = _level_knots(target, N)
+    if not ((xs[1:] > xs[:-1]).all() and (ys[1:] > ys[:-1]).all()):
         raise CantorDynError("endpoint pairing is not strictly increasing")
     err = float(np.max(target.level_b[N] - target.level_a[N]))
     return MonotonePLMap(xs=xs, ys=ys, err_bound=err, depth=N,
                          xs_lo=xs_lo, ys_lo=ys_lo)
+
+
+def _level_knots(system, N):
+    """Level N's endpoints interleaved, and their tails: at N == depth the
+    system's own knot arrays, shared, else copies."""
+    if N == system.depth:
+        return system.knots, system.knots_lo
+    return (_interleave(system.level_a[N], system.level_b[N]),
+            _interleave(system.a_lo[N], system.b_lo[N]))
 
 
 def _eval_dd(xs, xs_lo, ys, ys_lo, xh, xl):

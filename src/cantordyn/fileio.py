@@ -24,7 +24,10 @@ parse and the level-by-level comparison, fed the same text.  The two
 agree: a file equal to the writer's text of a rebuild is one the full
 comparison accepts, returning that same rebuild, since save -> load ->
 save is the identity; so the files accepted, the systems returned and
-every error stay those of the full comparison.
+every error stay those of the full comparison.  When the builders refuse
+the parameters, the full parse still checks the counts first, and then
+raises the refusal already caught, if its own header reads the same,
+instead of building again.
 """
 
 import csv
@@ -204,36 +207,39 @@ def _rebuild(kind, params_doc, depth, path):
 
 
 def _load_as_written(text, path):
-    """The system rebuilt from the header of text when text is exactly what
-    save_system writes for it, else None.
+    """(system, None) with the system rebuilt from the header of text when
+    text is exactly what save_system writes for it, else (None, refusal).
 
     Only the parameters object is parsed, at its fixed offset after the
     writer's prefix, and checked as load_system checks it.  A writer-made
     depth-N file lists 3 * 2^N - 2 pairs (2^(N+1) - 1 segments and 2^N - 1
     gaps), each at least as long as "[0.0,0.0],", so a depth that needs
-    more text than there is is not built.  A parameters object that does
-    not parse or that the checks or builders refuse returns None, leaving
-    the file to load_system's full parse to refuse or accept.
+    more text than there is is not built.  Any other text leaves the file
+    to load_system's full parse to refuse or accept.  When the checks or
+    the builders refuse the parameters, refusal is (kind, parameters as
+    json.dumps renders them, the error), so that the full parse raises that
+    error instead of building the same parameters again; otherwise it is
+    None.
     """
     for kind in ("model", "target"):
         prefix = f'{{"format":"{SYSTEM_FORMAT}","kind":"{kind}","parameters":'
         if text.startswith(prefix):
             break
     else:
-        return None
+        return None, None
     try:
         params_doc, _ = json.JSONDecoder().raw_decode(text, len(prefix))
     except json.JSONDecodeError:
-        return None
+        return None, None
     depth = params_doc.get("depth") if isinstance(params_doc, dict) else None
     if (type(depth) is not int or not 0 <= depth < len(text).bit_length()
             or len("[0.0,0.0],") * (3 * (1 << depth) - 2) > len(text)):
-        return None
+        return None, None
     try:
         system = _rebuild(kind, params_doc, depth, path)
-    except CantorDynError:
-        return None
-    return system if _render_system(system) == text else None
+    except CantorDynError as exc:
+        return None, (kind, json.dumps(params_doc), exc)
+    return (system if _render_system(system) == text else None), None
 
 
 def load_system(path):
@@ -254,7 +260,7 @@ def load_system(path):
     Both give the same system, and only the full comparison refuses.
     """
     text = _read_text(path)
-    system = _load_as_written(text, path)
+    system, refusal = _load_as_written(text, path)
     if system is not None:
         return system
     doc = _parse_json(text, path)
@@ -285,6 +291,10 @@ def load_system(path):
                 raise SpecError(f"{path}: {what} level {n} is not an array "
                                 f"of {want} entries")
 
+    # json.dumps tells apart every value that the builders might treat
+    # differently (-0.0 and 0.0, 1 and 1.0), so equal text rebuilds alike
+    if refusal is not None and refusal[:2] == (kind, json.dumps(params_doc)):
+        raise refusal[2]
     system = _rebuild(kind, params_doc, depth, path)
     views = (("levels", "segment", system.level_a, system.level_b),
              ("gaps", "gap", system.gap_c, system.gap_d))

@@ -5,10 +5,11 @@ segment by the two preimage branches of its parent, so every endpoint is
 obtained through square roots (which contract rounding error) instead of
 forward iteration (which multiplies it by ~lambda per step).  Level n holds
 2^n closed segments and the 2^(n-1) open gaps removed from C_(n-1).  Every
-endpoint survives into the deepest level N, so a system stores level N alone
-and reads each shallower level and gap off it as a strided view.  Endpoints
-are kept as numpy arrays of doubles plus double-double tails so level-20
-builds stay both fast and faithful.
+endpoint survives into the deepest level N, so a system stores level N alone,
+as one array of its endpoints in increasing order (the knots of phi_N), and
+reads each shallower level and gap off it as a strided view.  Endpoints are
+kept as numpy arrays of doubles plus double-double tails so level-20 builds
+stay both fast and faithful.
 """
 
 from dataclasses import dataclass
@@ -23,11 +24,15 @@ from .quadratic_map import _check_interval, _params_dd, expansion_bound
 # collide in doubles much sooner for every c (about depth 26 near the
 # regime edge, 25 at c = -3, 14 at c = -50 and 9 at c = -1e3), and the
 # builders refuse a system whose endpoints collide (_check_resolved).
+# Memory binds before either: a system stores 2^(N+2) doubles, 32 MB at
+# depth 20, and a depth-20 chain (model, target and the phi sharing their
+# knots) peaked at about 105 MB of RSS, 30 MB of it the interpreter.
 MAX_DEPTH = 48
 
-# Lanes per dd pass of the model build.  A level's square roots run over
-# blocks this size, whose temporaries stay in cache: one pass over a whole
-# level of 2^17 lanes was slower than two passes over its halves.
+# Lanes per dd pass of the model and target builds.  A level runs over
+# blocks this size, whose temporaries stay in cache and are not fresh
+# memory: one pass over a whole level of 2^17 lanes was slower than two
+# passes over its halves.
 _BLOCK = 1 << 13
 
 
@@ -76,28 +81,51 @@ class IntervalSystem:
     """Levels of a nested binary interval refinement, stored as its deepest
     level.
 
-    a_N / b_N hold the 2^N left/right endpoints of level N in increasing
-    order, a_lo_N / b_lo_N their double-double tails; the depth N comes
-    from their size.  Every shallower endpoint survives into level N and
-    every gap lies between two neighbouring level-N endpoints, so the
-    per-level attributes are strided views of these four arrays:
-    level_a[n] / level_b[n] are the 2^n segment endpoints of level n,
-    gap_c[n] / gap_d[n] the 2^(n-1) gaps removed from level n-1 (empty at
-    n = 0), and a_lo, b_lo, c_lo, d_lo their tails.
+    knots holds the 2^(N+1) endpoints of level N in increasing order,
+    interleaved as a_0, b_0, a_1, b_1, ..., and knots_lo their
+    double-double tails; the depth N comes from their size.  a_N / b_N
+    (the left / right endpoints) and a_lo_N / b_lo_N are its even and odd
+    entries.  Every shallower endpoint survives into level N and every gap
+    lies between two neighbouring level-N endpoints, so the per-level
+    attributes are strided views of the knots too: level_a[n] / level_b[n]
+    are the 2^n segment endpoints of level n, gap_c[n] / gap_d[n] the
+    2^(n-1) gaps removed from level n-1 (empty at n = 0), and a_lo, b_lo,
+    c_lo, d_lo their tails.  build_phi pairs two systems' level N by
+    taking their knot arrays themselves as the knots of phi_N, so a map
+    shares its arrays with the systems it pairs.
+
+    The constructor interleaves its four arrays into new knot arrays; the
+    builders allocate the knots and fill them through the views
+    (_from_knots).
     """
 
     def __init__(self, a_N, b_N, a_lo_N, b_lo_N, params=None):
         depth = a_N.size.bit_length() - 1
         if a_N.size != 1 << depth:
             raise DomainError(f"deepest level needs 2^N endpoints, got {a_N.size}")
-        self.depth = depth
+        self._store(_interleave(a_N, b_N), _interleave(a_lo_N, b_lo_N))
         self.params = params  # QuadraticParams for model systems, else None
-        self.a_N, self.b_N, self.a_lo_N, self.b_lo_N = a_N, b_N, a_lo_N, b_lo_N
+
+    @classmethod
+    def _from_knots(cls, knots, knots_lo, params=None, **attrs):
+        """A system storing the given knot arrays themselves, with params
+        and any further attributes (a target's spec and mode)."""
+        system = cls.__new__(cls)
+        system._store(knots, knots_lo)
+        system.params = params
+        system.__dict__.update(attrs)
+        return system
+
+    def _store(self, knots, knots_lo):
+        self.depth = depth = knots.size.bit_length() - 2
+        self.knots, self.knots_lo = knots, knots_lo
+        self.a_N, self.b_N = knots[0::2], knots[1::2]
+        self.a_lo_N, self.b_lo_N = knots_lo[0::2], knots_lo[1::2]
         steps = [1 << (depth - n) for n in range(depth + 1)]
-        self.level_a = tuple(a_N[::k] for k in steps)
-        self.level_b = tuple(b_N[k - 1::k] for k in steps)
-        self.a_lo = tuple(a_lo_N[::k] for k in steps)
-        self.b_lo = tuple(b_lo_N[k - 1::k] for k in steps)
+        self.level_a = tuple(self.a_N[::k] for k in steps)
+        self.level_b = tuple(self.b_N[k - 1::k] for k in steps)
+        self.a_lo = tuple(self.a_lo_N[::k] for k in steps)
+        self.b_lo = tuple(self.b_lo_N[k - 1::k] for k in steps)
         # gap n splits segment i of level n-1 into children 2i and 2i + 1:
         # it runs from the right end of child 2i to the left end of 2i + 1
         self.gap_c = _gap_views(self.level_b, 0)
@@ -172,7 +200,8 @@ def _validate_depth(depth):
 
 def _check_resolved(system, what):
     """system, once its deepest level resolves in doubles: a_N < b_N, and
-    each segment ends before the next begins (b_N[:-1] < a_N[1:]).
+    each segment ends before the next begins (b_N[:-1] < a_N[1:]), that is,
+    its knots strictly increase.
 
     Otherwise raise DomainError naming the depth and the deepest level that
     resolves.  Resolving levels run from 0 up: level n's endpoints are every
@@ -182,7 +211,8 @@ def _check_resolved(system, what):
         a, b = system.level_a[n], system.level_b[n]
         return bool((a < b).all() and (b[:-1] < a[1:]).all())
 
-    if resolves(system.depth):
+    knots = system.knots
+    if (knots[1:] > knots[:-1]).all():
         return system
     n = system.depth - 1
     while n > 0 and not resolves(n):
@@ -196,10 +226,11 @@ def build_model_system(params, depth):
     """Backward-construct the nested system C_0 .. C_depth for certified params.
 
     A level costs one dd add and one dd square root over both edges of
-    every gap at once, stacked as two rows, in blocks of _BLOCK lanes once
-    a level outgrows one.  Raises RegimeError unless the expansion bound
-    certifies lambda > 1, and DomainError for depth outside 0..MAX_DEPTH
-    or deeper than the doubles resolve (_check_resolved).
+    every gap at once, read from the knots side by side, in blocks of
+    _BLOCK lanes once a level outgrows one.  Raises RegimeError unless the
+    expansion bound certifies lambda > 1, and DomainError for depth
+    outside 0..MAX_DEPTH or deeper than the doubles resolve
+    (_check_resolved).
     """
     depth = _validate_depth(depth)
     lam, certified = expansion_bound(params)
@@ -212,33 +243,36 @@ def build_model_system(params, depth):
     c = params.c
 
     # The gaps removed at level n are the level's new endpoints: writing
-    # them through the gap views fills the deepest level.
-    system = IntervalSystem(*(np.empty(1 << depth) for _ in range(4)),
-                            params=params)
+    # them into the knots fills the deepest level.
+    system = IntervalSystem._from_knots(*np.empty((2, 2 << depth)),
+                                        params=params)
     system.level_a[0][:], system.a_lo[0][:] = -ph, -pl
     system.level_b[0][:], system.b_lo[0][:] = ph, pl
+    if depth:
+        system.gap_c[1][:], system.c_lo[1][:] = -sh, -sl
+        system.gap_d[1][:], system.d_lo[1][:] = sh, sl
 
-    # Current deepest gaps, one per current segment: row 0 holds the left
-    # edges (gap_c), row 1 the right edges (gap_d).
-    gh, gl = np.array([[-sh], [sh]]), np.array([[-sl], [sl]])
-
-    for n in range(1, depth + 1):
-        system.gap_c[n][:], system.gap_d[n][:] = gh
-        system.c_lo[n][:], system.d_lo[n][:] = gl
-        if n == depth:
-            break
-        # Preimages of the gaps just consumed become the next level's gaps:
-        # the positive branch [sqrt(u-c), sqrt(v-c)] in order, the negative
-        # branch mirrored and reversed.  Both edges take one elementwise
-        # pass, block by block, so each bit is the one a pass per edge
-        # gives.
-        rh, rl = np.empty_like(gh), np.empty_like(gl)
-        xh, xl, yh, yl = (x.reshape(-1) for x in (gh, gl, rh, rl))
-        for start in range(0, xh.size, _BLOCK):
-            b = slice(start, start + _BLOCK)
-            yh[b], yl[b] = _dd.v_sqrt(*_dd.add(xh[b], xl[b], -c, 0.0))
-        gh = np.concatenate((-rh[::-1, ::-1], rh), axis=1)
-        gl = np.concatenate((-rl[::-1, ::-1], rl), axis=1)
+    for n in range(1, depth):
+        # Preimages of level n's gaps are level n+1's: the positive branch
+        # [sqrt(u-c), sqrt(v-c)] in order, the negative branch mirrored and
+        # reversed.  Both edges of a block of gaps, read from the knots,
+        # take one elementwise pass, so each bit is the one a pass per edge
+        # gives, and the results go straight to their knots.
+        g = 1 << (n - 1)
+        for start in range(0, g, _BLOCK // 2):
+            b = slice(start, start + _BLOCK // 2)
+            r = _dd.v_sqrt(*_dd.add(
+                np.concatenate((system.gap_c[n][b], system.gap_d[n][b])),
+                np.concatenate((system.c_lo[n][b], system.d_lo[n][b])),
+                -c, 0.0))
+            k = r[0].size // 2
+            up, down = slice(g + start, g + start + k), slice(g - start - k,
+                                                               g - start)
+            for (cs, ds), x in zip(((system.gap_c, system.gap_d),
+                                    (system.c_lo, system.d_lo)), r):
+                cs[n + 1][up], ds[n + 1][up] = x[:k], x[k:]
+                np.negative(x[k:][::-1], out=cs[n + 1][down])
+                np.negative(x[:k][::-1], out=ds[n + 1][down])
 
     return _check_resolved(system, f"model c = {c!r}")
 

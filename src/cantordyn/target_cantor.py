@@ -10,12 +10,14 @@ the hull regardless of where the natural gaps sit.  Endpoint arithmetic is
 double-double throughout so stored endpoints are correctly rounded members.
 
 build_target_system refines a level at a time on arrays, with one lane per
-segment, and keeps only the current level; the last one is the deepest
-level, the only one a system stores.  Natural mode applies the split
-formulas to the whole level at once.  Strict mode runs one masked descent
-per level, the middle-third search (_find_gaps), and splits at the maximal
-gap each lane stops at; the public helpers run the search and the
-tightening (_tighten_gaps, which only tighten_gap needs) on one lane.
+segment, inside the knot arrays of the system it returns: it reads level n
+from their views and writes the gaps it removes, level n + 1's new
+endpoints, through the gap views, so it keeps no level of its own.
+Natural mode applies the split formulas to a block of _BLOCK segments at
+a time.  Strict mode runs one masked descent per level, the middle-third
+search (_find_gaps), and splits at the maximal gap each lane stops at;
+the public helpers run the search and the tightening (_tighten_gaps,
+which only tighten_gap needs) on one lane.
 All splits come from _NodeSplitter, which membership calls one node at a
 time for a float and one level at a time for an array of points.  A
 descent stops at _descent_limit(spec).  In the build a lane starts
@@ -49,8 +51,8 @@ import numpy as np
 
 from . import _dd
 from .errors import DomainError, SpecError
-from .model_cantor import (IntervalSystem, _check_resolved, _interleave,
-                           _validate_depth)
+from .model_cantor import (_BLOCK, IntervalSystem, _check_resolved,
+                           _interleave, _validate_depth)
 
 
 def _check_hull(hull):
@@ -403,7 +405,11 @@ def _descent_error(spec, verb, at, x, y):
 class TargetSystem(IntervalSystem):
     """IntervalSystem for a target Cantor set, remembering its spec and the
     build mode ("strict" follows the middle-third certificate, "natural"
-    splits at the spec's own principal gaps)."""
+    splits at the spec's own principal gaps).
+
+    Like a model system it stores level N once, as its knot arrays, and a
+    phi_N that build_phi pairs at depth N shares them.
+    """
 
     def __init__(self, spec, mode, a_N, b_N, a_lo_N, b_lo_N):
         super().__init__(a_N, b_N, a_lo_N, b_lo_N)
@@ -434,30 +440,47 @@ def build_target_system(spec, depth, mode="strict"):
                         f"build depth {depth} naturally")
     split = _NodeSplitter(spec)
     direct = _search_stops_at_own_node(spec)
-    hull = _hull_lane(spec)
-    A, B = hull[0:2], hull[2:4]
+    a, b = _check_hull(spec.hull)
+    system = TargetSystem._from_knots(*np.empty((2, 2 << depth)),
+                                      spec=spec, mode=mode)
+    system.level_a[0][:], system.level_b[0][:] = a, b
+    system.a_lo[0][:], system.b_lo[0][:] = 0.0, 0.0
     start = None  # the search's start nodes, from the first level it runs
 
+    # Level n is read from the knots' views and its gaps are written
+    # through the gap views of level n + 1, the new endpoints of level N.
+    # Split levels go block by block, each block copied to contiguous
+    # arrays first; the search takes a whole level.
     for n in range(depth):
-        m = A[0].size
-        own = (np.full(m, n), np.arange(m))  # each segment's own tree node
-        # overflow and NaN stay silent, as in float arithmetic; the split
-        # check below refuses what they produce
-        with np.errstate(over="ignore", invalid="ignore"):
-            if start is None and (mode == "natural" or direct(n, A, B)):
-                G, H = split(A, B, *own)
-                missed = np.full(m, -1)
-            else:
-                if start is None:
-                    start = (*A, *B, *own)
-                G, H, start, missed = _strict_gaps(split, A, B, start)
-            _check_splits(spec, n, A, B, G, H, missed)
-        # children of segment i are [A_i, G_i] (index 2i) and [H_i, B_i] (2i + 1)
-        A = tuple(_interleave(u, g) for u, g in zip(A, H))
-        B = tuple(_interleave(g, v) for g, v in zip(G, B))
+        m = 1 << n
+        ah, al, bh, bl = level = (system.level_a[n], system.a_lo[n],
+                                  system.level_b[n], system.b_lo[n])
+        gaps = (system.gap_c[n + 1], system.c_lo[n + 1],
+                system.gap_d[n + 1], system.d_lo[n + 1])
+        blocks = [slice(i, i + _BLOCK) for i in range(0, m, _BLOCK)]
+        search = start is not None or (mode == "strict" and not all(
+            direct(n, (ah[k], al[k]), (bh[k], bl[k])) for k in blocks))
+        for k in [slice(0, m)] if search else blocks:
+            Ch, Cl, Dh, Dl = (x[k].copy() for x in level)
+            C, D = (Ch, Cl), (Dh, Dl)
+            own = (np.full(Ch.size, n),  # the segments' own tree nodes
+                   np.arange(k.start, k.start + Ch.size))
+            # overflow and NaN stay silent, as in float arithmetic; the split
+            # check below refuses what they produce
+            with np.errstate(over="ignore", invalid="ignore"):
+                if search:
+                    if start is None:
+                        start = (*C, *D, *own)
+                    G, H, start, missed = _strict_gaps(split, C, D, start)
+                else:
+                    G, H = split(C, D, *own)
+                    missed = np.full(Ch.size, -1)
+                _check_splits(spec, n, C, D, G, H, missed)
+            # segment i's children are [C_i, G_i] and [H_i, D_i]
+            for gap, x in zip(gaps, (*G, *H)):
+                gap[k] = x
 
-    return _check_resolved(TargetSystem(spec, mode, A[0], B[0], A[1], B[1]),
-                           f"{mode} target {spec!r}")
+    return _check_resolved(system, f"{mode} target {spec!r}")
 
 
 def _pick(mask, x, y):

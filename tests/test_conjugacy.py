@@ -10,6 +10,7 @@ checked in 60-digit Decimal from p = (1 + sqrt(13))/2).
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from cantordyn import (
     AffineIFS2,
+    CantorDynError,
     DomainError,
     FatCantor,
+    IntervalSystem,
     MiddleAlpha,
     build_model_system,
     build_phi,
@@ -150,6 +153,95 @@ def test_build_phi_validation(params3, model12, thirds12, thirds):
     model1 = build_model_system(params3, 1)
     with pytest.raises(DomainError):
         build_phi(model1, thirds12, 12)
+
+
+# --- storage: phi_N shares the knot arrays of systems built N deep ---------
+
+def interleaved_level(system, N):
+    """Level N's endpoints and tails interleaved into new arrays, a_0, b_0,
+    a_1, b_1, ...: the reference for both shared and copied knots."""
+    return tuple(np.column_stack(pair).ravel()
+                 for pair in ((system.level_a[N], system.level_b[N]),
+                              (system.a_lo[N], system.b_lo[N])))
+
+
+def test_phi_shares_the_knot_arrays(model12, thirds12, phi12):
+    for got, system in (((phi12.xs, phi12.xs_lo), model12),
+                        ((phi12.ys, phi12.ys_lo), thirds12)):
+        assert np.shares_memory(got[0], system.knots)
+        assert np.shares_memory(got[1], system.knots_lo)
+        assert all(x.flags.c_contiguous for x in got)
+        for x, want in zip(got, interleaved_level(system, 12)):
+            assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("N", range(13))
+def test_phi_below_the_depth_copies_level_n(params3, thirds, model13,
+                                            thirds13, N):
+    # the knots of a deeper system are level N interleaved into new arrays,
+    # the bits a pairing of two systems built N deep gives
+    for model, target in ((model13, thirds13),
+                          (model13, build_target_system(thirds, N)),
+                          (build_model_system(params3, N), thirds13)):
+        pl = build_phi(model, target, N)
+        for (x, x_lo), system in (((pl.xs, pl.xs_lo), model),
+                                  ((pl.ys, pl.ys_lo), target)):
+            assert np.shares_memory(x, system.knots) == (system.depth == N)
+            want = interleaved_level(system, N)
+            assert (x.tobytes(), x_lo.tobytes()) == tuple(
+                w.tobytes() for w in want)
+        shallow = build_phi(build_model_system(params3, N),
+                            build_target_system(thirds, N), N)
+        assert pl.err_bound == shallow.err_bound
+        for name in ("xs", "xs_lo", "ys", "ys_lo"):
+            assert (getattr(pl, name).tobytes()
+                    == getattr(shallow, name).tobytes()), name
+
+
+@pytest.mark.parametrize("side", ["model", "target"])
+@pytest.mark.parametrize("bend", ["swap", "touch", "overlap"])
+@pytest.mark.parametrize("N", [12, 11])
+def test_hand_made_system_not_increasing_refused(model12, thirds12, side,
+                                                 bend, N):
+    # systems the builders make always increase (they refuse the others),
+    # but a system made by hand is checked when it is paired
+    system = model12 if side == "model" else thirds12
+    a, b = system.a_N.copy(), system.b_N.copy()
+    # level N's segment 1 runs from a[k] to b[2k - 1], after segment 0's
+    # right end b[k - 1]
+    k = 1 << (12 - N)
+    if bend == "swap":
+        a[k], b[2 * k - 1] = b[2 * k - 1], a[k]
+    elif bend == "touch":
+        a[k] = b[k - 1]
+    else:
+        a[k] = np.nextafter(b[k - 1], -np.inf)
+    bent = IntervalSystem(a, b, system.a_lo_N, system.b_lo_N, system.params)
+    pair = (bent, thirds12) if side == "model" else (model12, bent)
+    with pytest.raises(CantorDynError,
+                       match="^endpoint pairing is not strictly increasing$"):
+        build_phi(*pair, N)
+
+
+def test_phi_allocates_no_knots(params3, thirds):
+    # memory guard, in bytes numpy reports to tracemalloc: pairing two
+    # depth-14 systems keeps under 1% of their knot bytes and peaks under a
+    # quarter of them (copying the knots took all of them)
+    model = build_model_system(params3, 14)
+    target = build_target_system(thirds, 14, "natural")
+    knot_bytes = sum(x.nbytes for s in (model, target)
+                     for x in (s.knots, s.knots_lo))
+    build_phi(model, target, 14)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pl = build_phi(model, target, 14)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pl.xs is model.knots and pl.ys_lo is target.knots_lo
+    assert kept - before < 0.01 * knot_bytes
+    assert peak - before < 0.25 * knot_bytes
 
 
 @settings(max_examples=50, deadline=None)

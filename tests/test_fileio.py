@@ -573,6 +573,46 @@ def test_file_claiming_colliding_endpoints_refused(name, tmp_path,
         load_system(pretty)
 
 
+def test_refused_header_is_built_once(tmp_path, monkeypatch):
+    """A compact file whose header the model builder refuses is built once:
+    the full parse checks the counts and then raises the refusal that the
+    byte comparison caught, with the text the full parse alone gives."""
+    path = tmp_path / "m.json"
+    with monkeypatch.context() as m:
+        m.setattr(model_cantor, "_check_resolved", lambda system, what: system)
+        save_system(build_model_system(derive_params(-1000.0), 12), path)
+    calls = []
+
+    def counting(params, depth):
+        calls.append(depth)
+        return build_model_system(params, depth)
+
+    monkeypatch.setattr(fileio, "build_model_system", counting)
+    with pytest.raises(DomainError, match="collide in doubles") as refused:
+        load_system(path)
+    assert calls == [12]
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    with pytest.raises(DomainError) as full:
+        load_system(pretty)
+    assert str(full.value) == str(refused.value)
+    assert calls == [12, 12]
+    # the counts still come first
+    doc = json.loads(path.read_text())
+    doc["gaps"][12].pop()
+    path.write_text(compact(doc))
+    with pytest.raises(SpecError, match="gap level 12 is not an array"):
+        load_system(path)
+    assert calls == [12, 12, 12]
+    # a later "parameters" key is the one the full parse reads: it rebuilds
+    # that header, whose levels the file does not hold
+    text = compact(json.loads(pretty.read_text()))
+    path.write_text(text[:-2] + ',"parameters":{"c":-3.0,"depth":12}}\n')
+    with pytest.raises(SpecError, match="segment level 0 does not match"):
+        load_system(path)
+    assert calls == [12, 12, 12, 12, 12]
+
+
 def _paths(node, path=()):
     yield path
     items = (enumerate(node) if isinstance(node, list)

@@ -209,8 +209,18 @@ VIEWS = {
 }
 
 
+# deepest array -> (knot array, offset): the ends alternate in the knots
+KNOTS = {"a_N": ("knots", 0), "b_N": ("knots", 1),
+         "a_lo_N": ("knots_lo", 0), "b_lo_N": ("knots_lo", 1)}
+
+
 def assert_views_of_deepest(system):
     N = system.depth
+    for name, (knots, first) in KNOTS.items():
+        x, k = getattr(system, name), getattr(system, knots)
+        assert k.size == 2 << N and k.flags.c_contiguous
+        assert np.shares_memory(x, k), name
+        assert x.tobytes() == k[first::2].tobytes(), name
     for name, (deep, view) in VIEWS.items():
         levels, x = getattr(system, name), getattr(system, deep)
         assert x.size == 1 << N and len(levels) == N + 1
@@ -241,6 +251,38 @@ def test_levels_and_gaps_are_views(make, loaded, tmp_path):
             assert np.array_equal(getattr(system, name).view(np.int64),
                                   getattr(fresh, name).view(np.int64)), name
     assert_views_of_deepest(system)
+
+
+def test_constructor_interleaves_its_arrays_once():
+    # a_N = 0, 4, 8, 12, b_N = 1, 5, 9, 13, tails 2, 6, ... and 3, 7, ...
+    a, b, a_lo, b_lo = (np.arange(4.0) * 4 + i for i in range(4))
+    system = model_cantor.IntervalSystem(a, b, a_lo, b_lo)
+    assert system.depth == 2
+    assert system.knots.tolist() == [0, 1, 4, 5, 8, 9, 12, 13]
+    assert system.knots_lo.tolist() == [2, 3, 6, 7, 10, 11, 14, 15]
+    assert not any(np.shares_memory(k, x) for k in (system.knots,
+                                                     system.knots_lo)
+                   for x in (a, b, a_lo, b_lo))
+    assert_views_of_deepest(system)
+    with pytest.raises(DomainError, match="2\\^N endpoints, got 3"):
+        model_cantor.IntervalSystem(*(np.zeros(3) for _ in range(4)))
+
+
+def test_writes_through_views_alias_the_stored_level():
+    # the pattern the builders and two_pass_model fill a system with: every
+    # view writes into the one stored level, where every other view reads
+    system = model_cantor.IntervalSystem(*(np.zeros(4) for _ in range(4)))
+    system.level_a[0][:], system.a_lo[0][:] = -2.0, -0.5
+    system.level_b[0][:], system.b_lo[0][:] = 2.0, 0.5
+    system.gap_c[1][:], system.gap_d[1][:] = -1.0, 1.0
+    system.gap_c[2][:], system.gap_d[2][:] = [-1.75, 1.25], [-1.25, 1.75]
+    system.c_lo[2][:] = [1e-20, 2e-20]
+    assert system.knots.tolist() == [-2.0, -1.75, -1.25, -1.0,
+                                     1.0, 1.25, 1.75, 2.0]
+    assert system.knots_lo.tolist() == [-0.5, 1e-20, 0, 0, 0, 2e-20, 0, 0.5]
+    assert system.level_b[1].tolist() == [-1.0, 2.0]
+    assert system.gap_d[2].tolist() == [-1.25, 1.75]
+    assert system.segment(model_cantor.IntervalAddress(2, 3)) == (1.0, 1.25)
 
 
 @pytest.mark.parametrize("c", [-3.0, -2.5, -10.0])

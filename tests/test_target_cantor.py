@@ -7,6 +7,7 @@ endpoints.  Gap/tighten constants were cross-checked the same way (1/3, 2/9,
 recomputed in 60-digit Decimal from the binary64 ratios).
 """
 
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -31,7 +32,7 @@ from cantordyn import (
     tighten_gap,
 )
 from cantordyn import _dd, target_cantor
-from cantordyn.model_cantor import _interleave
+from cantordyn.model_cantor import _BLOCK, _interleave
 from cantordyn.target_cantor import (_check_splits, _cut, _descent_error,
                                      _descent_limit, _find_gaps, _hull_lane,
                                      _lane, _NodeSplitter,
@@ -878,6 +879,34 @@ def test_affine_direct_splits_end_at_the_rounding_bound():
     # the narrowest level-n segment of affine:0.3,0.2 is about 0.2^n, and
     # 1e-12 * 0.2^n >= 2^-102 * 1e15 holds for n <= 5
     assert_direct_splits_end_at(AffineIFS2(0.3, 0.2, (1e15, 1e15 + 1)), 5)
+
+
+def test_direct_splits_end_on_a_level_of_several_blocks():
+    # on (0, 2^-958.8) the narrowest level-n segment is about 3^-n times the
+    # hull, and 1e-12 * 3^-n * 2^-958.8 >= 2^-1021 holds for n <= 14: the
+    # test first fails on level 15, whose 2^15 segments span four blocks
+    assert 1 << 15 > 2 * _BLOCK
+    assert_direct_splits_end_at(middle_thirds((0.0, 2.0 ** -958.8)), 14, 16)
+
+
+def test_natural_build_peaks_near_its_output():
+    # memory guard, in bytes numpy reports to tracemalloc: the build writes
+    # each level's gaps into the knot arrays it returns and splits in
+    # blocks of _BLOCK lanes, so at depth 18 it peaks at about 1.23 times
+    # its output, the excess being about 30 arrays of one block whatever
+    # the depth (holding whole levels, as the build once did, peaked at
+    # 3.3 times)
+    build_target_system(middle_thirds(), 4, "natural")
+    tracemalloc.start()
+    try:
+        system = build_target_system(middle_thirds(), 18, "natural")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = system.knots.nbytes + system.knots_lo.nbytes
+    assert out == 2 * 8 * (2 << 18)
+    assert peak < 1.5 * out
+    assert peak - out < 40 * 8 * _BLOCK
 
 
 def test_direct_splits_skip_other_families_and_spent_levels():
