@@ -8,9 +8,9 @@ comparisons of normalized pairs are therefore plain lexicographic comparisons.
 The kernels take and return (hi, lo) pairs whose parts are floats or numpy
 arrays alike: the formulas are plain elementwise arithmetic, so one kernel
 serves a single value and the 2^n endpoints of a whole refinement level with
-the same bits.  le compares pairs with | and &, so it yields a bool or a bool
-array.  Only sqrt is scalar, because of math.sqrt and its zero test; v_sqrt
-is its array form.
+the same bits.  le and lt compare pairs with | and &, so they yield a bool or
+a bool array.  Only sqrt is scalar, because of math.sqrt and its zero test;
+v_sqrt is its array form.
 """
 
 import math
@@ -47,7 +47,12 @@ def two_prod(a, b):
 
 def add(xh, xl, yh, yl):
     sh, se = two_sum(xh, yh)
-    th, te = two_sum(xl, yl)
+    if isinstance(yl, float) and yl == 0.0:
+        # two_sum(xl, +-0.0) bit for bit: (xl + yl, +0.0) for a finite xl,
+        # NaN in both parts for an infinite or NaN one
+        th, te = xl + yl, xl - xl
+    else:
+        th, te = two_sum(xl, yl)
     vh, vl = quick_sum(sh, se + th)
     return quick_sum(vh, vl + te)
 
@@ -55,6 +60,11 @@ def add(xh, xl, yh, yl):
 def le(xh, xl, yh, yl):
     # lexicographic (hi, lo) comparison; | and & work on bools and bool arrays
     return (xh < yh) | ((xh == yh) & (xl <= yl))
+
+
+def lt(xh, xl, yh, yl):
+    # le(x, y) & ~le(y, x) on every input, NaN and signed zeros included
+    return (xh < yh) | ((xh == yh) & (xl < yl))
 
 
 def sub(xh, xl, yh, yl):

@@ -15,7 +15,9 @@ Every evaluator also takes an ndarray and then gives, lane by lane, the
 bits of the scalar call.
 """
 
+import bisect
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import _dd
 from .errors import CantorDynError, DomainError
-from .model_cantor import _interleave
+from .model_cantor import _BLOCK, _interleave
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,11 @@ def build_phi(model, target, N):
     ys, ys_lo = _level_knots(target, N)
     if not ((xs[1:] > xs[:-1]).all() and (ys[1:] > ys[:-1]).all()):
         raise CantorDynError("endpoint pairing is not strictly increasing")
-    err = float(np.max(target.level_b[N] - target.level_a[N]))
+    # the widest level-N segment, taken block by block so that no
+    # level-sized temporary is made (the maximum is exact either way)
+    a, b = target.level_a[N], target.level_b[N]
+    err = float(np.max([np.max(b[k:k + _BLOCK] - a[k:k + _BLOCK])
+                        for k in range(0, a.size, _BLOCK)]))
     return MonotonePLMap(xs=xs, ys=ys, err_bound=err, depth=N,
                          xs_lo=xs_lo, ys_lo=ys_lo)
 
@@ -136,30 +142,35 @@ def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
     shape = np.shape(xh)
     xh, xl = np.ravel(xh), np.ravel(xl)
     last = xs.size - 1
-    i = np.clip(np.searchsorted(xs, xh, side="right") - 1, 0, last)
+    i = np.maximum(xs.searchsorted(xh, side="right") - 1, 0)
     on_knot = xs[i] == xh
-    hit = on_knot & (xs_lo[i] == xl)
+    knot_lo = xs_lo[i]
+    hit = on_knot & (knot_lo == xl)
     h, l = ys[i], ys_lo[i]  # fancy indexing copies: the hits are final
     left = _dd.le(xh, xl, xs[0], xs_lo[0])
     tail = ~hit & (left | _dd.le(xs[-1], xs_lo[-1], xh, xl))
     inner = ~(hit | tail)
     with np.errstate(over="ignore", invalid="ignore"):
-        if tail.any():
-            k = np.flatnonzero(tail)
+        k = tail.nonzero()[0]
+        if k.size:
             off_l = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
             off_r = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
             lk = left[k]
             h[k], l[k] = _dd.add(xh[k], xl[k],
                                  np.where(lk, off_l[0], off_r[0]),
                                  np.where(lk, off_l[1], off_r[1]))
-        if inner.any():
-            k = np.flatnonzero(inner)
-            xh, xl, i = xh[k], xl[k], i[k]
-            j = np.clip(i - (on_knot[k] & (xl < xs_lo[i])), 0, last - 1)
-            dx = _dd.sub(xh, xl, xs[j], xs_lo[j])
-            t = _dd.div(*dx, *_dd.sub(xs[j + 1], xs_lo[j + 1], xs[j], xs_lo[j]))
-            dy = _dd.mul(*t, *_dd.sub(ys[j + 1], ys_lo[j + 1], ys[j], ys_lo[j]))
-            h[k], l[k] = _dd.add(ys[j], ys_lo[j], *dy)
+        k = inner.nonzero()[0]
+        if k.size:
+            # an inner lane's piece starts at knot 0 or later (a lane
+            # dd-below knot 0 is a tail); a NaN lane lands past the last
+            # knot and is held to the last piece
+            j = np.minimum(i - (on_knot & (xl < knot_lo)), last - 1)[k]
+            j1 = j + 1
+            ah, al, ch, cl = xs[j], xs_lo[j], ys[j], ys_lo[j]
+            dx = _dd.sub(xh[k], xl[k], ah, al)
+            t = _dd.div(*dx, *_dd.sub(xs[j1], xs_lo[j1], ah, al))
+            dy = _dd.mul(*t, *_dd.sub(ys[j1], ys_lo[j1], ch, cl))
+            h[k], l[k] = _dd.add(ch, cl, *dy)
     return h.reshape(shape), l.reshape(shape)
 
 
@@ -185,14 +196,19 @@ def _eval_double(xs, xs_lo, ys, ys_lo, x):
     public doubles are the only coordinates callers can name.  It yields the
     paired full-precision knot, and r is then the knot's public ordinate.
     An ndarray x is evaluated lane by lane with the same bits; only the
-    lanes that are not knots go through _eval_dd_array.
+    lanes that are not knots go through _eval_dd_array, the whole batch at
+    once when it holds no knot.
     """
     if isinstance(x, np.ndarray):
         shape, x = x.shape, x.ravel()
-        i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
+        i = np.minimum(xs.searchsorted(x), xs.size - 1)
+        miss = xs[i] != x
+        if miss.all():
+            h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros(x.size))
+            return h.reshape(shape), l.reshape(shape), (h + l).reshape(shape)
         h, l = ys[i], ys_lo[i]
         r = h.copy()
-        rest = np.flatnonzero(xs[i] != x)
+        rest = miss.nonzero()[0]
         if rest.size:
             rh, rl = _eval_dd_array(xs, xs_lo, ys, ys_lo, x[rest],
                                     np.zeros(rest.size))
@@ -283,37 +299,50 @@ def _random_draws(rng, k):
 
 
 def _mapping_samples(pl, model, target, samples, seed):
-    """Yield (n, xs, lo, hi) per level n <= pl.depth, segments before gaps:
-    the sampled abscissae with one row of `samples` per segment or gap and
-    the paired target interval of each row.  The draws are those of
-    rng.uniform(a, b) = a + (b - a) * rng.random(), taken in the same order,
-    each group's at once (see _random_draws).
+    """The sampled abscissae of segment_mapping_check as one batch
+    (groups, xs, lo, hi).  Its rows run over the levels n <= pl.depth,
+    segments before gaps within a level; groups lists (n, first row) for
+    each such group.  xs holds `samples` points per row and lo, hi the
+    paired target interval of each row.  The draws are those of
+    rng.uniform(a, b) = a + (b - a) * rng.random(), taken in the same
+    order, all at once (see _random_draws: getrandbits hands the words of
+    one long call out as consecutive calls would).
     """
-    rng = random.Random(seed)
+    quads, groups, rows = [], [], 0
     for n in range(pl.depth + 1):
-        pairs = [(model.level_a[n], model.level_b[n],
+        level = [(model.level_a[n], model.level_b[n],
                   target.level_a[n], target.level_b[n])]
         if n > 0:
-            pairs.append((model.gap_c[n], model.gap_d[n],
+            level.append((model.gap_c[n], model.gap_d[n],
                           target.gap_c[n], target.gap_d[n]))
-        for ma, mb, ta, tb in pairs:
-            u = _random_draws(rng, ma.size * samples).reshape(ma.size,
-                                                              samples)
-            yield n, ma[:, None] + (mb - ma)[:, None] * u, ta, tb
+        for quad in level:
+            groups.append((n, rows))
+            rows += quad[0].size
+        quads += level
+    ma, mb, lo, hi = (np.concatenate(col) for col in zip(*quads))
+    rng = random.Random(seed)
+    u = _random_draws(rng, rows * samples).reshape(rows, samples)
+    return groups, ma[:, None] + (mb - ma)[:, None] * u, lo, hi
 
 
 def segment_mapping_check(pl, model, target, samples, seed=0):
-    """Sample points inside every segment and gap through level N and verify
-    phi maps each into the paired target segment or gap.  One eval_phi
-    call maps the samples of every level."""
-    groups = list(_mapping_samples(pl, model, target, samples, seed))
-    images = eval_phi(pl, np.concatenate([xs.ravel() for _, xs, _, _ in groups]))
-    checked = 0
+    """Sample `samples` points inside every segment and gap through level N
+    and verify phi maps each into the paired target segment or gap.  One
+    eval_phi call maps the samples of every level.  DomainError unless
+    samples is a non-negative integer."""
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        msg = f"samples must be an integer, got {samples!r}"
+        raise DomainError(msg) from None
+    if samples < 0:
+        raise DomainError(f"samples must be >= 0, got {samples}")
+    groups, xs, lo, hi = _mapping_samples(pl, model, target, samples, seed)
+    ys = eval_phi(pl, xs)
+    inside = (lo[:, None] <= ys) & (ys <= hi[:, None])
+    starts = [first for _, first in groups]
     bad = []
-    for n, xs, lo, hi in groups:
-        ys = images[checked:checked + xs.size].reshape(xs.shape)
-        checked += xs.size
-        inside = (lo[:, None] <= ys) & (ys <= hi[:, None])
-        for j, k in zip(*np.nonzero(~inside)):
-            bad.append((n, int(j), xs[j, k], ys[j, k]))
-    return MappingReport(samples_checked=checked, violations=tuple(bad))
+    for r, k in zip(*np.nonzero(~inside)):
+        n, first = groups[bisect.bisect_right(starts, r) - 1]
+        bad.append((n, int(r - first), xs[r, k], ys[r, k]))
+    return MappingReport(samples_checked=xs.size, violations=tuple(bad))

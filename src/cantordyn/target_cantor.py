@@ -499,7 +499,7 @@ def _check_splits(spec, n, U, V, G, H, missed):
     strict search that reached the descent limit (missed, see _strict_gaps;
     all -1 in natural mode), else a degenerate split."""
     # strict U < G and H < V, false on NaN like tuple comparison
-    ok = (_dd.le(*U, *G) & ~_dd.le(*G, *U)) & (_dd.le(*H, *V) & ~_dd.le(*V, *H))
+    ok = _dd.lt(*U, *G) & _dd.lt(*H, *V)
     bad = ~ok | (missed >= 0)
     if not bad.any():
         return

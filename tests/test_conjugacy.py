@@ -43,6 +43,7 @@ from cantordyn.conjugacy import (
     _eval_double,
     _mapping_samples,
 )
+from cantordyn.model_cantor import _BLOCK
 
 THIRD = 0.3333333333333333
 TWO_THIRDS = 0.6666666666666666
@@ -147,6 +148,21 @@ def test_segment_mapping(phi12, model12, thirds12):
     assert report.samples_checked == 2 * (n_segs + n_gaps)
 
 
+@pytest.mark.parametrize("samples", [-1, -(2**70), 2.5, 2.0, "3", None])
+def test_segment_mapping_refuses_bad_samples(phi12, model12, thirds12,
+                                             samples):
+    with pytest.raises(DomainError, match="^samples must be"):
+        segment_mapping_check(phi12, model12, thirds12, samples)
+
+
+def test_segment_mapping_takes_any_integer_samples(phi12, model12, thirds12):
+    want = segment_mapping_check(phi12, model12, thirds12, 2, seed=3)
+    assert segment_mapping_check(phi12, model12, thirds12, np.int64(2),
+                                 seed=3) == want
+    none = segment_mapping_check(phi12, model12, thirds12, 0)
+    assert none.samples_checked == 0 and none.ok
+
+
 def test_build_phi_validation(params3, model12, thirds12, thirds):
     with pytest.raises(DomainError):
         build_phi(model12, thirds12, 13)  # deeper than built
@@ -225,23 +241,28 @@ def test_hand_made_system_not_increasing_refused(model12, thirds12, side,
 
 def test_phi_allocates_no_knots(params3, thirds):
     # memory guard, in bytes numpy reports to tracemalloc: pairing two
-    # depth-14 systems keeps under 1% of their knot bytes and peaks under a
-    # quarter of them (copying the knots took all of them)
-    model = build_model_system(params3, 14)
-    target = build_target_system(thirds, 14, "natural")
-    knot_bytes = sum(x.nbytes for s in (model, target)
-                     for x in (s.knots, s.knots_lo))
-    build_phi(model, target, 14)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        pl = build_phi(model, target, 14)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert pl.xs is model.knots and pl.ys_lo is target.knots_lo
-    assert kept - before < 0.01 * knot_bytes
-    assert peak - before < 0.25 * knot_bytes
+    # systems keeps under 1% of their knot bytes and peaks under a tenth
+    # of them.  A level-sized temporary takes an eighth (copying the knots
+    # took all of them); at depths 14 and 16 level N spans 2 and 8 blocks.
+    for depth in (14, 16):
+        assert 1 << depth >= 2 * _BLOCK
+        model = build_model_system(params3, depth)
+        target = build_target_system(thirds, depth, "natural")
+        knot_bytes = sum(x.nbytes for s in (model, target)
+                         for x in (s.knots, s.knots_lo))
+        build_phi(model, target, depth)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pl = build_phi(model, target, depth)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pl.xs is model.knots and pl.ys_lo is target.knots_lo
+        assert pl.err_bound == float(np.max(target.level_b[depth]
+                                            - target.level_a[depth]))
+        assert kept - before < 0.01 * knot_bytes
+        assert peak - before < 0.1 * knot_bytes, depth
 
 
 @settings(max_examples=50, deadline=None)
@@ -432,9 +453,8 @@ def test_segment_mapping_matches_loop(phi12, model12, thirds12):
     report = segment_mapping_check(phi12, model12, thirds12, samples=2, seed=7)
     ref, drawn = segment_mapping_loop(phi12, model12, thirds12, 2, 7)
     assert report == ref
-    xs = np.concatenate([x.ravel() for _, x, _, _ in
-                         _mapping_samples(phi12, model12, thirds12, 2, 7)])
-    assert same_bits(xs, drawn)
+    _, xs, _, _ = _mapping_samples(phi12, model12, thirds12, 2, 7)
+    assert same_bits(xs.ravel(), drawn)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 3])
@@ -448,9 +468,8 @@ def test_segment_mapping_draws_match_loop_at_depths_0_to_8(params3, thirds,
         pl = build_phi(model, target, depth)
         ref, drawn = segment_mapping_loop(pl, model, target, 3, seed)
         assert segment_mapping_check(pl, model, target, 3, seed) == ref
-        xs = np.concatenate([x.ravel() for _, x, _, _ in
-                             _mapping_samples(pl, model, target, 3, seed)])
-        assert same_bits(xs, drawn), depth
+        _, xs, _, _ = _mapping_samples(pl, model, target, 3, seed)
+        assert same_bits(xs.ravel(), drawn), depth
 
 
 def test_segment_mapping_violations_match_loop(model12, thirds12):
@@ -546,6 +565,23 @@ def test_eval_dd_array_matches_frozen_oracle(oracle_cases):
             got = _eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
             want = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def test_eval_dd_array_non_finite_lanes_match_frozen_oracle(phi12):
+    """inf, -inf and NaN in either part, beside finite lanes, on and off
+    the knots: every lane's piece stays in range and each lane gives the
+    oracle's value, any NaN counting as NaN."""
+    args = (phi12.xs, phi12.xs_lo, phi12.ys, phi12.ys_lo)
+    special = [np.inf, -np.inf, np.nan]
+    his = np.array(special + [phi12.xs[0], phi12.xs[7], phi12.xs[-1], 0.25])
+    xh, xl = (a.ravel() for a in np.meshgrid(his, special + [0.0, 1e-30]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _eval_dd_array(*args, xh, xl)
+        want = reference_eval_dd_array(*args, xh, xl)
+    for g, w in zip(got, want):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert same_bits(g[~nan], w[~nan])
 
 
 def test_eval_double_all_knots_reads_the_table(phi12):
