@@ -327,9 +327,10 @@ def _mapping_samples(pl, model, target, samples, seed):
 
 def segment_mapping_check(pl, model, target, samples, seed=0):
     """Sample `samples` points inside every segment and gap through level N
-    and verify phi maps each into the paired target segment or gap.  One
-    eval_phi call maps the samples of every level.  DomainError unless
-    samples is a non-negative integer."""
+    and verify phi maps each into the paired target segment or gap.  The
+    samples of every level are drawn as one batch and mapped by eval_phi
+    _BLOCK rows at a time, so that its temporaries stay the size of a
+    block.  DomainError unless samples is a non-negative integer."""
     try:
         samples = operator.index(samples)
     except TypeError:
@@ -338,11 +339,13 @@ def segment_mapping_check(pl, model, target, samples, seed=0):
     if samples < 0:
         raise DomainError(f"samples must be >= 0, got {samples}")
     groups, xs, lo, hi = _mapping_samples(pl, model, target, samples, seed)
-    ys = eval_phi(pl, xs)
-    inside = (lo[:, None] <= ys) & (ys <= hi[:, None])
     starts = [first for _, first in groups]
     bad = []
-    for r, k in zip(*np.nonzero(~inside)):
-        n, first = groups[bisect.bisect_right(starts, r) - 1]
-        bad.append((n, int(r - first), xs[r, k], ys[r, k]))
+    for top in range(0, len(xs), _BLOCK):
+        rows = slice(top, top + _BLOCK)
+        ys = eval_phi(pl, xs[rows])
+        inside = (lo[rows, None] <= ys) & (ys <= hi[rows, None])
+        for r, k in zip(*np.nonzero(~inside)):
+            n, first = groups[bisect.bisect_right(starts, top + r) - 1]
+            bad.append((n, int(top + r - first), xs[top + r, k], ys[r, k]))
     return MappingReport(samples_checked=xs.size, violations=tuple(bad))

@@ -9,25 +9,29 @@ IntervalSystem), so the writer renders the deepest level's ends once and
 slices every level and gap out of those strings.  A system symmetric about
 0 bit for bit (every model, and any target whose ends happen to mirror)
 has its left ends rendered alone: each right end is a left end negated, so
-its string is that one's with a leading "-" toggled.  The loader reads the
-header (kind, parameters, depth), checks the level and gap counts,
-rebuilds the system with build_model_system or build_target_system, and
-refuses the file unless every stored level and gap reads exactly as the
-writer renders the rebuild.  A loaded system is therefore the builder's
-own, double-double tails included.
+its string is that one's with a leading "-" toggled.  The writer makes the
+document as a sequence of pieces, the header and then each level and gap
+array in pieces of at most _BLOCK pairs, and save_system writes each piece
+as it is made, so the document's text is never held whole.  The loader
+reads the header (kind, parameters, depth), checks the level and gap
+counts, rebuilds the system with build_model_system or
+build_target_system, and refuses the file unless every stored level and
+gap reads exactly as the writer renders the rebuild.  A loaded system is
+therefore the builder's own, double-double tails included.
 
 The loader first tries the bytes.  When the file starts as the writer
 starts one, it parses only the parameters object, rebuilds, and returns
-the rebuild if the writer's text for it equals the file's text.  Anything
-else (another layout, an error on the way, a mismatch) goes to the full
-parse and the level-by-level comparison, fed the same text.  The two
-agree: a file equal to the writer's text of a rebuild is one the full
-comparison accepts, returning that same rebuild, since save -> load ->
-save is the identity; so the files accepted, the systems returned and
-every error stay those of the full comparison.  When the builders refuse
-the parameters, the full parse still checks the counts first, and then
-raises the refusal already caught, if its own header reads the same,
-instead of building again.
+the rebuild if the writer's text for it equals the file's text, compared
+piece by piece at each piece's offset in the file's text, with no copy of
+either.  Anything else (another layout, an error on the way, a mismatch)
+goes to the full parse and the level-by-level comparison, fed the same
+text.  The two agree: a file equal to the writer's text of a rebuild is
+one the full comparison accepts, returning that same rebuild, since save
+-> load -> save is the identity; so the files accepted, the systems
+returned and every error stay those of the full comparison.  When the
+builders refuse the parameters, the full parse still checks the counts
+first, and then raises the refusal already caught, if its own header
+reads the same, instead of building again.
 """
 
 import csv
@@ -37,7 +41,7 @@ import math
 import numpy as np
 
 from .errors import CantorDynError, DomainError, SpecError
-from .model_cantor import build_model_system
+from .model_cantor import _BLOCK, build_model_system
 from .orbit_engine import mandelbrot_grid
 from .quadratic_map import derive_params
 from .target_cantor import (AffineIFS2, ExplicitGapTree, FatCantor,
@@ -66,15 +70,14 @@ _FAMILIES = {
 
 
 def _spec_doc(spec):
-    hull = [float(h) for h in spec.hull]
     if isinstance(spec, ExplicitGapTree):
-        return {"family": "gap-tree", "hull": hull,
+        return {"family": "gap-tree", "hull": [float(h) for h in spec.hull],
                 "levels": [[[float(g), float(h)] for g, h in level]
                            for level in spec.levels]}
     for fam, (cls, fields) in _FAMILIES.items():
         if isinstance(spec, cls):
             return {"family": fam, **{k: getattr(spec, k) for k in fields},
-                    "hull": hull}
+                    "hull": [float(h) for h in spec.hull]}
     raise DomainError(f"cannot serialize spec of type {type(spec).__name__}")
 
 
@@ -129,10 +132,18 @@ def _system_header(system):
     return {"format": SYSTEM_FORMAT, "kind": kind, "parameters": parameters}
 
 
-def _pair_array(xs, ys):
-    """The compact JSON array of the pairs [x, y], from rendered reals."""
-    pairs = list(map(",".join, zip(xs, ys)))
-    return "[[" + "],[".join(pairs) + "]]" if pairs else "[]"
+def _pair_pieces(xs, ys, end):
+    """The compact JSON array of the pairs [x, y] that zip(xs, ys) makes,
+    from rendered reals, and then end: in pieces of at most _BLOCK pairs,
+    end closing the last."""
+    size = min(len(xs), len(ys))
+    if not size:
+        yield "[]" + end
+    for k in range(0, size, _BLOCK):
+        pairs = map(",".join, zip(xs[k:k + _BLOCK], ys[k:k + _BLOCK]))
+        last = k + _BLOCK >= size
+        yield (("],[" if k else "[[") + "],[".join(pairs)
+               + ("]]" + end if last else ""))
 
 
 def _write_json(doc, path):
@@ -140,15 +151,21 @@ def _write_json(doc, path):
         f.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
-def _render_system(system):
-    """The cantor-system/1 text of a model or target system.
+def _system_pieces(system):
+    """The cantor-system/1 text of a model or target system, in pieces.
 
-    The header goes through json.dumps.  The levels and gaps are strided
-    views of the deepest level (see IntervalSystem), so its a and b ends are
-    rendered once, with repr (the float.__repr__ that json.dumps uses for
-    finite reals), and every level and gap is sliced out of those strings
-    with the views' strides: the text is the compact json.dumps of the
-    whole document, byte for byte, and a newline.
+    The first piece is the header, rendered by json.dumps, up to the
+    opening of the levels.  The level arrays follow, then the gap arrays,
+    each in pieces of at most _BLOCK pairs, and the last piece closes the
+    document.  Joined, the pieces are the compact json.dumps of the whole
+    document, byte for byte, and a newline.  The header is built when the
+    first piece is asked for, so a system that cannot be serialized raises
+    there.
+
+    The levels and gaps are strided views of the deepest level (see
+    IntervalSystem), so its a and b ends are rendered once, with repr (the
+    float.__repr__ that json.dumps uses for finite reals), and every level
+    and gap is sliced out of those strings with the views' strides.
 
     When b_N is -a_N reversed as bit patterns (the system mirrors about 0,
     as every model does), only a_N goes through repr: b's strings are a's
@@ -157,6 +174,7 @@ def _render_system(system):
     included.  NaN, whose repr carries no sign, takes the repr of both.
     """
     head = json.dumps(_system_header(system), separators=(",", ":"))
+    yield f'{head[:-1]},"levels":['
     a_N, b_N = system.a_N, system.b_N
     a = list(map(repr, a_N.tolist()))
     if (np.array_equal(a_N.view(np.int64), (-b_N[::-1]).view(np.int64))
@@ -164,25 +182,33 @@ def _render_system(system):
         b = [s[1:] if s[0] == "-" else "-" + s for s in reversed(a)]
     else:
         b = list(map(repr, b_N.tolist()))
-    levels, gaps = [], []
-    for n in range(system.depth + 1):
-        k = 1 << (system.depth - n)
-        level_a, level_b = a[::k], b[k - 1::k]
-        levels.append(_pair_array(level_a, level_b))
-        gaps.append(_pair_array(level_b[0::2], level_a[1::2]))
-    return (f'{head[:-1]},"levels":[{",".join(levels)}],'
-            f'"gaps":[{",".join(gaps)}]}}\n')
+    depth = system.depth
+    for n in range(depth + 1):
+        k = 1 << (depth - n)
+        yield from _pair_pieces(a[::k], b[k - 1::k],
+                                "," if n < depth else '],"gaps":[')
+    for n in range(depth + 1):
+        # gap j of level n runs from segment 2j's b end to segment 2j+1's a
+        k = 1 << (depth - n)
+        yield from _pair_pieces(b[k - 1::2 * k], a[k::2 * k],
+                                "," if n < depth else "]}\n")
 
 
 def save_system(system, path):
     """Write a cantor-system/1 document for a model or target system.
 
-    The file holds _render_system's text, the compact json.dumps of the
-    document; load_system compares a file's text with it before parsing.
+    The file holds the compact json.dumps of the document, written piece by
+    piece as _system_pieces renders it, so the whole text is never held;
+    load_system compares a file's text with the same pieces before parsing.
+    The header is built before the file is opened: a system that cannot be
+    serialized (a model without parameters, a spec of no known family)
+    raises DomainError and leaves no file.
     """
-    text = _render_system(system)
+    pieces = _system_pieces(system)
+    head = next(pieces)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+        f.write(head)
+        f.writelines(pieces)
 
 
 def _read_text(path):
@@ -214,8 +240,11 @@ def _load_as_written(text, path):
     writer's prefix, and checked as load_system checks it.  A writer-made
     depth-N file lists 3 * 2^N - 2 pairs (2^(N+1) - 1 segments and 2^N - 1
     gaps), each at least as long as "[0.0,0.0],", so a depth that needs
-    more text than there is is not built.  Any other text leaves the file
-    to load_system's full parse to refuse or accept.  When the checks or
+    more text than there is is not built.  The rebuild's text is compared
+    with the file's piece by piece as _system_pieces renders it, each piece
+    in place at its offset in text, so neither is ever copied whole; the
+    first piece that differs ends the comparison.  Any other text leaves the
+    file to load_system's full parse to refuse or accept.  When the checks or
     the builders refuse the parameters, refusal is (kind, parameters as
     json.dumps renders them, the error), so that the full parse raises that
     error instead of building the same parameters again; otherwise it is
@@ -239,7 +268,12 @@ def _load_as_written(text, path):
         system = _rebuild(kind, params_doc, depth, path)
     except CantorDynError as exc:
         return None, (kind, json.dumps(params_doc), exc)
-    return (system if _render_system(system) == text else None), None
+    pos = 0
+    for piece in _system_pieces(system):
+        if not text.startswith(piece, pos):
+            return None, None
+        pos += len(piece)
+    return (system if pos == len(text) else None), None
 
 
 def load_system(path):
@@ -256,8 +290,11 @@ def load_system(path):
 
     A file whose text is exactly save_system's text for the system its
     header names is returned without parsing the levels and gaps (see
-    _load_as_written); every other file is parsed and compared in full.
-    Both give the same system, and only the full comparison refuses.
+    _load_as_written): the writer's pieces for the rebuild are compared
+    with the file's text in place, one at a time, so the rebuild's text is
+    never held whole.  Every other file, the first differing piece on, is
+    parsed and compared in full.  Both give the same system, and only the
+    full comparison refuses.
     """
     text = _read_text(path)
     system, refusal = _load_as_written(text, path)
@@ -419,14 +456,17 @@ def export_escape_image(region, width, height, max_iter, path, bailout=2.0):
     region = (re_min, re_max, im_min, im_max); pixels sample cell centers,
     rows top to bottom.  Interior points are black, escapes are colored by
     PALETTE[(iteration - 1) % 16].
+
+    The pixels are one gather from a table of colours by count, written
+    from the gathered array itself.  The table runs to the largest count
+    in the image, at most max_iter, plus a black last row that the count
+    -1 of interior points reads.
     """
     counts = mandelbrot_grid(region, width, height, max_iter, bailout=bailout)
-    rgb = np.zeros(counts.shape + (3,), dtype=np.uint8)
-    escaped = counts > 0
-    if np.any(escaped):
-        pal = np.array(PALETTE, dtype=np.uint8)
-        rgb[escaped] = pal[(counts[escaped] - 1) % 16]
+    top = max(int(counts.max()), 0)
+    lut = np.zeros((top + 2, 3), dtype=np.uint8)
+    lut[1:top + 1] = np.resize(np.array(PALETTE, dtype=np.uint8), (top, 3))
     header = f"P6\n{counts.shape[1]} {counts.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as f:
         f.write(header)
-        f.write(rgb.tobytes())
+        f.write(lut[counts])

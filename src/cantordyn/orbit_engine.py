@@ -279,6 +279,14 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
     operations in the same order whichever lanes share their arrays, so
     every count is unchanged by when compaction happens.
 
+    The grid is rendered in bands of whole rows, _BAND pixels or fewer each
+    (one row at least), one band after another, so that the loop's arrays
+    take a few MB however large the grid is; only the int32 counts span it
+    all.  No lane's arithmetic reads another lane's, and each band runs the
+    steps from n = 1 with the certificate at the same checkpoints, so a
+    band computes the counts the whole grid would: like the compaction, the
+    band size changes no count.
+
     A lane is also retired, as inside, once a certificate proves that its
     orbit under the float step F the loop computes can never pass the
     bailout.  Let f(z) = z^2 + c and u = 2^-53.  For |z| <= 1/2 and
@@ -334,36 +342,71 @@ def mandelbrot_grid(region, width, height, max_iter, bailout=2.0):
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise DomainError(f"region must be finite with finite pixel centres, "
                           f"got {(re_min, re_max, im_min, im_max)!r}")
-    cr = np.tile(re, height)
-    ci = np.repeat(im, width)
     out = np.full(height * width, -1, dtype=np.int32)
-    zr = np.zeros_like(cr)
-    zi = np.zeros_like(ci)
-    live = np.arange(out.size)
+    rows = max(1, _BAND // width)
+    for r in range(0, height, rows):
+        band = im[r:r + rows]
+        _escape_band(np.tile(re, band.size), np.repeat(band, width),
+                     out[r * width:(r + band.size) * width], max_iter, b2)
+    return out.reshape(height, width)
+
+
+# pixels per band of mandelbrot_grid, rounded down to whole rows (one row
+# at least): enough for numpy's per-call overhead to stay small beside the
+# arithmetic, few enough for the band's arrays to stay a few MB
+_BAND = 40000
+
+
+def _escape_band(cr, ci, out, max_iter, b2):
+    """mandelbrot_grid's loop over the pixels c = cr + i ci of one band,
+    writing their counts into out, a view of the grid filled with -1.
+
+    Each step writes into arrays made once per band (and cut to the live
+    lanes at each compaction): z's new parts go into the buffers that held
+    its previous parts, which stay at hand as w for the certificate, and
+    the squares zr*zr and zi*zi that the escape test takes are the next
+    step's squares.  Those are the products the step would compute again,
+    so every bit is that of (zr*zr - zi*zi + cr, 2.0*zr*zi + ci).
+    """
+    m = cr.size
+    zr, zi, rr, ii = (np.zeros(m) for _ in range(4))
+    wr, wi, t = np.empty(m), np.empty(m), np.empty(m)
+    big = np.empty(m, dtype=bool)
+    live = np.arange(m)
     retired = 0
     trap = b2 >= 1.0
     for n in range(1, max_iter + 1):
-        w = (zr, zi) if trap and n % 8 == 0 else None
-        zr, zi = zr * zr - zi * zi + cr, 2.0 * zr * zi + ci
-        esc = np.flatnonzero(zr * zr + zi * zi > b2)
-        out[live[esc]] = n
-        if w is not None:
-            held = np.flatnonzero(_trapped(*w, zr, zi))
+        wr, zr, wi, zi = zr, wr, zi, wi
+        np.multiply(wr, 2.0, out=zi)
+        np.multiply(zi, wi, out=zi)
+        np.add(zi, ci, out=zi)
+        np.subtract(rr, ii, out=zr)
+        np.add(zr, cr, out=zr)
+        np.multiply(zr, zr, out=rr)
+        np.multiply(zi, zi, out=ii)
+        np.add(rr, ii, out=t)
+        esc = np.flatnonzero(np.greater(t, b2, out=big))
+        if esc.size:
+            out[live[esc]] = n
+        if trap and n % 8 == 0:
+            held = np.flatnonzero(_trapped(wr, wi, zr, zi))
             held = held[out[live[held]] < 0]
             out[live[held]] = 0
             esc = np.concatenate((esc, held))
         if esc.size:
-            zr[esc] = zi[esc] = cr[esc] = ci[esc] = 0.0
+            for x in (zr, zi, rr, ii, cr, ci):
+                x[esc] = 0.0
             retired += esc.size
             if retired == live.size:
                 break
             if 4 * retired > live.size:
                 keep = out[live] < 0
-                live, zr, zi = live[keep], zr[keep], zi[keep]
-                cr, ci = cr[keep], ci[keep]
+                live, zr, zi, rr, ii, cr, ci = (
+                    x[keep] for x in (live, zr, zi, rr, ii, cr, ci))
+                m = live.size
+                wr, wi, t, big = wr[:m], wi[:m], t[:m], big[:m]
                 retired = 0
     out[out == 0] = -1
-    return out.reshape(height, width)
 
 
 # E and M of mandelbrot_grid's certificate: a bound on the rounding error of

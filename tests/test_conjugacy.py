@@ -35,7 +35,7 @@ from cantordyn import (
     middle_thirds,
     segment_mapping_check,
 )
-from cantordyn import _dd
+from cantordyn import _dd, conjugacy
 from cantordyn.conjugacy import (
     MappingReport,
     _eval_dd,
@@ -481,6 +481,39 @@ def test_segment_mapping_violations_match_loop(model12, thirds12):
     ref, _ = segment_mapping_loop(pl, model12, other, 3, 1)
     assert report.violations and report == ref
     assert repr(report.violations) == repr(ref.violations)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_sliced_mapping_check_matches_loop(monkeypatch, model12, thirds12,
+                                           block):
+    """With blocks of a few rows, the slices split groups and levels at odd
+    places; the violations keep the loop's order, rows and values."""
+    pl = build_phi(model12, thirds12, 5)
+    other = build_target_system(FatCantor(0.3, 0.5), 5, mode="natural")
+    ref, _ = segment_mapping_loop(pl, model12, other, 3, 1)
+    monkeypatch.setattr(conjugacy, "_BLOCK", block)
+    report = segment_mapping_check(pl, model12, other, samples=3, seed=1)
+    assert report.violations and report == ref
+    assert repr(report.violations) == repr(ref.violations)
+
+
+def test_mapping_check_memory_stays_near_its_draws(params3, thirds):
+    # memory guard, in bytes numpy reports to tracemalloc: at depth 16 with
+    # 4 samples (786 424 of them) the check peaks under 64 bytes a sample.
+    # The batch of draws and its abscissae take about 32; evaluating the
+    # whole batch at once peaked at about 266.
+    model = build_model_system(params3, 16)
+    target = build_target_system(thirds, 16, "natural")
+    pl = build_phi(model, target, 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = segment_mapping_check(pl, model, target, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.samples_checked == 4 * (3 << 16) - 8
+    assert peak - before < 64 * report.samples_checked
 
 
 # _eval_dd_array and the array branch of _eval_double as they were when

@@ -12,6 +12,7 @@ import json
 import math
 import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from cantordyn import (
     cobweb_trace,
     derive_params,
     mandelbrot_escape,
+    mandelbrot_grid,
     middle_thirds,
 )
 from cantordyn import fileio, model_cantor, target_cantor
@@ -304,6 +306,126 @@ def test_nan_ends_render_as_repr(tmp_path):
     path = tmp_path / "s.json"
     save_system(system, path)
     assert path.read_text().endswith(',"levels":[[[nan,nan]]],"gaps":[[]]}\n')
+
+
+@pytest.mark.parametrize("block", [1, 3, 4])
+@pytest.mark.parametrize("name", ["model-3.0", "affine-natural"])
+def test_pieces_of_any_size_keep_the_bytes(name, block, tmp_path,
+                                           monkeypatch):
+    """With pieces of a few pairs, levels and gaps split at odd places and
+    on their edges.  Each array comes in ceil(pairs / block) pieces (an
+    empty one in one), the file keeps the reference writer's bytes, and it
+    loads back through the piece-by-piece comparison alone."""
+    monkeypatch.setattr(fileio, "_BLOCK", block)
+
+    def refuse(*args):
+        raise AssertionError("parsed the whole document")
+
+    monkeypatch.setattr(fileio, "_parse_json", refuse)
+    path = tmp_path / "s.json"
+    for depth in range(7):
+        system = ORACLE_SYSTEMS[name](depth)
+        pieces = list(fileio._system_pieces(system))
+        sizes = [1 << n for n in range(depth + 1)] + [
+            (1 << n) >> 1 for n in range(depth + 1)]
+        assert len(pieces) == 1 + sum(max(1, -(-m // block)) for m in sizes)
+        save_system(system, path)
+        assert path.read_text(encoding="utf-8") == reference_save_text(system)
+        assert "".join(pieces) == reference_save_text(system)
+        assert same_system(load_system(path), system), depth
+
+
+def test_refused_save_leaves_no_file(tmp_path):
+    """The header is built before the file is opened: a system that cannot
+    be serialized leaves no file, and an existing one as it was."""
+    model = build_model_system(derive_params(-3.0), 4)
+    target = build_target_system(middle_thirds(), 4)
+    bare = IntervalSystem(model.a_N, model.b_N, model.a_lo_N, model.b_lo_N)
+    odd = TargetSystem(object(), "strict", target.a_N, target.b_N,
+                       target.a_lo_N, target.b_lo_N)
+    path = tmp_path / "s.json"
+    for system, match in ((bare, "carries no parameters"),
+                          (odd, "cannot serialize spec of type object")):
+        with pytest.raises(DomainError, match=match):
+            save_system(system, path)
+        assert not path.exists()
+        path.write_bytes(b"kept")
+        with pytest.raises(DomainError, match=match):
+            save_system(system, path)
+        assert path.read_bytes() == b"kept"
+        path.unlink()
+
+
+def test_change_in_the_last_piece_gets_the_full_parse_error(tmp_path,
+                                                            monkeypatch):
+    """A writer-made depth-14 model with its last gap end one ulp up differs
+    from the rebuild's text in the last piece alone; the comparison hands
+    it to the full parse, which names the level."""
+    system = build_model_system(derive_params(-3.0), 14)
+    path = tmp_path / "m.json"
+    save_system(system, path)
+    text = path.read_text()
+    last = list(fileio._system_pieces(system))[-1]
+    end = float(system.gap_d[14][-1])
+    tail = f"{end!r}]]]}}\n"
+    assert text.endswith(tail) and len(tail) < len(last) < len(text) // 4
+    path.write_text(text[:-len(tail)]
+                    + f"{float(np.nextafter(end, 0.0))!r}]]]}}\n")
+    parses = []
+
+    def counting(text, path):
+        parses.append(path)
+        return json.loads(text)
+
+    monkeypatch.setattr(fileio, "_parse_json", counting)
+    with pytest.raises(SpecError) as refused:
+        load_system(path)
+    assert parses == [path]
+    assert str(refused.value) == (f"{path}: gap level 14 does not match the "
+                                  f"system rebuilt from its parameters")
+
+
+def test_text_past_the_last_piece_goes_to_the_full_parse(tmp_path):
+    """Text after a writer-made document is not the writer's: the full parse
+    takes the file, accepting trailing whitespace and refusing anything
+    else."""
+    system = build_model_system(derive_params(-3.0), 6)
+    path = tmp_path / "m.json"
+    save_system(system, path)
+    text = path.read_text()
+    path.write_text(text + " \n")
+    assert same_system(load_system(path), system)
+    path.write_text(text + "[]")
+    with pytest.raises(SpecError, match="Extra data"):
+        load_system(path)
+
+
+def _traced_peak(call, *args):
+    """The peak of the bytes tracemalloc sees allocated during call(*args),
+    above those held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_model_system(derive_params(-3.0), 16),
+    lambda: build_target_system(middle_thirds(), 16, "natural")],
+    ids=["model", "middle-thirds"])
+def test_save_and_load_peak_near_the_file_size(make, tmp_path):
+    # memory guard, in bytes tracemalloc sees: at depth 16 (about 8 MB of
+    # text) save peaks under 2 times the file's size and load, which also
+    # rebuilds the system, under 3.5 times.  Holding the whole text took 4.4
+    # and 5.6 times.
+    system = make()
+    path = tmp_path / "s.json"
+    assert _traced_peak(save_system, system, path) < 2 * path.stat().st_size
+    del system
+    assert _traced_peak(load_system, path) < 3.5 * path.stat().st_size
 
 
 # header and entry edits, with the error load_system must raise for each
@@ -840,6 +962,20 @@ class TestEscapeImage:
         path = tmp_path / "out.ppm"
         export_escape_image((0.5, 1.5, -0.5, 0.5), 1, 1, 100, path)
         assert tuple(path.read_bytes()[-3:]) == PALETTE[(3 - 1) % 16]
+
+    @pytest.mark.parametrize("max_iter", [40, 256])
+    def test_palette_wraps_and_interior_is_black(self, tmp_path, max_iter):
+        # escapes at every count from 1 to 40, so the palette wraps twice,
+        # and interior pixels; with max_iter 40 the table ends at the budget
+        region, width, height = (-2.2, -1.0, -0.3, 0.3), 24, 128
+        counts = mandelbrot_grid(region, width, height, max_iter)
+        assert (counts == -1).any()
+        assert set(range(1, 41)) <= set(counts.ravel().tolist())
+        path = tmp_path / "wrap.ppm"
+        export_escape_image(region, width, height, max_iter, path)
+        pixels = bytes(v for n in counts.flat
+                       for v in (PALETTE[(n - 1) % 16] if n > 0 else (0, 0, 0)))
+        assert path.read_bytes() == b"P6\n24 128\n255\n" + pixels
 
     def test_palette_is_16_rgb(self):
         assert len(PALETTE) == 16

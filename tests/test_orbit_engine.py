@@ -8,6 +8,7 @@ amplifies the half-ulp rounding error past the drift budget.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -626,6 +627,46 @@ def test_grid_inside_unit_disk_matches_reference(re0, im0, dre, dim, max_iter,
     got = mandelbrot_grid(region, 9, 7, max_iter, bailout=bailout)
     assert np.array_equal(got, reference_mandelbrot_grid(region, 9, 7, max_iter,
                                                          bailout=bailout))
+
+
+@pytest.mark.parametrize("band", [10, 50, 77])
+@pytest.mark.parametrize("max_iter", [7, 8, 9, 16, 17, 300])
+@pytest.mark.parametrize("region, bailout", GRID_REGIONS.values(),
+                         ids=GRID_REGIONS.keys())
+def test_grid_in_bands_matches_reference(monkeypatch, region, bailout,
+                                         max_iter, band):
+    # bands of a few pixels split the 23 x 19 grid at odd places: a band of
+    # 10 is narrower than a row (one row a band), 50 holds two rows and 77
+    # three, the last band one; budgets end around the 8-step checkpoint
+    monkeypatch.setattr(orbit_engine, "_BAND", band)
+    got = mandelbrot_grid(region, 23, 19, max_iter, bailout=bailout)
+    want = reference_mandelbrot_grid(region, 23, 19, max_iter, bailout=bailout)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_band_size():
+    # the certificate test's 160 x 160 grid is one band; the benchmark's
+    # 400 x 400 render spans several
+    assert 160 * 160 <= orbit_engine._BAND < 400 * 400 // 2
+
+
+def test_grid_memory_grows_by_its_counts():
+    # memory guard, in bytes numpy reports to tracemalloc: a 400 x 1600
+    # grid peaks at most 8 bytes a pixel above a 400 x 400 one.  The int32
+    # counts take 4; the bands' arrays are the same size for both.  The
+    # loop over the whole grid at once grew by 62 bytes a pixel.
+    region = (-2.0, 0.5, -1.25, 1.25)
+
+    def peak(height):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mandelbrot_grid(region, 400, height, 64)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1600) - peak(400) <= 8 * 400 * 1200
 
 
 def test_certificate_retires_lanes_inside(monkeypatch):
