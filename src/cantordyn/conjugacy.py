@@ -299,38 +299,46 @@ def _random_draws(rng, k):
 
 
 def _mapping_samples(pl, model, target, samples, seed):
-    """The sampled abscissae of segment_mapping_check as one batch
-    (groups, xs, lo, hi).  Its rows run over the levels n <= pl.depth,
-    segments before gaps within a level; groups lists (n, first row) for
-    each such group.  xs holds `samples` points per row and lo, hi the
-    paired target interval of each row.  The draws are those of
-    rng.uniform(a, b) = a + (b - a) * rng.random(), taken in the same
-    order, all at once (see _random_draws: getrandbits hands the words of
-    one long call out as consecutive calls would).
+    """The sampled abscissae of segment_mapping_check in blocks of at most
+    _BLOCK rows, as (pieces, xs, lo, hi).  Rows run over the levels
+    n <= pl.depth, segments before gaps within a level, and a block may
+    span several such groups: pieces lists (row, n, j) for each group it
+    meets, the block row where that group's rows start, its level and
+    the index of that row within the group.  xs holds `samples` points per
+    row and lo, hi the paired target interval of each row.  The draws are
+    those of rng.uniform(a, b) = a + (b - a) * rng.random(), taken in the
+    same order, a block at a time (see _random_draws: getrandbits hands
+    out the words of consecutive calls as one long call would).
     """
-    quads, groups, rows = [], [], 0
+    groups, starts = [], [0]
     for n in range(pl.depth + 1):
-        level = [(model.level_a[n], model.level_b[n],
-                  target.level_a[n], target.level_b[n])]
+        groups.append((n, model.level_a[n], model.level_b[n],
+                       target.level_a[n], target.level_b[n]))
         if n > 0:
-            level.append((model.gap_c[n], model.gap_d[n],
-                          target.gap_c[n], target.gap_d[n]))
-        for quad in level:
-            groups.append((n, rows))
-            rows += quad[0].size
-        quads += level
-    ma, mb, lo, hi = (np.concatenate(col) for col in zip(*quads))
+            groups.append((n, model.gap_c[n], model.gap_d[n],
+                           target.gap_c[n], target.gap_d[n]))
+    for g in groups:
+        starts.append(starts[-1] + g[1].size)
     rng = random.Random(seed)
-    u = _random_draws(rng, rows * samples).reshape(rows, samples)
-    return groups, ma[:, None] + (mb - ma)[:, None] * u, lo, hi
+    for top in range(0, starts[-1], _BLOCK):
+        bottom = min(top + _BLOCK, starts[-1])
+        pieces, cols = [], []
+        for (n, *quad), s, e in zip(groups, starts, starts[1:]):
+            if s < bottom and top < e:
+                first = max(top, s)
+                pieces.append((first - top, n, first - s))
+                cols.append([x[first - s:min(bottom, e) - s] for x in quad])
+        ma, mb, lo, hi = (np.concatenate(c) for c in zip(*cols))
+        u = _random_draws(rng, ma.size * samples).reshape(ma.size, samples)
+        yield pieces, ma[:, None] + (mb - ma)[:, None] * u, lo, hi
 
 
 def segment_mapping_check(pl, model, target, samples, seed=0):
     """Sample `samples` points inside every segment and gap through level N
     and verify phi maps each into the paired target segment or gap.  The
-    samples of every level are drawn as one batch and mapped by eval_phi
-    _BLOCK rows at a time, so that its temporaries stay the size of a
-    block.  DomainError unless samples is a non-negative integer."""
+    samples are drawn and mapped by eval_phi _BLOCK rows at a time, so
+    that its memory stays the size of a block whatever the depth.
+    DomainError unless samples is a non-negative integer."""
     try:
         samples = operator.index(samples)
     except TypeError:
@@ -338,14 +346,14 @@ def segment_mapping_check(pl, model, target, samples, seed=0):
         raise DomainError(msg) from None
     if samples < 0:
         raise DomainError(f"samples must be >= 0, got {samples}")
-    groups, xs, lo, hi = _mapping_samples(pl, model, target, samples, seed)
-    starts = [first for _, first in groups]
-    bad = []
-    for top in range(0, len(xs), _BLOCK):
-        rows = slice(top, top + _BLOCK)
-        ys = eval_phi(pl, xs[rows])
-        inside = (lo[rows, None] <= ys) & (ys <= hi[rows, None])
+    checked, bad = 0, []
+    for pieces, xs, lo, hi in _mapping_samples(pl, model, target, samples,
+                                               seed):
+        ys = eval_phi(pl, xs)
+        inside = (lo[:, None] <= ys) & (ys <= hi[:, None])
+        rows = [row for row, _, _ in pieces]
         for r, k in zip(*np.nonzero(~inside)):
-            n, first = groups[bisect.bisect_right(starts, top + r) - 1]
-            bad.append((n, int(top + r - first), xs[top + r, k], ys[r, k]))
-    return MappingReport(samples_checked=xs.size, violations=tuple(bad))
+            row, n, j = pieces[bisect.bisect_right(rows, r) - 1]
+            bad.append((n, j + int(r) - row, xs[r, k], ys[r, k]))
+        checked += xs.size
+    return MappingReport(samples_checked=checked, violations=tuple(bad))

@@ -28,19 +28,11 @@ Every gap above such a node lies wholly left or right of the segment, so a
 descent from the hull would pass those nodes without changing state;
 starting below them saves a descent of length ~n per segment at level n.
 
-For the centred families (MiddleAlpha, FatCantor) a segment's own gap
-meets its middle third: it lies inside the third when the removed
-proportion is at most 1/3 and covers it otherwise.  So does an AffineIFS2
-gap whose two ratios lie on one side of 1/3, inside when both exceed it
-and covering when both fall short.  The search then stops at the node it
-starts from, the segment's own, and returns the natural split, on every
-level where the dd rounding of the window test stays below the search's
-slack: _search_stops_at_own_node derives that bound, under which the
-narrowest segment is at least about 2^-62 times the hull's magnitude.  On
-those levels strict mode splits directly, with natural mode's formula;
-from the first level past the bound on, it runs the search from each
-segment's own node.  Affine specs with ratios on opposite sides of 1/3
-run the search on every level.
+For the centred families (MiddleAlpha, FatCantor), and for an AffineIFS2
+whose two ratios lie on one side of 1/3, a segment's own gap meets its
+middle third (_splits_naturally).  Strict mode then is natural mode: it
+splits with the formulas, block by block.  Only the other strict specs,
+affine ratios on opposite sides of 1/3 and explicit trees, run the search.
 """
 
 import math
@@ -209,6 +201,22 @@ def _descent_limit(spec):
     width = min(b - a, sys.float_info.max)  # b - a overflows for the widest hulls
     return math.ceil(math.log(max(abs(a), abs(b)) / width * 2.0 ** -106)
                      / math.log(r))
+
+
+def _splits_naturally(spec):
+    """Whether every segment's own gap meets its middle third, so that the
+    strict split is the natural one.
+
+    On a segment [u, v] of length L the middle third is [u + L/3, v - L/3].
+    A centred gap leaves h = L(1 - frac)/2 on either side: it lies inside
+    the third when h >= L/3 and covers it when h <= L/3.  An AffineIFS2 gap
+    leaves r1*L on the left and r2*L on the right: inside the third when
+    both ratios exceed 1/3, covering it when neither does.  No double lies
+    between the double 1/3 and 1/3, so r <= 1/3 compares as over the reals.
+    """
+    if isinstance(spec, AffineIFS2):
+        return (spec.r1 <= 1 / 3) == (spec.r2 <= 1 / 3)
+    return isinstance(spec, (MiddleAlpha, FatCantor))
 
 
 class _NodeSplitter:
@@ -405,7 +413,9 @@ def _descent_error(spec, verb, at, x, y):
 class TargetSystem(IntervalSystem):
     """IntervalSystem for a target Cantor set, remembering its spec and the
     build mode ("strict" follows the middle-third certificate, "natural"
-    splits at the spec's own principal gaps).
+    splits at the spec's own principal gaps).  The mode is a label: for a
+    spec whose own gaps meet the middle thirds (_splits_naturally) both
+    modes build the same endpoints.
 
     Like a model system it stores level N once, as its knot arrays, and a
     phi_N that build_phi pairs at depth N shares them.
@@ -423,13 +433,12 @@ def build_target_system(spec, depth, mode="strict"):
     Strict mode splits each segment at the maximal gap found in its middle
     third, certifying level-n lengths <= (2/3)^n times the hull.  Natural
     mode splits at the spec's principal gaps, whose child/parent length
-    ratios every family's constructor already keeps below 1.  For a
-    centred spec, and an affine one whose ratios lie on one side of 1/3,
-    the two coincide: strict mode splits each level with the natural
-    formula while _search_stops_at_own_node proves that the search would
-    return that split, and runs the search from the first level it cannot
-    prove it on; the result is a strict system either way.  A depth whose
-    endpoints collide in doubles raises DomainError (_check_resolved).
+    ratios every family's constructor already keeps below 1.  Where each
+    segment's own gap meets its middle third (_splits_naturally) the two
+    coincide, and strict mode splits with the natural formula; other
+    strict specs run the middle-third search on every level.  A depth
+    whose endpoints collide in doubles raises DomainError
+    (_check_resolved).
     """
     depth = _validate_depth(depth)
     if mode not in ("strict", "natural"):
@@ -439,41 +448,36 @@ def build_target_system(spec, depth, mode="strict"):
         raise SpecError(f"gap tree stores {len(spec.levels)} levels, cannot "
                         f"build depth {depth} naturally")
     split = _NodeSplitter(spec)
-    direct = _search_stops_at_own_node(spec)
+    search = mode == "strict" and not _splits_naturally(spec)
     a, b = _check_hull(spec.hull)
     system = TargetSystem._from_knots(*np.empty((2, 2 << depth)),
                                       spec=spec, mode=mode)
     system.level_a[0][:], system.level_b[0][:] = a, b
     system.a_lo[0][:], system.b_lo[0][:] = 0.0, 0.0
-    start = None  # the search's start nodes, from the first level it runs
+    start = _hull_lane(spec)  # the search's start nodes
 
     # Level n is read from the knots' views and its gaps are written
     # through the gap views of level n + 1, the new endpoints of level N.
-    # Split levels go block by block, each block copied to contiguous
+    # Formula splits go block by block, each block copied to contiguous
     # arrays first; the search takes a whole level.
     for n in range(depth):
         m = 1 << n
-        ah, al, bh, bl = level = (system.level_a[n], system.a_lo[n],
-                                  system.level_b[n], system.b_lo[n])
+        level = (system.level_a[n], system.a_lo[n],
+                 system.level_b[n], system.b_lo[n])
         gaps = (system.gap_c[n + 1], system.c_lo[n + 1],
                 system.gap_d[n + 1], system.d_lo[n + 1])
-        blocks = [slice(i, i + _BLOCK) for i in range(0, m, _BLOCK)]
-        search = start is not None or (mode == "strict" and not all(
-            direct(n, (ah[k], al[k]), (bh[k], bl[k])) for k in blocks))
-        for k in [slice(0, m)] if search else blocks:
+        step = m if search else _BLOCK
+        for k in (slice(i, i + step) for i in range(0, m, step)):
             Ch, Cl, Dh, Dl = (x[k].copy() for x in level)
             C, D = (Ch, Cl), (Dh, Dl)
-            own = (np.full(Ch.size, n),  # the segments' own tree nodes
-                   np.arange(k.start, k.start + Ch.size))
             # overflow and NaN stay silent, as in float arithmetic; the split
             # check below refuses what they produce
             with np.errstate(over="ignore", invalid="ignore"):
                 if search:
-                    if start is None:
-                        start = (*C, *D, *own)
                     G, H, start, missed = _strict_gaps(split, C, D, start)
-                else:
-                    G, H = split(C, D, *own)
+                else:  # each segment's own tree node
+                    G, H = split(C, D, np.full(Ch.size, n),
+                                 np.arange(k.start, k.start + Ch.size))
                     missed = np.full(Ch.size, -1)
                 _check_splits(spec, n, C, D, G, H, missed)
             # segment i's children are [C_i, G_i] and [H_i, D_i]
@@ -497,7 +501,7 @@ def _put(out, lane, mask, x):
 def _check_splits(spec, n, U, V, G, H, missed):
     """Raise for the first failing segment of a level: the error of a
     strict search that reached the descent limit (missed, see _strict_gaps;
-    all -1 in natural mode), else a degenerate split."""
+    all -1 for formula splits), else a degenerate split."""
     # strict U < G and H < V, false on NaN like tuple comparison
     ok = _dd.lt(*U, *G) & _dd.lt(*H, *V)
     bad = ~ok | (missed >= 0)
@@ -618,69 +622,6 @@ def _tighten_gaps(split, E, F, slack):
         state = _drop_spent(limit, tuple(x[go] for x in (
             lane, *U, *V, n + 1, 2 * j + right, *e, *f, sl)), stuck)
     return G, H, stuck
-
-
-def _search_stops_at_own_node(spec):
-    """The test, as a function stops(n, C, D) of a level, of whether the
-    middle-third search provably stops, on every segment [C_i, D_i] of
-    level n, at the first node it visits when that node is the segment's
-    own, (C_i, D_i, n, i): then its gaps are the natural split's, and its
-    children start at their own nodes.  The spec-only part is computed
-    once, here.
-
-    At its own node a lane's search compares lo = C + t and hi = D - t, t
-    the computed third of w = D - C, with G = C + h1 and H = D - h2.  For
-    a centred gap (MiddleAlpha, FatCantor) h1 = h2 = h, the computed half
-    of what the gap leaves, and as reals lo - G = H - hi = t - h exactly,
-    so both window differences share one sign: the gap lies inside the
-    window (t <= h) or swallows it (t >= h), whatever the removed
-    proportion.  For AffineIFS2, h1 and h2 are the computed dd products
-    w*r1 and w*r2, and as reals lo - G = t - h1 and H - hi = t - h2.  The
-    dd third and products are within 2^-100 relative of w/3 and w*r_k (a
-    product that underflows adds a few 2^-1074, while the test below
-    admits only w >= 2^-981), and every double is at least 2^-54/3 away
-    from 1/3, so t - h_k has the sign of 1/3 - r_k.  When
-    (r1 <= 1/3) == (r2 <= 1/3) the two differences therefore share one
-    sign, as for a centred gap; affine specs with ratios on opposite sides
-    of 1/3 never qualify.  That one extra rounding, of the affine
-    products, enters only this sign argument.
-
-    What remains is the rounding of the four dd sums and the two dd
-    differences, each below eps = 3u^2/(1 - 4u) < 2^-104 relative
-    (u = 2^-53; Joldes, Muller and Popescu, ACM TOMS 44, 2017; the proof
-    uses only float additions, which stay within u relative under gradual
-    underflow).  The sums lie in [C, D], inside the hull, so with
-    M = max(|a|, |b|) each window difference, at most w in size, is
-    within 2*eps*M*(1 + eps) + eps*w of its real value, below the
-    search's slack fl(1e-12 * w_hi) when
-
-        1e-12 * w_min >= max(2^-102 * M, 2^-1021),
-
-    w_min the narrowest segment's width.  The test reads it as the float
-    (D_hi - C_hi) + (D_lo - C_lo), within 2.01u*w + 4.01u^2*M of w; the
-    factor-2 margin over 2*eps*M absorbs that, eps*w and the roundings of
-    the slack and of the test, and the second term keeps the slack a
-    normal double.  Segments shrink level by level, so once the test
-    fails the build runs the search on every deeper level.  The test also
-    fails for hulls reaching 2^994, since dd products of widths near 2^997
-    overflow, and on levels at or past the descent limit, where the search
-    must report its own error.
-    """
-    if isinstance(spec, AffineIFS2):
-        qualifies = (spec.r1 <= 1 / 3) == (spec.r2 <= 1 / 3)
-    else:
-        qualifies = isinstance(spec, (MiddleAlpha, FatCantor))
-    a, b = _check_hull(spec.hull)
-    M = max(abs(a), abs(b))
-    if not (qualifies and M < 2.0 ** 994):
-        return lambda n, C, D: False
-    limit = _descent_limit(spec)
-    floor = max(2.0 ** -102 * M, 2.0 ** -1021)
-
-    def stops(n, C, D):
-        return bool(n < limit
-                    and 1e-12 * ((D[0] - C[0]) + (D[1] - C[1])).min() >= floor)
-    return stops
 
 
 def _strict_gaps(split, C, D, start):

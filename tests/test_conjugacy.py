@@ -449,12 +449,18 @@ def segment_mapping_loop(pl, model, target, samples, seed):
     return MappingReport(samples_checked=checked, violations=tuple(bad)), drawn
 
 
+def mapping_abscissae(pl, model, target, samples, seed):
+    """Every abscissa _mapping_samples draws, in its order."""
+    return np.concatenate([xs.ravel() for _, xs, _, _ in
+                           _mapping_samples(pl, model, target, samples, seed)])
+
+
 def test_segment_mapping_matches_loop(phi12, model12, thirds12):
     report = segment_mapping_check(phi12, model12, thirds12, samples=2, seed=7)
     ref, drawn = segment_mapping_loop(phi12, model12, thirds12, 2, 7)
     assert report == ref
-    _, xs, _, _ = _mapping_samples(phi12, model12, thirds12, 2, 7)
-    assert same_bits(xs.ravel(), drawn)
+    xs = mapping_abscissae(phi12, model12, thirds12, 2, 7)
+    assert same_bits(xs, drawn)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 3])
@@ -468,8 +474,8 @@ def test_segment_mapping_draws_match_loop_at_depths_0_to_8(params3, thirds,
         pl = build_phi(model, target, depth)
         ref, drawn = segment_mapping_loop(pl, model, target, 3, seed)
         assert segment_mapping_check(pl, model, target, 3, seed) == ref
-        _, xs, _, _ = _mapping_samples(pl, model, target, 3, seed)
-        assert same_bits(xs.ravel(), drawn), depth
+        xs = mapping_abscissae(pl, model, target, 3, seed)
+        assert same_bits(xs, drawn), depth
 
 
 def test_segment_mapping_violations_match_loop(model12, thirds12):
@@ -499,9 +505,10 @@ def test_sliced_mapping_check_matches_loop(monkeypatch, model12, thirds12,
 
 def test_mapping_check_memory_stays_near_its_draws(params3, thirds):
     # memory guard, in bytes numpy reports to tracemalloc: at depth 16 with
-    # 4 samples (786 424 of them) the check peaks under 64 bytes a sample.
-    # The batch of draws and its abscissae take about 32; evaluating the
-    # whole batch at once peaked at about 266.
+    # 4 samples (786 424 of them) the check peaks at about 9.4 MB, mostly
+    # the eval_phi temporaries of one block of _BLOCK rows, the same as at
+    # depth 14.  Drawing every sample as one batch peaked at 25.2 MB
+    # (32 bytes a sample); evaluating that batch at once at about 266.
     model = build_model_system(params3, 16)
     target = build_target_system(thirds, 16, "natural")
     pl = build_phi(model, target, 16)
@@ -513,7 +520,7 @@ def test_mapping_check_memory_stays_near_its_draws(params3, thirds):
     finally:
         tracemalloc.stop()
     assert report.ok and report.samples_checked == 4 * (3 << 16) - 8
-    assert peak - before < 64 * report.samples_checked
+    assert peak - before < 320 * 4 * _BLOCK
 
 
 # _eval_dd_array and the array branch of _eval_double as they were when

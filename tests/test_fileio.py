@@ -94,9 +94,9 @@ class TestSystemRoundTrip:
 
     @pytest.mark.parametrize("spec", [
         FatCantor(0.3, 0.5),
-        # splits directly through level 7, then runs the middle-third search
-        # (on the hull (1e15, 1e15 + 1) it did the same, but its endpoints
-        # collide from level 3, which EDGE_SYSTEMS covers)
+        # a strict build on a hull this small still splits naturally (on
+        # the hull (1e15, 1e15 + 1) its endpoints collide from level 3,
+        # which EDGE_SYSTEMS covers)
         middle_thirds((0.0, 2.0 ** -969)),
     ], ids=repr)
     def test_centred_strict_file_stays_strict(self, spec, tmp_path):

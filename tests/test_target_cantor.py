@@ -35,9 +35,8 @@ from cantordyn import _dd, target_cantor
 from cantordyn.model_cantor import _BLOCK, _interleave
 from cantordyn.target_cantor import (_check_splits, _cut, _descent_error,
                                      _descent_limit, _find_gaps, _hull_lane,
-                                     _lane, _NodeSplitter,
-                                     _search_stops_at_own_node, _strict_gaps,
-                                     _tighten_gaps)
+                                     _lane, _NodeSplitter, _splits_naturally,
+                                     _strict_gaps, _tighten_gaps)
 
 
 def exact_thirds_level(n):
@@ -808,8 +807,9 @@ CENTRED_SPECS = {
 
 
 def assert_strict_build_matches_the_search(spec):
-    # bit for bit, errors included, to two levels past the descent limit
-    depth = min(_descent_limit(spec) + 2, 14)
+    # bit for bit, errors included, to the descent limit; past it
+    # test_strict_build_is_the_natural_build covers the error
+    depth = min(_descent_limit(spec), 14)
     for d, level in enumerate(searched_levels(spec, depth)):
         assert strict_build_bits(spec, d) == level_bits(level), d
 
@@ -821,7 +821,7 @@ def test_centred_strict_build_matches_the_search(name, hull):
 
 
 # both ratios on one side of 1/3 (the doubles on either side of 1/3 included,
-# alone and mixed) split directly; opposite sides always search
+# alone and mixed) split naturally; opposite sides always search
 AFFINE_SPECS = {
     "below-third-and-0.2": (0.3333333333333333, 0.2),
     "0.2-and-below-third": (0.2, 0.3333333333333333),
@@ -847,48 +847,6 @@ def test_affine_strict_build_matches_the_search(name, hull):
     assert_strict_build_matches_the_search(AffineIFS2(*AFFINE_SPECS[name], hull))
 
 
-def assert_direct_splits_end_at(spec, last, depth=12):
-    # levels 0..last split directly, deeper ones run the search, and builds
-    # on both sides of the switch match the search on every level
-    levels = searched_levels(spec, depth)
-    split = _NodeSplitter(spec)
-    stops = _search_stops_at_own_node(spec)
-    for n, (A, B) in enumerate(levels[:depth]):
-        direct = stops(n, A, B)
-        assert direct == (n <= last), n
-        if direct:
-            # the search from the own nodes stops there on every lane
-            m = A[0].size
-            own = (np.full(m, n), np.arange(m))
-            *_, G, H, node, missed = _find_gaps(split, A, B, (*A, *B, *own))
-            assert np.all(missed == -1)
-            assert all(map(np.array_equal, node, (*A, *B, *own)))
-            sG, sH = split(A, B, *own)
-            assert all(map(np.array_equal, (*G, *H), (*sG, *sH)))
-    for d in range(last, depth + 1):
-        assert strict_build_bits(spec, d) == level_bits(levels[d]), d
-
-
-def test_direct_splits_end_at_the_rounding_bound():
-    # on (1e15, 1e15 + 1) the narrowest level-n segment is about 3^-n, and
-    # 1e-12 * 3^-n >= 2^-102 * 1e15 holds for n <= 7
-    assert_direct_splits_end_at(middle_thirds((1e15, 1e15 + 1)), 7)
-
-
-def test_affine_direct_splits_end_at_the_rounding_bound():
-    # the narrowest level-n segment of affine:0.3,0.2 is about 0.2^n, and
-    # 1e-12 * 0.2^n >= 2^-102 * 1e15 holds for n <= 5
-    assert_direct_splits_end_at(AffineIFS2(0.3, 0.2, (1e15, 1e15 + 1)), 5)
-
-
-def test_direct_splits_end_on_a_level_of_several_blocks():
-    # on (0, 2^-958.8) the narrowest level-n segment is about 3^-n times the
-    # hull, and 1e-12 * 3^-n * 2^-958.8 >= 2^-1021 holds for n <= 14: the
-    # test first fails on level 15, whose 2^15 segments span four blocks
-    assert 1 << 15 > 2 * _BLOCK
-    assert_direct_splits_end_at(middle_thirds((0.0, 2.0 ** -958.8)), 14, 16)
-
-
 def test_natural_build_peaks_near_its_output():
     # memory guard, in bytes numpy reports to tracemalloc: the build writes
     # each level's gaps into the knot arrays it returns and splits in
@@ -909,38 +867,89 @@ def test_natural_build_peaks_near_its_output():
     assert peak - out < 40 * 8 * _BLOCK
 
 
-def test_direct_splits_skip_other_families_and_spent_levels():
-    # affine ratios on opposite sides of 1/3, and explicit trees, always
-    # search; one-sided affine ratios split directly like centred gaps
-    tree = TestExplicitGapTree().centred_tree()
-    for spec in (AffineIFS2(0.8, 0.1), AffineIFS2(0.05, 0.9),
-                 AffineIFS2(0.01, 0.97), tree):
-        A, B = _hull_lane(spec)[0:2], _hull_lane(spec)[2:4]
-        assert not _search_stops_at_own_node(spec)(0, A, B)
-    for spec in (middle_thirds(), AffineIFS2(0.3, 0.2), AffineIFS2(0.4, 0.5)):
-        A, B = _hull_lane(spec)[0:2], _hull_lane(spec)[2:4]
-        stops = _search_stops_at_own_node(spec)
-        assert stops(0, A, B)
-        assert not stops(_descent_limit(spec), A, B)
-    # dd products of hull-wide segments would overflow
-    for wide in (middle_thirds((0.0, 2.0 ** 995)),
-                 AffineIFS2(0.3, 0.2, (0.0, 2.0 ** 995))):
-        A, B = _hull_lane(wide)[0:2], _hull_lane(wide)[2:4]
-        assert not _search_stops_at_own_node(wide)(0, A, B)
+SAME_SIDE = [name for name, r in AFFINE_SPECS.items()
+             if (r[0] <= 1 / 3) == (r[1] <= 1 / 3)]
+
+
+def test_splits_naturally_reads_the_spec():
+    # centred gaps, and affine ratios on one side of 1/3, meet the middle
+    # third of their own segment; opposite sides and explicit trees search
+    assert SAME_SIDE == ["below-third-and-0.2", "0.2-and-below-third",
+                         "above-third-and-0.5", "0.5-and-above-third",
+                         "both-below-third", "both-above-third", "0.3-0.2",
+                         "0.4-0.5"]
+    for name in CENTRED_SPECS:
+        for hull in ((0.0, 1.0), (0.0, 2.0 ** -1020)):
+            assert _splits_naturally(CENTRED_SPECS[name](hull)), name
+    for name, ratios in AFFINE_SPECS.items():
+        assert _splits_naturally(AffineIFS2(*ratios)) == (name in SAME_SIDE)
+    assert not _splits_naturally(TestExplicitGapTree().centred_tree())
+
+
+def build_outcome(spec, depth, mode):
+    """A build's knots as bytes, or the type and text of its error with
+    the mode word removed."""
+    try:
+        system = build_target_system(spec, depth, mode)
+    except CantorDynError as exc:
+        return type(exc), str(exc).replace(f"{mode} target", "target")
+    return system.knots.tobytes(), system.knots_lo.tobytes()
+
+
+NATURAL_SPECS = {
+    **CENTRED_SPECS,
+    **{name: lambda hull, r=AFFINE_SPECS[name]: AffineIFS2(*r, hull)
+       for name in SAME_SIDE},
+}
+# the segments of the last four go subnormal before the descent limit
+NATURAL_HULLS = CENTRED_HULLS + [(0.0, 2.0 ** -969), (0.0, 2.0 ** -958.8),
+                                 (0.0, 1e-310), (0.0, 2.0 ** -1020)]
+
+
+@pytest.mark.parametrize("hull", NATURAL_HULLS, ids=repr)
+@pytest.mark.parametrize("name", NATURAL_SPECS)
+def test_strict_build_is_the_natural_build(name, hull):
+    # to two levels past the descent limit: the same knots, or the same error
+    spec = NATURAL_SPECS[name](hull)
+    for d in range(min(_descent_limit(spec) + 2, 14) + 1):
+        want = build_outcome(spec, d, "natural")
+        assert build_outcome(spec, d, "strict") == want, d
+
+
+def test_subnormal_affine_builds_split_naturally():
+    # with a ratio one ulp from 1/3 on a subnormal hull, the middle-third
+    # search's 1e-12 relative slack underflows and its window test is
+    # rounding noise; strict builds split naturally there too, and so
+    # resolve depths a search refused ("level 6 split degenerated")
+    spec = AffineIFS2(0.3333333333333333, 0.2, hull=(0.0, 1e-310))
+    kind, text = searched_levels(spec, 6)[6]
+    assert kind is SpecError and text.startswith("level 6 split degenerated")
+    assert build_target_system(spec, 10).mode == "strict"
+    for d in (5, 6, 10):
+        assert build_outcome(spec, d, "strict") == build_outcome(
+            spec, d, "natural")
+    # on (0, 2^-1020) the search's endpoints collide at depth 10
+    spec = AffineIFS2(0.3333333333333333, 0.2, hull=(0.0, 2.0 ** -1020))
+    with pytest.raises(DomainError, match="collide in doubles"):
+        with mock.patch.object(target_cantor, "_splits_naturally",
+                               lambda spec: False):
+            build_target_system(spec, 10)
+    system = build_target_system(spec, 10)
+    assert np.all(system.a_N < system.b_N)
+    assert np.all(system.b_N[:-1] < system.a_N[1:])
 
 
 def test_strict_descent_error_past_the_limit_keeps_its_text():
-    # level 0 splits directly, level 1 runs the search, which reaches the
-    # descent limit (5) on a segment that rounds to one double
+    # strict mode splits naturally past the descent limit (5) too, and the
+    # split of a segment that rounds to one double degenerates
     spec = MiddleAlpha(0.999, hull=(1e16, 1e16 + 2))
     assert _descent_limit(spec) == 5
-    with pytest.raises(SpecError) as got:
-        build_target_system(spec, 6)
-    assert str(got.value) == (
-        "no gap found in the middle third of [1e+16, 1e+16] within 5 "
-        "levels; the specification may describe degenerate segments")
-    with pytest.raises(SpecError, match="split degenerated"):
-        build_target_system(spec, 6, mode="natural")
+    for mode in ("strict", "natural"):
+        with pytest.raises(SpecError) as got:
+            build_target_system(spec, 6, mode)
+        assert str(got.value) == (
+            "level 6 split degenerated: segment [1e+16, 1e+16] with gap "
+            "(1e+16, 1e+16)")
 
 
 MEMBERSHIP_SPECS = ORACLE_SPECS + [
