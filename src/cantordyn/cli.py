@@ -165,12 +165,10 @@ def _cmd_iterate(args):
 
 
 def _cmd_classify(args):
-    # c is resolved once, at the first point, so that classify_grid's own
-    # checks of the grid still come before those of c
-    model = functools.cache(lambda: orbit_engine._resolve_model(args.c))
-
-    def classify(x0, max_iter):
-        return orbit_engine._iterate_model(*model(), x0, max_iter)
+    # classify_grid calls the classifier once, on the whole grid, after its
+    # own checks of the grid: c is resolved once, and its checks come last
+    def classify(xs, max_iter):
+        return orbit_engine.iterate_model(args.c, xs, max_iter)
 
     rows = orbit_engine.classify_grid(classify, args.lo, args.hi,
                                       args.n_points, args.max_iter)

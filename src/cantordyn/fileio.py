@@ -387,7 +387,11 @@ def export_cobweb(trace, path, fmt="csv", curve=None, curve_samples=512):
     CSV columns are x0,y0,x1,y1, one row per segment.  The SVG contains the
     diagonal, the graph of the map sampled at max(curve_samples, 512)
     points (the map callable is required for SVG), the trace polyline, and
-    a marker on the starting point.
+    a marker on the starting point.  The map is called once, on the whole
+    grid of samples as a float64 ndarray, and must return one value per
+    sample.  A trace with a coordinate that is not finite (an escaping
+    orbit's overflow) has no figure: the SVG export refuses it with
+    DomainError, naming the first such segment, and writes no file.
     """
     if not trace:
         raise DomainError("cannot export an empty trace")
@@ -404,6 +408,10 @@ def export_cobweb(trace, path, fmt="csv", curve=None, curve_samples=512):
     if curve is None:
         raise DomainError("svg export needs the map callable to draw its graph")
 
+    for k, seg in enumerate(trace):
+        if not all(math.isfinite(v) for pt in seg for v in pt):
+            raise DomainError(f"svg export needs a finite trace: trace[{k}] "
+                              f"is {seg!r}")
     pts = [p for seg in trace for p in seg]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
@@ -428,7 +436,10 @@ def export_cobweb(trace, path, fmt="csv", curve=None, curve_samples=512):
 
     n = max(int(curve_samples), 512)
     grid = np.linspace(lo, hi, n)
-    curve_pts = [(float(x), float(curve(float(x)))) for x in grid]
+    # as plain float arithmetic does, an overflowing sample is inf, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys = np.asarray(curve(grid), dtype=np.float64)
+    curve_pts = list(zip(grid.tolist(), ys.tolist(), strict=True))
     trace_pts = [trace[0][0]] + [seg[1] for seg in trace]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -40,8 +40,16 @@ _BLOCK = 1 << 13
 class IntervalAddress:
     """Address (level, index) of a segment; index runs 1..2^level left to right.
 
-    The equivalent binary word has one bit per refinement: 0 = left preimage
-    branch, 1 = right.
+    `word` is the left-to-right tree path, index - 1 in `level` binary
+    digits: bit k is 0 when the level-(k+1) segment on the path is the left
+    child of its parent, 1 when it is the right one.  On a model system it
+    is not the itinerary of the segment's points (bit k = 0 when
+    F_c^k(x) < 0, on the left preimage branch): the itinerary is the
+    word's reflected-binary transform.  The left branch -sqrt(x - c)
+    reverses order, so each left-branch symbol flips the bits after it:
+    word bit k is itinerary bit k XOR the parity of the left-branch
+    symbols before it.  At c = -3 the fixed point q < 0 has itinerary 00
+    and lies in word 01.
     """
 
     level: int

@@ -44,8 +44,8 @@ class OrbitResult:
     escape radius.  escaped=False: `iteration` is max_iter, the number of
     iterations the orbit stayed within the radius.  `trajectory`
     optionally keeps the first iterates (capped), starting with the
-    initial point.  A batched iterate_target fills `escaped` and
-    `iteration` with arrays, one entry per start point.
+    initial point.  A batched iterate_model or iterate_target fills
+    `escaped` and `iteration` with arrays, one entry per start point.
     """
 
     escaped: bool
@@ -74,19 +74,20 @@ def iterate_model(params_or_c, x0, max_iter, keep_trajectory=0):
     """Iterate F_c from x0, classifying against the escape radius.
 
     x0 must be finite (DomainError otherwise).  An iterate whose square
-    overflows the double range has escaped.
+    overflows the double range has escaped.  An ndarray x0 iterates every
+    lane at once, like iterate_target: the result's `escaped` (bool) and
+    `iteration` (int64) are arrays of x0's shape, equal lane by lane to
+    the scalar call, and `trajectory` is None.
     """
     max_iter = int(max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    return _iterate_model(*_resolve_model(params_or_c), x0, max_iter,
-                          keep_trajectory)
-
-
-def _iterate_model(c, radius, x0, max_iter, keep_trajectory=0):
-    """iterate_model past its max_iter check, with c and its escape radius
-    already resolved (_resolve_model)."""
+    c, radius = _resolve_model(params_or_c)
     threshold = radius * (1.0 + ORBIT_DRIFT_BUDGET)
+    if isinstance(x0, np.ndarray):
+        if keep_trajectory:
+            raise DomainError("keep_trajectory needs a scalar x0")
+        return _iterate_model_array(c, threshold, _finite(x0), max_iter)
     xh, xl = _finite(float(x0)), 0.0
     traj = [] if keep_trajectory else None
     for n in range(max_iter + 1):
@@ -101,6 +102,30 @@ def _iterate_model(c, radius, x0, max_iter, keep_trajectory=0):
             break
         xh, xl = _dd.add(*_dd.sqr(xh, xl), c, 0.0)
     return OrbitResult(False, max_iter, tuple(traj) if traj is not None else None)
+
+
+def _iterate_model_array(c, threshold, x0, max_iter):
+    """The loop of iterate_model over the lanes of x0, with the scalar
+    loop's dd step and escape test elementwise, so every lane gets the
+    scalar bits.  A lane that escapes is recorded at that n and dropped,
+    like mandelbrot_grid drops its escaped pixels, so each step costs the
+    lanes still alive."""
+    escaped = np.zeros(x0.shape, dtype=bool)
+    iteration = np.full(x0.shape, max_iter, dtype=np.int64)
+    lanes = np.arange(x0.size)
+    xh, xl = x0.ravel(), np.zeros(x0.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(max_iter + 1):
+            out = ~(np.abs(xh + xl) <= threshold)
+            if out.any():
+                escaped.flat[lanes[out]] = True
+                iteration.flat[lanes[out]] = n
+                keep = ~out
+                lanes, xh, xl = lanes[keep], xh[keep], xl[keep]
+            if n == max_iter or lanes.size == 0:
+                break
+            xh, xl = _dd.add(*_dd.sqr(xh, xl), c, 0.0)
+    return OrbitResult(escaped, iteration)
 
 
 def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
@@ -219,8 +244,13 @@ def cobweb_trace(f, x0, steps):
 def classify_grid(classifier, lo, hi, n_points, max_iter):
     """Classify a uniform grid of starting points.
 
-    classifier(x0, max_iter) must return an OrbitResult (pass a closure over
-    iterate_model or iterate_target).  Returns a list of (x, OrbitResult).
+    classifier(xs, max_iter) is called once, on the whole grid as a float64
+    ndarray, and must return an OrbitResult of arrays, one entry per point
+    (pass a closure over iterate_model or iterate_target, which both take
+    arrays).  Returns a list of (x, OrbitResult) with a float x, a bool
+    `escaped` and an int `iteration` in each row.  Rows with the same
+    verdict share one OrbitResult: there are at most 2 * (max_iter + 1)
+    of them, and the dataclass is frozen.
     """
     n_points = int(n_points)
     if n_points < 2:
@@ -229,7 +259,11 @@ def classify_grid(classifier, lo, hi, n_points, max_iter):
     if not lo < hi:
         raise DomainError(f"invalid grid range [{lo!r}, {hi!r}]")
     xs = np.linspace(lo, hi, n_points)
-    return [(float(x), classifier(float(x), max_iter)) for x in xs]
+    res = classifier(xs, max_iter)
+    verdicts, which = np.unique(2 * res.iteration + res.escaped,
+                                return_inverse=True)
+    shared = [OrbitResult(bool(v & 1), int(v >> 1)) for v in verdicts.tolist()]
+    return [(x, shared[k]) for x, k in zip(xs.tolist(), which.tolist())]
 
 
 def _check_bailout(bailout):

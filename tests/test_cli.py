@@ -235,6 +235,22 @@ def test_cobweb_svg(capsys, tmp_path):
     assert "<svg" in path.read_text()
 
 
+def test_cobweb_svg_of_an_escaping_orbit_exits_2(capsys, tmp_path):
+    # the trace overflows to inf; its CSV keeps the inf rows, but an SVG
+    # of it would be all nan, so none is written
+    esc = ("--c", "-3", "--x0", "0.3", "--steps", "40")
+    path = tmp_path / "esc.svg"
+    rc, out, err = run(capsys, "cobweb", *esc, "--format", "svg",
+                       "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: svg export needs a finite trace: trace[19] ")
+    assert not path.exists()
+    path = tmp_path / "esc.csv"
+    rc, _, _ = run(capsys, "cobweb", *esc, "--out", str(path))
+    assert rc == 0
+    assert path.read_text().splitlines()[-1] == "inf,inf,inf,inf"
+
+
 @pytest.mark.parametrize("flags", [("--c=nan", "--x0", "0"),
                                    ("--c=inf", "--x0", "0"),
                                    ("--c=-1e308", "--x0", "0"),

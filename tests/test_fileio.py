@@ -8,6 +8,7 @@ differs.
 
 import csv
 import functools
+import hashlib
 import json
 import math
 import pathlib
@@ -926,6 +927,49 @@ class TestCobwebExport:
         assert "<line" in text  # the diagonal
         curve_points = text.split("<polyline")[1].split('points="')[1]
         assert curve_points.count(",") >= 512
+
+    @pytest.mark.parametrize("c, x0, steps, digest", [
+        (0.5, 0.0, 10, "2a60848952aa4d7aec3fa0f1ea35791d"
+                       "f924e6a7e52e12c71dd3d9b875ed6695"),
+        (-1.5, 0.3, 30, "d8b047da9fadd52e7ee4453a723ac0b4"
+                        "1974379684ab1505fdf02db943b1bff8"),
+    ])
+    def test_svg_bytes_pinned(self, tmp_path, c, x0, steps, digest):
+        # the bytes the per-point sampling of the graph wrote (the README's
+        # `cobweb --c 0.5 --x0 0 --steps 10 --format svg` is the first)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x + c
+
+        trace = cobweb_trace(f, x0, steps)
+        del calls[:]
+        path = tmp_path / "t.svg"
+        export_cobweb(trace, path, fmt="svg", curve=f)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert len(calls) == 1 and calls[0].shape == (512,)
+
+    def test_svg_refuses_a_trace_that_is_not_finite(self, tmp_path):
+        # x0 = 0.3 escapes at c = -3; the iterate after 7.8e182 overflows
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 3.0
+
+        trace = cobweb_trace(f, 0.3, 40)
+        del calls[:]
+        path = tmp_path / "t.svg"
+        with pytest.raises(DomainError, match=r"finite trace: trace\[19\] is "
+                           r"\(\(7\.815953773102214e\+182, .*inf\)\)"):
+            export_cobweb(trace, path, fmt="svg", curve=f)
+        assert not path.exists() and calls == []
+        export_cobweb(trace, tmp_path / "t.csv", fmt="csv")
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert rows[20] == "7.815953773102214e+182,7.815953773102214e+182," \
+                           "7.815953773102214e+182,inf"
+        assert rows[-1] == "inf,inf,inf,inf" and len(rows) == 1 + 79
 
     def test_svg_needs_curve(self, trace, tmp_path):
         with pytest.raises(DomainError):

@@ -162,6 +162,23 @@ class TestIntervalAddress:
         assert IntervalAddress.from_word("10") == IntervalAddress(2, 3)
         assert IntervalAddress.from_word("") == IntervalAddress(0, 1)
 
+    def test_word_is_the_reflected_binary_itinerary(self):
+        # c = -3, level 2, from closed forms: q = (1 - sqrt(13))/2 and p are
+        # the fixed points, and -2 and 1 swap (F(-2) = 1, F(1) = -2)
+        params = derive_params(-3.0)
+        model = build_model_system(params, 2)
+        q = (1 - 13 ** 0.5) / 2
+        cases = [(q, "00", "01"), (-2.0, "01", "00"), (1.0, "10", "10"),
+                 (params.p, "11", "11")]
+        for x, itinerary, word in cases:
+            assert "".join("1" if v > 0 else "0"
+                           for v in (x, x * x - 3.0)) == itinerary
+            a, b = model.segment(IntervalAddress.from_word(word))
+            assert a <= x <= b, (x, word)
+            flips = "".join(str(int(i) ^ itinerary[:k].count("0") % 2)
+                            for k, i in enumerate(itinerary))
+            assert flips == word
+
     def test_parent_child(self):
         a = IntervalAddress(3, 5)
         assert a.parent() == IntervalAddress(2, 3)

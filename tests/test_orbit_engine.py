@@ -110,6 +110,48 @@ class TestIterateModel:
                           2, 100)
 
 
+class TestIterateModelArray:
+    @pytest.mark.parametrize("c", [-3.0, -2.5, -20.0, 0.5, 1e200])
+    def test_lanes_equal_the_scalar_calls(self, c):
+        # seeded grids over [-p - 0.5, p + 0.5] (the radius max(1, |c|) for
+        # c > 1/4), with the hull corners, the gap edges and both zeros; at
+        # c = 1e200 the second square of every lane overflows
+        r = orbit_engine._resolve_model(c)[1]
+        xs = np.random.default_rng(7).uniform(-r - 0.5, r + 0.5, 1500)
+        xs = np.concatenate([xs, [r, -r, 0.0, -0.0, r + 0.5, -r - 0.5]])
+        if c < -2:
+            s = derive_params(c).s
+            xs = np.concatenate([xs, [s, -s, np.nextafter(s, 0)]])
+        res = iterate_model(c, xs.reshape(-1, 3), 60)
+        assert res.escaped.shape == res.iteration.shape == (xs.size // 3, 3)
+        assert res.escaped.dtype == bool and res.iteration.dtype == np.int64
+        assert res.trajectory is None
+        want = [iterate_model(c, float(x), 60) for x in xs]
+        assert res.escaped.ravel().tolist() == [w.escaped for w in want]
+        assert res.iteration.ravel().tolist() == [w.iteration for w in want]
+        if c == 1e200:
+            # |x| near 1e200 squares past the range at once, 0 at step 2
+            assert res.escaped.all()
+            assert set(res.iteration.ravel().tolist()) == {1, 2}
+
+    def test_params_and_empty_arrays(self, params3):
+        res = iterate_model(params3, np.array([2.0, 0.0, 2.5]), 100)
+        assert res.escaped.tolist() == [False, True, True]
+        assert res.iteration.tolist() == [100, 1, 0]
+        res = iterate_model(params3, np.empty(0), 100)
+        assert res.escaped.shape == res.iteration.shape == (0,)
+
+    def test_trajectory_needs_a_scalar(self, params3):
+        with pytest.raises(DomainError, match="keep_trajectory"):
+            iterate_model(params3, np.array([0.0, 1.0]), 10,
+                          keep_trajectory=4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_lane_rejected(self, params3, bad):
+        with pytest.raises(DomainError):
+            iterate_model(params3, np.array([0.0, bad, 1.0]), 10)
+
+
 class TestIterateTarget:
     def test_endpoints_stay_bounded(self, phi12, params3):
         for y0 in (0.0, 1.0, 1 / 3, 2 / 3, 1 / 9, 8 / 9):
@@ -460,6 +502,38 @@ class TestClassifyGrid:
         f = lambda x0, max_iter: iterate_model(params3, x0, max_iter)
         with pytest.raises(DomainError):
             classify_grid(f, 0.0, 1.0, 1, 100)
+
+    @staticmethod
+    def per_point(classifier, lo, hi, n_points, max_iter):
+        """classify_grid as it was when it called its classifier once per
+        point, frozen as the reference for the batched call."""
+        xs = np.linspace(float(lo), float(hi), int(n_points))
+        return [(float(x), classifier(float(x), max_iter)) for x in xs]
+
+    @pytest.mark.parametrize("c", [-3.0, -2.5, 0.25, 2.0])
+    def test_equals_the_per_point_reference(self, c):
+        f = lambda x0, max_iter: iterate_model(c, x0, max_iter)
+        rows = classify_grid(f, -3.0, 3.0, 601, 80)
+        assert rows == self.per_point(f, -3.0, 3.0, 601, 80)
+        assert all(type(x) is float and type(r.escaped) is bool
+                   and type(r.iteration) is int and r.trajectory is None
+                   for x, r in rows)
+
+    def test_target_classifier(self, phi12, params3):
+        f = lambda y0, max_iter: iterate_target(phi12, params3, y0, max_iter)
+        rows = classify_grid(f, -0.25, 1.25, 301, 60)
+        assert rows == self.per_point(f, -0.25, 1.25, 301, 60)
+
+    def test_classifier_called_once_on_the_grid(self, params3):
+        calls = []
+
+        def f(xs, max_iter):
+            calls.append(xs.copy())
+            return iterate_model(params3, xs, max_iter)
+
+        classify_grid(f, -2.5, 2.5, 11, 100)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.linspace(-2.5, 2.5, 11))
 
 
 class TestMandelbrot:
