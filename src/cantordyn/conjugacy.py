@@ -243,10 +243,18 @@ def _phi_inv_dd(pl, y):
     return _eval_double(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, y)[:2]
 
 
-def _phi_dd(pl, xh, xl):
-    if isinstance(xh, np.ndarray):
-        return _eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, xh, xl)
-    return _eval_dd(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, xh, xl)
+def _fstar_step(pl, c, xh, xl):
+    """phi(F_c(x)) at the dd point x (floats or arrays), rounded once; +inf
+    where F_c(x) overflows.  A caller whose x may overflow enters
+    np.errstate itself."""
+    fh, fl = _dd.add(*_dd.sqr(xh, xl), c, 0.0)
+    if isinstance(fh, np.ndarray):
+        yh, yl = _eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
+        return np.where(np.isfinite(fh), yh + yl, np.inf)
+    if not math.isfinite(fh):
+        return math.inf
+    yh, yl = _eval_dd(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
+    return yh + yl
 
 
 def eval_fstar(pl, params, y):
@@ -260,15 +268,7 @@ def eval_fstar(pl, params, y):
     """
     xh, xl = _phi_inv_dd(pl, _finite(y))
     with np.errstate(over="ignore", invalid="ignore"):
-        fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
-        if isinstance(fh, np.ndarray):
-            # x^2 past the double range: F_c(x) is +inf, and so is F*(y)
-            yh, yl = _phi_dd(pl, fh, fl)
-            return np.where(np.isfinite(fh), yh + yl, np.inf)
-    if not math.isfinite(fh):
-        return math.inf
-    yh, yl = _phi_dd(pl, fh, fl)
-    return yh + yl
+        return _fstar_step(pl, params.c, xh, xl)
 
 
 @dataclass(frozen=True)

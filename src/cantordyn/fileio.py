@@ -412,11 +412,8 @@ def export_cobweb(trace, path, fmt="csv", curve=None, curve_samples=512):
         if not all(math.isfinite(v) for pt in seg for v in pt):
             raise DomainError(f"svg export needs a finite trace: trace[{k}] "
                               f"is {seg!r}")
-    pts = [p for seg in trace for p in seg]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    lo = min(min(xs), min(ys))
-    hi = max(max(xs), max(ys))
+    coords = [v for seg in trace for pt in seg for v in pt]
+    lo, hi = min(coords), max(coords)
     if hi == lo:
         lo, hi = lo - 1.0, hi + 1.0
     pad = 0.08 * (hi - lo)
@@ -439,6 +436,10 @@ def export_cobweb(trace, path, fmt="csv", curve=None, curve_samples=512):
     # as plain float arithmetic does, an overflowing sample is inf, quietly
     with np.errstate(over="ignore", invalid="ignore"):
         ys = np.asarray(curve(grid), dtype=np.float64)
+    k = int(np.argmax(~np.isfinite(ys)))
+    if not np.isfinite(ys[k]):
+        raise DomainError(f"svg export needs a finite graph: curve sample {k} "
+                          f"at x = {float(grid[k])!r} is {float(ys[k])!r}")
     curve_pts = list(zip(grid.tolist(), ys.tolist(), strict=True))
     trace_pts = [trace[0][0]] + [seg[1] for seg in trace]
     parts = [

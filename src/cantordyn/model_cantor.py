@@ -85,6 +85,20 @@ class IntervalAddress:
         return IntervalAddress(self.level + 1, 2 * self.index - 1 + bit)
 
 
+def _shift(depth, k):
+    """The level-N knots that F_c, the shift on addresses, sends the knots k
+    (an int array) onto.  Knot k is side k & 1 of segment j = k >> 1; with
+    half = 2^(N-1), j < half maps onto level N-1's segment half-1-j with its
+    ends swapped, any other j onto j - half.  Side a and b of that segment
+    s are level N's knots 4s and 4s+3; at N = 0 both ends go to knot 1."""
+    if depth == 0:
+        return np.ones_like(k)
+    half = 1 << (depth - 1)
+    j = k >> 1
+    left = j < half
+    return 4 * np.where(left, half - 1 - j, j - half) + 3 * ((k & 1) ^ left)
+
+
 class IntervalSystem:
     """Levels of a nested binary interval refinement, stored as its deepest
     level.

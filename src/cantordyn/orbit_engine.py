@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import _dd
-from .conjugacy import _finite, _phi_dd, _phi_inv_dd
+from .conjugacy import _finite, _fstar_step, _phi_inv_dd
 from .errors import DomainError
 from .quadratic_map import QuadraticParams, derive_params
 
@@ -161,9 +161,7 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
             return OrbitResult(True, n, tuple(traj) if traj is not None else None)
         if n == max_iter:
             break
-        fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
-        yh, yl = _phi_dd(pl, fh, fl)
-        y = yh + yl
+        y = _fstar_step(pl, params.c, xh, xl)
     return OrbitResult(False, max_iter, tuple(traj) if traj is not None else None)
 
 
@@ -207,9 +205,8 @@ def _iterate_target_array(pl, params, y0, max_iter, threshold):
             bits, xh, xl = bits[keep], xh[keep], xl[keep]
         if n == max_iter or lanes.size == 0:
             break
-        fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
-        yh, yl = _phi_dd(pl, fh, fl)
-        image, merged = np.unique((yh + yl).view(np.int64), return_inverse=True)
+        y = _fstar_step(pl, params.c, xh, xl)
+        image, merged = np.unique(y.view(np.int64), return_inverse=True)
         # bits is sorted (np.unique, then the escape mask): one searchsorted
         # tells whether every image is a state that just passed the test
         at = np.searchsorted(bits, image)

@@ -2,20 +2,19 @@
 
 A run builds once and then checks: after the scalar suites it builds the
 model system, the strict target system and phi a single time, and every
-construction suite checks those objects.  Each suite re-derives a property
-of the library from scratch (bisection oracles, enumeration, brute-force
-iteration) and compares it with what the library computes.  Tolerances
-mirror the documented guarantees; a failed suite reports the first
-violation it saw.  The suites evaluate, iterate and test membership on
-whole arrays, then report the first violation in the order of a
-point-by-point scan.
+construction suite checks those objects, against an oracle of its own
+(bisection, enumeration, membership) or as an exact identity of the
+symbolic dynamics: F_c shifts the model's knots by address, phi sends
+knots onto knots, and a level-n gap point leaves after n steps.  The
+suites work on whole arrays and report the first violation in the order
+of a point-by-point scan.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import conjugacy, model_cantor, orbit_engine, quadratic_map
+from . import _dd, conjugacy, model_cantor, orbit_engine, quadratic_map
 from .errors import DomainError, NoRealFixedPoint
 from .target_cantor import (_descent_limit, build_target_system, membership,
                             middle_thirds)
@@ -125,23 +124,18 @@ def _suite_model_structure(model):
 
 
 def _suite_endpoint_orbits(model):
-    params, top = model.params, min(model.depth, 10)
-    worst = 0.0
-    for n in range(top + 1):
-        x = np.concatenate([model.level_a[n], model.level_b[n]])
-        y = x
-        with np.errstate(over="ignore"):  # an escaping orbit may reach inf
-            for _ in range(n):
-                y = quadratic_map.eval_map(params, y)
-        err = np.minimum(np.abs(y - params.p), np.abs(y + params.p))
-        k = _first(err > 1e-6)
-        if k is not None:
-            return False, (
-                f"level-{n} endpoint {float(x[k])!r}: F^{n} lands "
-                f"{float(err[k])!r} from +-p"
-            )
-        worst = max(worst, float(err.max()))
-    return True, f"level <= {top} endpoints reach +-p within {worst:.3e}"
+    # F_c shifts addresses: one dd step from each knot, tail included, must
+    # round to the knot _shift names, a block of knots at a time
+    knots, tails = model.knots, model.knots_lo
+    for start in range(0, knots.size, model_cantor._BLOCK):
+        k = np.arange(start, min(start + model_cantor._BLOCK, knots.size))
+        fh, fl = _dd.add(*_dd.sqr(knots[k], tails[k]), model.params.c, 0.0)
+        got, to = fh + fl, model_cantor._shift(model.depth, k)
+        i = _first(got != knots[to])
+        if i is not None:
+            return False, (f"knot {k[i]}: F_c rounds it to {float(got[i])!r},"
+                           f" not to knot {to[i]} = {float(knots[to[i]])!r}")
+    return True, f"F_c shifts all {knots.size} level-{model.depth} knots"
 
 
 def _suite_target_construction(target):
@@ -178,19 +172,13 @@ def _suite_conjugacy_map(pl, model, target):
     xs, ys = pl.xs, pl.ys
     if not (np.all(np.diff(xs) > 0.0) and np.all(np.diff(ys) > 0.0)):
         return False, "knot coordinates are not strictly increasing"
-    # knots level by level, level_a before level_b, as one batch
-    pairs = [(m[n], t[n]) for n in range(pl.depth + 1)
-             for m, t in ((model.level_a, target.level_a),
-                          (model.level_b, target.level_b))]
-    kx = np.concatenate([mx for mx, _ in pairs])
-    ky = np.concatenate([tx for _, tx in pairs])
+    kx = conjugacy._level_knots(model, pl.depth)[0]
+    ky = conjugacy._level_knots(target, pl.depth)[0]
     got = conjugacy.eval_phi(pl, kx)
     k = _first(got != ky)
     if k is not None:
-        return False, (
-            f"knot not exact: phi({float(kx[k])!r}) = {float(got[k])!r} "
-            f"!= {float(ky[k])!r}"
-        )
+        return False, (f"knot not exact: phi({float(kx[k])!r}) = "
+                       f"{float(got[k])!r} != {float(ky[k])!r}")
     lo, hi = model.hull
     grid = np.linspace(lo - 0.5, hi + 0.5, 4001)
     y = conjugacy.eval_phi(pl, grid)
@@ -235,14 +223,18 @@ def _suite_conjugacy_spot_values(pl, params, target):
 
 
 def _suite_dichotomy(pl, params, target):
-    # np.empty(0) keeps a depth-0 target, which has no gaps, working
-    mids = np.concatenate([np.empty(0)] + [
-        0.5 * (target.gap_c[n] + target.gap_d[n])
-        for n in range(1, min(target.depth, 5) + 1)])
-    res = orbit_engine.iterate_target(pl, params, mids, 200)
-    k = _first(~res.escaped)
+    # a level-n gap point leaves after exactly n steps; np.empty(0) keeps a
+    # depth-0 target, which has no gaps, working
+    mids = [0.5 * (target.gap_c[n] + target.gap_d[n])
+            for n in range(1, min(target.depth, 5) + 1)]
+    level = np.repeat(np.arange(1, len(mids) + 1), [m.size for m in mids])
+    mids = np.concatenate([np.empty(0)] + mids)
+    res = orbit_engine.iterate_target(pl, params, mids, 5)
+    k = _first(~res.escaped | (res.iteration != level))
     if k is not None:
-        return False, f"gap midpoint {float(mids[k])!r} failed to escape in 200"
+        verdict = "escaped_at" if res.escaped[k] else "bounded"
+        return False, (f"level-{level[k]} gap midpoint {float(mids[k])!r}: "
+                       f"{verdict} {res.iteration[k]}")
     per_level = [np.concatenate([target.level_a[n], target.level_b[n]])
                  for n in range(min(target.depth, 8) + 1)]
     ends = np.concatenate(per_level)
@@ -250,14 +242,10 @@ def _suite_dichotomy(pl, params, target):
     res = orbit_engine.iterate_target(pl, params, ends, 25)
     k = _first(res.escaped)
     if k is not None:
-        return False, (
-            f"level-{level[k]} endpoint {float(ends[k])!r} escaped at "
-            f"iteration {res.iteration[k]}"
-        )
-    return True, (
-        "gap midpoints (levels <= 5) escape within 200 iterations, "
-        "endpoints (levels <= 8) stay bounded for 25"
-    )
+        return False, (f"level-{level[k]} endpoint {float(ends[k])!r} "
+                       f"escaped at iteration {res.iteration[k]}")
+    return True, ("gap midpoints (levels <= 5) escape at their level, "
+                  "endpoints (levels <= 8) stay bounded for 25")
 
 
 def _suite_mandelbrot():

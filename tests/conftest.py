@@ -3,6 +3,7 @@
 Builds are deterministic, so everything heavy is session-scoped.
 """
 
+import numpy as np
 import pytest
 
 from cantordyn import (
@@ -79,3 +80,31 @@ def oracle_cases():
                     cases.append((build_phi(model, target, depth), params,
                                   target))
     return cases
+
+
+def _mp_images(system):
+    """For each knot x of a model system (its dd value, tail included), the
+    index of the stored knot nearest the 50-digit mpmath F_c(x), and the
+    double that F_c(x) rounds to: an oracle of the address shift that
+    shares no code with the library's dd kernels."""
+    import mpmath
+
+    knots = system.knots.tolist()
+    with mpmath.workdps(50):
+        c = mpmath.mpf(system.params.c)
+        exact = [mpmath.mpf(h) + mpmath.mpf(l)
+                 for h, l in zip(knots, system.knots_lo.tolist())]
+        near, value = [], []
+        for x in exact:
+            f = x * x + c
+            i = int(np.searchsorted(system.knots, float(f)))
+            near.append(min((j for j in (i - 1, i, i + 1)
+                             if 0 <= j < len(knots)),
+                            key=lambda j: abs(exact[j] - f)))
+            value.append(float(f))
+    return np.array(near), np.array(value)
+
+
+@pytest.fixture(scope="session")
+def mp_images():
+    return _mp_images

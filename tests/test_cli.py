@@ -251,6 +251,18 @@ def test_cobweb_svg_of_an_escaping_orbit_exits_2(capsys, tmp_path):
     assert path.read_text().splitlines()[-1] == "inf,inf,inf,inf"
 
 
+def test_cobweb_svg_of_an_overflowing_graph_exits_2(capsys, tmp_path):
+    # the trace 0 -> 1e154 -> 1e308 is finite, but the graph of x^2 + 1e154
+    # overflows over the padded view: no figure, no file
+    path = tmp_path / "big.svg"
+    rc, out, err = run(capsys, "cobweb", "--c", "1e154", "--x0", "0",
+                       "--steps", "2", "--format", "svg", "--out", str(path))
+    assert (rc, out) == (2, "")
+    assert err == ("error: svg export needs a finite graph: curve sample 0 "
+                   "at x = -8e+306 is inf\n")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flags", [("--c=nan", "--x0", "0"),
                                    ("--c=inf", "--x0", "0"),
                                    ("--c=-1e308", "--x0", "0"),

@@ -971,6 +971,39 @@ class TestCobwebExport:
                            "7.815953773102214e+182,inf"
         assert rows[-1] == "inf,inf,inf,inf" and len(rows) == 1 + 79
 
+    def test_svg_refuses_a_graph_that_is_not_finite(self, tmp_path):
+        # c = 1e154: the trace 0 -> 1e154 -> 1e308 is finite, but x^2 + c
+        # overflows over most of the padded view, from its first sample
+        def f(x):
+            return x * x + 1e154
+
+        trace = cobweb_trace(f, 0.0, 2)
+        path = tmp_path / "t.svg"
+        with pytest.raises(DomainError) as err:
+            export_cobweb(trace, path, fmt="svg", curve=f)
+        assert str(err.value) == ("svg export needs a finite graph: curve "
+                                  "sample 0 at x = -8e+306 is inf")
+        assert not path.exists()
+
+    def test_svg_names_the_first_sample_that_is_not_finite(self, trace,
+                                                           tmp_path):
+        # a graph that is nan from the middle of the view on
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return np.where(x < 1.0, x * x + 0.5, np.nan)
+
+        path = tmp_path / "t.svg"
+        with pytest.raises(DomainError) as err:
+            export_cobweb(trace, path, fmt="svg", curve=f)
+        grid = calls[0]
+        first = int(np.argmax(grid >= 1.0))
+        assert str(err.value) == (
+            f"svg export needs a finite graph: curve sample {first} at "
+            f"x = {float(grid[first])!r} is nan")
+        assert 0 < first < grid.size - 1 and not path.exists()
+
     def test_svg_needs_curve(self, trace, tmp_path):
         with pytest.raises(DomainError):
             export_cobweb(trace, tmp_path / "t.svg", fmt="svg")

@@ -325,6 +325,30 @@ def test_gap_endpoints_correctly_rounded(c):
             gaps = [(-v, -u) for u, v in reversed(right)] + right
 
 
+@pytest.mark.parametrize("c", [-2.37, -3.0, -20.0, -50.0])
+@pytest.mark.parametrize("depth", [0, 1, 2, 5, 8])
+def test_shift_names_the_knot_nearest_f(c, depth, mp_images):
+    # F_c is the shift on addresses: the knot _shift names is the stored
+    # knot nearest the 50-digit F_c(knot + tail), and F_c(knot) rounds
+    # onto that knot's public double
+    system = build_model_system(derive_params(c), depth)
+    near, value = mp_images(system)
+    k = np.arange(system.knots.size)
+    assert model_cantor._shift(depth, k).tolist() == near.tolist()
+    assert value.tolist() == system.knots[near].tolist()
+
+
+def test_shift_closed_forms():
+    # level 0: both ends of the hull go to p; level 1 (knots -p, -s, s, p):
+    # -p and p go to p, the gap edges to -p; level 2: the left half maps
+    # onto level 1's segments reversed, ends swapped, the right half in
+    # order, where level 1's segments are level 2's knots 0, 3 and 4, 7
+    assert model_cantor._shift(0, np.arange(2)).tolist() == [1, 1]
+    assert model_cantor._shift(1, np.arange(4)).tolist() == [3, 0, 0, 3]
+    assert model_cantor._shift(2, np.arange(8)).tolist() == [
+        7, 4, 3, 0, 0, 3, 4, 7]
+
+
 # --- the level loop against the two-pass loop it replaced -----------------
 
 def two_pass_model(params, depth):

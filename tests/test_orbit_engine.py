@@ -35,7 +35,7 @@ from cantordyn import (
     middle_thirds,
 )
 from cantordyn import _dd, orbit_engine
-from cantordyn.conjugacy import _phi_dd, _phi_inv_dd
+from cantordyn.conjugacy import _eval_dd_array, _fstar_step, _phi_inv_dd
 from cantordyn.fileio import PALETTE, export_escape_image
 
 
@@ -252,7 +252,7 @@ def reference_iterate_target_array(pl, params, y0, max_iter, threshold):
         if n == max_iter or alive.size == 0:
             break
         fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
-        yh, yl = _phi_dd(pl, fh, fl)
+        yh, yl = _eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
         y = yh + yl
     return OrbitResult(escaped, iteration)
 
@@ -378,9 +378,9 @@ def count_fstar_steps(monkeypatch, limit=math.inf):
         calls.append(1)
         if len(calls) > limit:
             raise AssertionError(f"more than {limit} F* steps")
-        return _phi_dd(*args)
+        return _fstar_step(*args)
 
-    monkeypatch.setattr(orbit_engine, "_phi_dd", counted)
+    monkeypatch.setattr(orbit_engine, "_fstar_step", counted)
     return calls
 
 
@@ -437,6 +437,25 @@ def test_dichotomy_endpoints_close_within_a_few_steps(monkeypatch, c, most):
     assert not got.escaped.any()
     assert (got.iteration == 10**6).all()
     assert calls
+
+
+def test_scalar_target_loop_enters_no_errstate(monkeypatch, phi12, params3):
+    # the scalar loop squares only points within the escape radius, so its
+    # F* steps need no np.errstate (a context costs about a microsecond);
+    # eval_fstar, whose points may overflow, enters one per call
+    entered = []
+    errstate = np.errstate
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    for y0 in (0.25, 0.4, 1 / 3):
+        iterate_target(phi12, params3, y0, 50)
+    assert entered == []
+    assert eval_fstar(phi12, params3, 1e300) == math.inf
+    assert len(entered) == 1
 
 
 def test_drift_budget_documented():

@@ -2,6 +2,9 @@
 would meet, though they evaluate and iterate whole arrays at once, and a
 run that builds its systems once reports what rebuilding per suite did."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -47,23 +50,26 @@ from cantordyn.verification import (
 # with each suite's scan split out so a test can hand it a system; the
 # suites that always took the built systems are shared.
 
-def endpoint_orbits_loop(system, params):
-    """The rebuilding endpoint-orbits suite's scalar scan of `system`."""
-    worst = 0.0
-    depth = system.depth
-    for n in range(min(depth, 10) + 1):
+def float_endpoint_scan(system, params):
+    """The float64 endpoint check that the address-shift suite replaced:
+    F^n of each level-n endpoint (n <= 10) within 1e-6 of +-p, scanned
+    point by point.  Kept to show which perturbations it let through."""
+    for n in range(min(system.depth, 10) + 1):
         for x in np.concatenate([system.level_a[n], system.level_b[n]]):
             y = float(x)
             for _ in range(n):
                 y = quadratic_map.eval_map(params, y)
-            err = min(abs(y - params.p), abs(y + params.p))
-            worst = max(worst, err)
-            if err > 1e-6:
-                return False, (
-                    f"level-{n} endpoint {float(x)!r}: F^{n} lands {err!r} "
-                    f"from +-p"
-                )
-    return True, f"level <= {min(depth, 10)} endpoints reach +-p within {worst:.3e}"
+            if min(abs(y - params.p), abs(y + params.p)) > 1e-6:
+                return n
+    return None
+
+
+def first_knot_off_its_image(system, images, mp_images):
+    """Index of the first knot, in knot order, whose 50-digit F_c(knot)
+    (mp_images) does not round to the knot `images` names, or None."""
+    _, value = mp_images(system)
+    bad = value != system.knots[images]
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def rebuilt_model_structure(params, depth):
@@ -80,8 +86,8 @@ def rebuilt_model_structure(params, depth):
 
 
 def rebuilt_endpoint_orbits(params, depth):
-    return endpoint_orbits_loop(
-        model_cantor.build_model_system(params, depth), params)
+    return _suite_endpoint_orbits(
+        model_cantor.build_model_system(params, depth))
 
 
 def target_construction_loop(system, spec, depth):
@@ -160,8 +166,11 @@ def dichotomy_loop(pl, params, target):
     for n in range(1, min(target.depth, 5) + 1):
         for gc, gd in zip(target.gap_c[n], target.gap_d[n]):
             mid = 0.5 * (float(gc) + float(gd))
-            if not iterate_target(pl, params, mid, 200).escaped:
-                return False, f"gap midpoint {mid!r} failed to escape in 200"
+            res = iterate_target(pl, params, mid, 5)
+            if not (res.escaped and res.iteration == n):
+                verdict = "escaped_at" if res.escaped else "bounded"
+                return False, (f"level-{n} gap midpoint {mid!r}: {verdict} "
+                               f"{res.iteration}")
     for n in range(min(target.depth, 8) + 1):
         for y in np.concatenate([target.level_a[n], target.level_b[n]]):
             res = iterate_target(pl, params, float(y), 25)
@@ -171,7 +180,7 @@ def dichotomy_loop(pl, params, target):
                     f"iteration {res.iteration}"
                 )
     return True, (
-        "gap midpoints (levels <= 5) escape within 200 iterations, "
+        "gap midpoints (levels <= 5) escape at their level, "
         "endpoints (levels <= 8) stay bounded for 25"
     )
 
@@ -192,6 +201,12 @@ def test_dichotomy_reports_first_violation():
         got = _suite_dichotomy(pl, params, target)
         assert got == dichotomy_loop(pl, params, target), c
         assert got[0] == (c == -3.0)
+    # a level-3 midpoint leaves a step early under c = -4, and the level-1
+    # midpoint never leaves under c = -1
+    assert _suite_dichotomy(pl, derive_params(-4.0), target)[1] == (
+        "level-3 gap midpoint 0.05555555555555555: escaped_at 2")
+    assert _suite_dichotomy(pl, derive_params(-1.0), target)[1] == (
+        "level-1 gap midpoint 0.5: bounded 5")
 
 
 def test_conjugacy_map_reports_perturbed_knot():
@@ -208,6 +223,24 @@ def test_conjugacy_map_reports_perturbed_knot():
     ok, detail = _suite_conjugacy_map(bent, model, target)
     assert not ok
     assert detail == f"knot not exact: phi({x!r}) = {float(ys[k])!r} != {y!r}"
+
+
+def test_conjugacy_map_reports_the_first_bad_knot_in_knot_order():
+    # knot 32 (level_a[2][1]) and knot 5 (a right end first stored at
+    # level 6) both bent: a scan level by level would meet knot 32 first,
+    # the scan in knot order meets knot 5
+    _, model, target, pl = build(-3.0, 6)
+    ys = pl.ys.copy()
+    for k in (32, 5):
+        ys[k] = np.nextafter(ys[k], np.inf)
+    bent = MonotonePLMap(xs=pl.xs, ys=ys, err_bound=pl.err_bound,
+                         depth=pl.depth, xs_lo=pl.xs_lo, ys_lo=pl.ys_lo)
+    assert model.knots[32] == model.level_a[2][1]
+    assert model.knots[5] not in np.concatenate([model.level_a[5],
+                                                 model.level_b[5]])
+    assert _suite_conjugacy_map(bent, model, target) == (False, (
+        f"knot not exact: phi({float(pl.xs[5])!r}) = {float(ys[5])!r} "
+        f"!= {float(pl.ys[5])!r}"))
 
 
 def test_depth0_passes():
@@ -306,16 +339,20 @@ def test_run_builds_each_system_once(monkeypatch):
 
 @pytest.mark.parametrize("c", [-3.0, -3.0 - 1e-12, -3.0 - 1e-9, -3.0 + 1e-8,
                                -3.01, -4.0, -1e6])
-def test_endpoint_orbits_reports_first_violation(c):
-    # the endpoints of c = -3 checked against another c's map: the first
-    # violation and the reported worst miss are those of the scalar scan
+def test_endpoint_orbits_reports_first_violation(c, mp_images):
+    # the knots of c = -3 checked against another c's map: every other c
+    # moves F_c off the knots, and the suite names the first knot, in knot
+    # order, whose 50-digit image misses the knot it must land on
     model = build_model_system(derive_params(-3.0), 10)
-    params = derive_params(c)
     bent = IntervalSystem(model.a_N, model.b_N, model.a_lo_N, model.b_lo_N,
-                          params=params)
-    got = _suite_endpoint_orbits(bent)
-    assert got == endpoint_orbits_loop(model, params)
-    assert got[0] == (c == -3.0)
+                          params=derive_params(c))
+    ok, detail = _suite_endpoint_orbits(bent)
+    assert ok == (c == -3.0)
+    if ok:
+        assert detail == "F_c shifts all 2048 level-10 knots"
+    else:
+        first = first_knot_off_its_image(bent, mp_images(model)[0], mp_images)
+        assert detail.startswith(f"knot {first}: F_c rounds it to ")
 
 
 @pytest.mark.parametrize("side, n, i, delta, fails_at", [
@@ -323,10 +360,12 @@ def test_endpoint_orbits_reports_first_violation(c):
     ("b", 10, 700, 1e-9, 10), ("b", 10, 700, 1e-11, None),
 ])
 def test_endpoint_orbits_reports_perturbed_endpoint(side, n, i, delta,
-                                                     fails_at):
-    # one endpoint first stored at level n moved off the set: its orbit
-    # misses +-p at that level or, by less, at a deeper one where it is
-    # iterated longer; the scan meets it after every earlier lane
+                                                     fails_at, mp_images):
+    # one endpoint first stored at level n moved off the set: F_c sends it
+    # off the knot its address shifts to, and sends its preimage knots
+    # onto its old value, so the suite fails at the first of those in knot
+    # order.  The float64 scan it replaced saw the miss at level fails_at,
+    # and not at all for the smallest delta
     model = build_model_system(derive_params(-3.0), 10)
     a, b = model.a_N.copy(), model.b_N.copy()
     if side == "a":
@@ -336,12 +375,38 @@ def test_endpoint_orbits_reports_perturbed_endpoint(side, n, i, delta,
     ends[k] += delta
     bent = IntervalSystem(a, b, model.a_lo_N, model.b_lo_N,
                           params=model.params)
-    got = _suite_endpoint_orbits(bent)
-    assert got == endpoint_orbits_loop(bent, model.params)
-    assert got[0] == (fails_at is None)
-    if fails_at is not None:
-        assert got[1].startswith(
-            f"level-{fails_at} endpoint {float(ends[k])!r}:")
+    assert float_endpoint_scan(bent, model.params) == fails_at
+    first = first_knot_off_its_image(bent, mp_images(model)[0], mp_images)
+    ok, detail = _suite_endpoint_orbits(bent)
+    assert not ok
+    assert first <= 2 * k + (side == "b")
+    assert detail.startswith(f"knot {first}: F_c rounds it to ")
+
+
+def test_endpoint_orbits_detail():
+    # the knot, the double F_c rounds it to, and the knot it should reach:
+    # with p = (1 + sqrt 13)/2 the fixed point of c = -3, F_-4(-p) is
+    # p^2 - 4 = p - 1, not p
+    model = build_model_system(derive_params(-3.0), 2)
+    bent = IntervalSystem(model.a_N, model.b_N, model.a_lo_N, model.b_lo_N,
+                          params=derive_params(-4.0))
+    assert _suite_endpoint_orbits(bent) == (False, (
+        "knot 0: F_c rounds it to 1.3027756377319946, not to knot 7 = "
+        "2.302775637731995"))
+
+
+def test_endpoint_orbits_in_bounded_memory():
+    # blocks of _BLOCK knots: at depth 20 (2^21 knots, 16 MB a knot array)
+    # the suite holds a few block-sized temporaries, and F_c shifts all
+    model = build_model_system(derive_params(-3.0), 20)
+    tracemalloc.start()
+    try:
+        ok, detail = _suite_endpoint_orbits(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok, detail
+    assert peak < 4 << 20
 
 
 def test_target_construction_certificate_detail():
@@ -399,3 +464,67 @@ def test_target_construction_reports_perturbed_endpoint(k, delta):
     assert got[0] == (delta > 0)
     if delta < 0:
         assert got[1] == f"stored endpoint {float(a[k])!r} rejected by membership"
+
+
+# --- the standing sweep: 15 values of c x 5 targets x 5 depths ------------
+
+SWEEP_C = (-2.37, -2.38, -2.4, -2.45, -2.5, -2.7, -3.0, -3.5, -4.0, -5.0,
+           -6.0, -8.0, -10.0, -20.0, -50.0)
+SWEEP_DEPTHS = (0, 1, 2, 8, 10)
+
+# Depth-8 pairs held back: a stored level-2 endpoint of the target
+# (0.20125 of fat:0.3,0.5, 0.96 of affine:0.3,0.2) leaves the hull under
+# F*, because the dd F_c at a knot misses the next knot by about 1e-31 and
+# the double F* rounds past it (ROADMAP item 1).  Only the dichotomy's
+# endpoint half fails; they pass once F* is exact on knots.
+HELD_BACK = {(c, "fat:0.3,0.5") for c in (-2.37, -2.38, -2.4, -6.0, -8.0,
+                                          -50.0)} | {
+    (c, "affine:0.3,0.2") for c in (-4.0, -8.0, -20.0)}
+
+
+@pytest.fixture(scope="module")
+def sweep_targets():
+    return {(name, depth): build_target_system(spec, depth, mode="strict")
+            for name, spec in SWEEP_SPECS.items() for depth in SWEEP_DEPTHS}
+
+
+def gap_midpoints(target):
+    """The midpoints of every gap of `target`, and the level of each."""
+    mids = [0.5 * (target.gap_c[n] + target.gap_d[n])
+            for n in range(1, target.depth + 1)]
+    level = np.repeat(np.arange(1, target.depth + 1), [m.size for m in mids])
+    return np.concatenate([np.empty(0)] + mids), level
+
+
+@pytest.mark.parametrize("c", SWEEP_C)
+def test_sweep_rows(c, sweep_targets):
+    # every depth: F_c shifts the model's knots, phi sends knots onto
+    # knots, and every gap midpoint of every level leaves at its level;
+    # at depth 8 the whole run passes but for the held-back pairs
+    params = derive_params(c)
+    for depth in SWEEP_DEPTHS:
+        model = build_model_system(params, depth)
+        ok, detail = _suite_endpoint_orbits(model)
+        assert ok, (depth, detail)
+        for name in SWEEP_SPECS:
+            target = sweep_targets[name, depth]
+            pl = build_phi(model, target, depth)
+            ok, detail = _suite_conjugacy_map(pl, model, target)
+            assert ok, (name, depth, detail)
+            mids, level = gap_midpoints(target)
+            res = iterate_target(pl, params, mids, max(depth, 1))
+            assert res.escaped.all() and np.array_equal(res.iteration,
+                                                        level), (name, depth)
+    for name, spec in SWEEP_SPECS.items():
+        failed = [r for r in run_verification(c, 8, spec) if not r.ok]
+        if (c, name) in HELD_BACK:
+            assert [r.name for r in failed] == ["dichotomy"], name
+            assert re.fullmatch(r"level-2 endpoint \S+ escaped at "
+                                r"iteration \d+", failed[0].detail), name
+        else:
+            assert failed == [], name
+
+
+def test_sweep_holds_back_nine_pairs():
+    assert len(HELD_BACK) == 9
+    assert {c for c, _ in HELD_BACK} <= set(SWEEP_C)
