@@ -11,8 +11,14 @@ abscissa returns the paired ordinate bit for bit, which is what lets orbits
 of F* = phi o F o phi^(-1) lock onto the endpoint cycles instead of drifting
 off the invariant set within a handful of expanding steps.  Interior
 arithmetic runs in double-double; public results are correctly rounded.
-Every evaluator also takes an ndarray and then gives, lane by lane, the
-bits of the scalar call.
+A scalar query off the knots reads the few knots it needs with
+ndarray.item and computes on Python floats, which give the bits of numpy
+scalar arithmetic at about half its cost.  A knot hit returns the
+stored numpy scalars themselves, so the F* step from a knot still runs on
+numpy scalars; that step is left for the address shift
+(model_cantor._shift), which names its image outright.  Public scalar
+results are np.float64 off the knots and float on a knot.  Every evaluator also takes
+an ndarray and then gives, lane by lane, the bits of the scalar call.
 """
 
 import bisect
@@ -103,29 +109,37 @@ def _eval_dd(xs, xs_lo, ys, ys_lo, xh, xl):
     """Evaluate the PL map at the double-double point (xh, xl).
 
     A query equal to a knot (both components) returns the paired knot
-    unperturbed; this includes the hull corners, which must not go through
-    the tail arithmetic or orbit locking degrades.
+    unperturbed, as the stored numpy scalars; this includes the hull
+    corners, which must not go through the tail arithmetic or orbit
+    locking degrades.  Any other query reads the hull corners and its
+    piece's two knots with ndarray.item, so that the dd arithmetic runs on
+    Python floats: the same IEEE operations, hence the same bits, without
+    a numpy scalar made for every intermediate.  A numpy-scalar query (the
+    F_c image of a knot hit) gives numpy scalars, with the same bits.
     """
-    if (xh, xl) <= (xs[0], xs_lo[0]):
-        if xh == xs[0] and xl == xs_lo[0]:
+    x0, x0_lo = xs.item(0), xs_lo.item(0)
+    if (xh, xl) <= (x0, x0_lo):
+        if xh == x0 and xl == x0_lo:
             return ys[0], ys_lo[0]
-        off = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
-        return _dd.add(xh, xl, *off)
-    if (xh, xl) >= (xs[-1], xs_lo[-1]):
-        if xh == xs[-1] and xl == xs_lo[-1]:
+        return _dd.add(xh, xl, *_dd.sub(ys.item(0), ys_lo.item(0), x0, x0_lo))
+    xn, xn_lo = xs.item(-1), xs_lo.item(-1)
+    if (xh, xl) >= (xn, xn_lo):
+        if xh == xn and xl == xn_lo:
             return ys[-1], ys_lo[-1]
-        off = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
-        return _dd.add(xh, xl, *off)
-    i = int(np.searchsorted(xs, xh, side="right")) - 1
-    if xs[i] == xh:
-        if xs_lo[i] == xl:
+        return _dd.add(xh, xl,
+                       *_dd.sub(ys.item(-1), ys_lo.item(-1), xn, xn_lo))
+    i = int(xs.searchsorted(xh, side="right")) - 1
+    if xs.item(i) == xh:
+        if xs_lo.item(i) == xl:
             return ys[i], ys_lo[i]
-        if xl < xs_lo[i]:
+        if xl < xs_lo.item(i):
             i -= 1  # dd-below the knot: the point belongs to the piece left of it
-    dx = _dd.sub(xh, xl, xs[i], xs_lo[i])
-    t = _dd.div(*dx, *_dd.sub(xs[i + 1], xs_lo[i + 1], xs[i], xs_lo[i]))
-    dy = _dd.mul(*t, *_dd.sub(ys[i + 1], ys_lo[i + 1], ys[i], ys_lo[i]))
-    return _dd.add(ys[i], ys_lo[i], *dy)
+    ah, bh = xs.item(i), xs.item(i + 1)
+    al, bl = xs_lo.item(i), xs_lo.item(i + 1)
+    ch, dh = ys.item(i), ys.item(i + 1)
+    cl, dl = ys_lo.item(i), ys_lo.item(i + 1)
+    t = _dd.div(*_dd.sub(xh, xl, ah, al), *_dd.sub(bh, bl, ah, al))
+    return _dd.add(ch, cl, *_dd.mul(*t, *_dd.sub(dh, dl, ch, cl)))
 
 
 def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
@@ -195,9 +209,10 @@ def _eval_double(xs, xs_lo, ys, ys_lo, x):
     A query matching a knot's public (hi) coordinate counts as that knot:
     public doubles are the only coordinates callers can name.  It yields the
     paired full-precision knot, and r is then the knot's public ordinate.
-    An ndarray x is evaluated lane by lane with the same bits; only the
-    lanes that are not knots go through _eval_dd_array, the whole batch at
-    once when it holds no knot.
+    A scalar x off the knots goes through _eval_dd as a Python float, and r
+    is an np.float64.  An ndarray x is evaluated lane by lane with the same
+    bits; only the lanes that are not knots go through _eval_dd_array, the
+    whole batch at once when it holds no knot.
     """
     if isinstance(x, np.ndarray):
         shape, x = x.shape, x.ravel()
@@ -214,11 +229,11 @@ def _eval_double(xs, xs_lo, ys, ys_lo, x):
                                     np.zeros(rest.size))
             h[rest], l[rest], r[rest] = rh, rl, rh + rl
         return h.reshape(shape), l.reshape(shape), r.reshape(shape)
-    i = int(np.searchsorted(xs, x))
-    if i < xs.size and xs[i] == x:
-        return ys[i], ys_lo[i], float(ys[i])
-    h, l = _eval_dd(xs, xs_lo, ys, ys_lo, x, 0.0)
-    return h, l, h + l
+    i = int(xs.searchsorted(x))
+    if i < xs.size and xs.item(i) == x:
+        return ys[i], ys_lo[i], ys.item(i)
+    h, l = _eval_dd(xs, xs_lo, ys, ys_lo, float(x), 0.0)
+    return h, l, np.float64(h + l)
 
 
 def eval_phi(pl, x):
@@ -245,8 +260,8 @@ def _phi_inv_dd(pl, y):
 
 def _fstar_step(pl, c, xh, xl):
     """phi(F_c(x)) at the dd point x (floats or arrays), rounded once; +inf
-    where F_c(x) overflows.  A caller whose x may overflow enters
-    np.errstate itself."""
+    where F_c(x) overflows.  A scalar x gives an np.float64, or math.inf.
+    A caller whose x may overflow enters np.errstate itself."""
     fh, fl = _dd.add(*_dd.sqr(xh, xl), c, 0.0)
     if isinstance(fh, np.ndarray):
         yh, yl = _eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
@@ -254,7 +269,7 @@ def _fstar_step(pl, c, xh, xl):
     if not math.isfinite(fh):
         return math.inf
     yh, yl = _eval_dd(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
-    return yh + yl
+    return np.float64(yh + yl)
 
 
 def eval_fstar(pl, params, y):

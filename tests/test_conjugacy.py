@@ -646,3 +646,84 @@ def test_public_array_evaluators_match_frozen_oracle(oracle_cases):
         x = oracle_queries(pl.xs)["mix"]
         assert same_bits(eval_phi(pl, x), reference_eval_double_array(
             pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, x)[2])
+
+
+# _eval_dd as it was when its arithmetic ran on numpy scalars (the knots
+# read by indexing), frozen as the oracle of the version that reads them
+# with ndarray.item and computes on Python floats.
+
+def reference_eval_dd(xs, xs_lo, ys, ys_lo, xh, xl):
+    if (xh, xl) <= (xs[0], xs_lo[0]):
+        if xh == xs[0] and xl == xs_lo[0]:
+            return ys[0], ys_lo[0]
+        off = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
+        return _dd.add(xh, xl, *off)
+    if (xh, xl) >= (xs[-1], xs_lo[-1]):
+        if xh == xs[-1] and xl == xs_lo[-1]:
+            return ys[-1], ys_lo[-1]
+        off = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
+        return _dd.add(xh, xl, *off)
+    i = int(np.searchsorted(xs, xh, side="right")) - 1
+    if xs[i] == xh:
+        if xs_lo[i] == xl:
+            return ys[i], ys_lo[i]
+        if xl < xs_lo[i]:
+            i -= 1
+    dx = _dd.sub(xh, xl, xs[i], xs_lo[i])
+    t = _dd.div(*dx, *_dd.sub(xs[i + 1], xs_lo[i + 1], xs[i], xs_lo[i]))
+    dy = _dd.mul(*t, *_dd.sub(ys[i + 1], ys_lo[i + 1], ys[i], ys_lo[i]))
+    return _dd.add(ys[i], ys_lo[i], *dy)
+
+
+def scalar_dd_queries(xs, xs_lo, c):
+    """(hi, lo) queries over one knot table, as Python floats: seeded
+    interior points; every probed knot (about 64, both corners included)
+    with its own tail, that tail +-1e-30, one ulp either side with tail 0,
+    and its dd image under F_c; both slope-one tails, the hull corners as
+    plain doubles, and +-0.0."""
+    rng = random.Random(xs.size)
+    lo, hi = xs.item(0), xs.item(-1)
+    queries = [(rng.uniform(lo, hi), 0.0) for _ in range(32)]
+    for k in np.unique(np.r_[0:xs.size:max(1, xs.size // 64), xs.size - 1]):
+        h, l = xs.item(k), xs_lo.item(k)
+        queries += [(h, l), (h, l + 1e-30), (h, l - 1e-30),
+                    (math.nextafter(h, -math.inf), 0.0),
+                    (math.nextafter(h, math.inf), 0.0),
+                    _dd.add(*_dd.sqr(h, l), c, 0.0)]
+    queries += [(lo - 1.0, 0.0), (lo - 1e-9, 0.0), (hi + 1e-9, 0.0),
+                (hi + 2.5, 0.0), (lo, 0.0), (hi, 0.0),
+                (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0)]
+    return queries
+
+
+def test_eval_dd_matches_frozen_reference(oracle_cases):
+    """Bit for bit, hi and lo, with each query passed as Python floats and
+    as np.float64: the knot hits of _eval_double feed numpy scalars
+    through _fstar_step into _eval_dd."""
+    for pl, params, _ in oracle_cases:
+        for table in ((pl.xs, pl.xs_lo, pl.ys, pl.ys_lo),
+                      (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)):
+            for xh, xl in scalar_dd_queries(table[0], table[1], params.c):
+                for cast in (float, np.float64):
+                    q = cast(xh), cast(xl)
+                    got = _eval_dd(*table, *q)
+                    want = reference_eval_dd(*table, *q)
+                    assert same_bits(got, want), (pl.depth, params.c, q)
+
+
+def test_public_scalar_result_types(phi12, params3):
+    """np.float64 off the knots, float on a knot, math.inf where F_c
+    overflows: the CLI prints these and the benchmark hashes their repr."""
+    x, y = phi12.xs.item(1000), phi12.ys.item(1000)
+    off_x, off_y = math.nextafter(x, math.inf), math.nextafter(y, math.inf)
+    assert type(eval_phi(phi12, x)) is float
+    assert type(eval_phi(phi12, off_x)) is np.float64
+    assert type(eval_phi_inverse(phi12, y)) is float
+    assert type(eval_phi_inverse(phi12, off_y)) is np.float64
+    assert type(eval_fstar(phi12, params3, y)) is np.float64
+    assert type(eval_fstar(phi12, params3, off_y)) is np.float64
+    big = eval_fstar(phi12, params3, 1e300)
+    assert type(big) is float and big == math.inf
+    for y0 in (y, off_y):
+        res = iterate_target(phi12, params3, y0, 50, keep_trajectory=5)
+        assert [type(v) for v in res.trajectory] == [float] + [np.float64] * 4
