@@ -11,6 +11,17 @@ serves a single value and the 2^n endpoints of a whole refinement level with
 the same bits.  le and lt compare pairs with | and &, so they yield a bool or
 a bool array.  Only sqrt is scalar, because of math.sqrt and its zero test;
 v_sqrt is its array form.
+
+Two compositions are also written out as straight-line code: interp, one
+piece of a piecewise-linear map, and quad, the step x^2 + c.  They are
+the hot path of every scalar F* step, and on Python floats the composed
+form spends most of its time on its ~40 nested calls, not on the
+arithmetic; written out, they run in about 40% of the time.  They do the
+composition's operations in its order, so their results have its bits
+on floats, numpy scalars and arrays alike.  "The same bits" holds for
+results that are not NaN: the sign of a NaN can differ between two
+equal formulas, since the operand order CPython's float add hands to the
+hardware differs between its generic and specialized paths.
 """
 
 import math
@@ -85,6 +96,152 @@ def div(xh, xl, yh, yl):
     q1 = xh / yh
     rh, _ = add(xh, xl, *mul(q1, 0.0, -yh, -yl))
     return quick_sum(q1, rh / yh)
+
+
+def interp(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
+    """add(c, mul(div(sub(x, a), sub(b, a)), sub(d, c))), written out.
+
+    The operations of the composition in its order: a - b stands for
+    a + (-b), the same IEEE result, and every two_sum is the long one,
+    which the float-tail shortcut of add matches.  Names are reassigned and
+    dropped as soon as they are spent, so an array call keeps few
+    temporaries alive at once.
+    """
+    # sub(x, a) -> (uh, ul)
+    s = xh - ah
+    t = s - xh
+    e = (xh - (s - t)) + (-ah - t)
+    h = xl - al
+    t = h - xl
+    g = (xl - (h - t)) + (-al - t)
+    t = e + h
+    uh = s + t
+    e = t - (uh - s)
+    t = e + g
+    del e, g, h, xh, xl
+    s = uh + t
+    ul = t - (s - uh)
+    uh = s
+    # sub(b, a) -> (wh, wl)
+    s = bh - ah
+    t = s - bh
+    e = (bh - (s - t)) + (-ah - t)
+    h = bl - al
+    t = h - bl
+    g = (bl - (h - t)) + (-al - t)
+    t = e + h
+    wh = s + t
+    e = t - (wh - s)
+    t = e + g
+    del e, g, h, ah, al, bh, bl
+    s = wh + t
+    wl = t - (s - wh)
+    wh = s
+    # div: q = uh / wh, m = mul(q, 0.0, -wh, -wl), r = add(u, m).hi
+    q = uh / wh
+    nh = -wh
+    p = q * nh
+    t = _SPLITTER * q
+    qh = t - (t - q)
+    ql = q - qh
+    t = _SPLITTER * nh
+    s = t - (t - nh)
+    t = nh - s
+    e = ((qh * s - p) + qh * t + ql * s) + ql * t
+    del qh, ql
+    t = e + (q * -wl + 0.0 * nh)
+    del nh, e
+    mh = p + t
+    ml = t - (mh - p)
+    del p
+    s = uh + mh
+    t = s - uh
+    e = (uh - (s - t)) + (mh - t)
+    del mh
+    h = ul + ml
+    t = h - ul
+    g = (ul - (h - t)) + (ml - t)
+    del ul, ml
+    t = e + h
+    uh = s + t
+    e = t - (uh - s)
+    t = uh + (e + g)  # the hi part of the last quick_sum
+    del e, g, h
+    s = t / wh
+    del wh
+    th = q + s
+    tl = s - (th - q)
+    del q
+    # sub(d, c) -> (vh, vl)
+    s = dh - ch
+    t = s - dh
+    e = (dh - (s - t)) + (-ch - t)
+    h = dl - cl
+    t = h - dl
+    g = (dl - (h - t)) + (-cl - t)
+    t = e + h
+    vh = s + t
+    e = t - (vh - s)
+    t = e + g
+    del e, g, h, dh, dl
+    s = vh + t
+    vl = t - (s - vh)
+    vh = s
+    # mul(t, v) -> (ph, pl)
+    p = th * vh
+    t = _SPLITTER * th
+    qh = t - (t - th)
+    ql = th - qh
+    t = _SPLITTER * vh
+    s = t - (t - vh)
+    t = vh - s
+    e = ((qh * s - p) + qh * t + ql * s) + ql * t
+    del qh, ql
+    t = e + (th * vl + tl * vh)
+    del th, tl, vh, vl, e
+    ph = p + t
+    pl = t - (ph - p)
+    del p
+    # add(c, p)
+    s = ch + ph
+    t = s - ch
+    e = (ch - (s - t)) + (ph - t)
+    del ph
+    h = cl + pl
+    t = h - cl
+    g = (cl - (h - t)) + (pl - t)
+    del pl
+    t = e + h
+    uh = s + t
+    e = t - (uh - s)
+    t = e + g
+    del e, g, h
+    s = uh + t
+    return s, t - (s - uh)
+
+
+def quad(xh, xl, c):
+    """add(*sqr(x), c, 0.0), the step x -> x^2 + c, written out in the
+    composition's order (the float tail 0.0 takes add's shortcut)."""
+    p = xh * xh
+    t = _SPLITTER * xh
+    h = t - (t - xh)
+    t = xh - h
+    e = ((h * h - p) + h * t + t * h) + t * t
+    t = e + 2.0 * xh * xl
+    del e
+    h = p + t
+    t = t - (h - p)  # sqr(x) = (h, t)
+    del p
+    s = h + c
+    e = s - h
+    e = (h - (s - e)) + (c - e)
+    e = e + (t + 0.0)
+    h = s + e
+    e = e - (h - s)
+    e = e + (t - t)
+    s = h + e
+    return s, e - (s - h)
 
 
 def sqrt(xh, xl):

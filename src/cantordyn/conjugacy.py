@@ -13,7 +13,9 @@ off the invariant set within a handful of expanding steps.  Interior
 arithmetic runs in double-double; public results are correctly rounded.
 A scalar query off the knots reads the few knots it needs with
 ndarray.item and computes on Python floats, which give the bits of numpy
-scalar arithmetic at about half its cost.  A knot hit returns the
+scalar arithmetic at about half its cost.  Scalar and array queries alike
+interpolate with _dd.interp and step F_c with _dd.quad, the written-out
+kernels, so one formula serves both.  A knot hit returns the
 stored numpy scalars themselves, so the F* step from a knot still runs on
 numpy scalars; that step is left for the address shift
 (model_cantor._shift), which names its image outright.  Public scalar
@@ -121,25 +123,32 @@ def _eval_dd(xs, xs_lo, ys, ys_lo, xh, xl):
     if (xh, xl) <= (x0, x0_lo):
         if xh == x0 and xl == x0_lo:
             return ys[0], ys_lo[0]
-        return _dd.add(xh, xl, *_dd.sub(ys.item(0), ys_lo.item(0), x0, x0_lo))
+        return _tail(xs, xs_lo, ys, ys_lo, 0, xh, xl)
     xn, xn_lo = xs.item(-1), xs_lo.item(-1)
     if (xh, xl) >= (xn, xn_lo):
         if xh == xn and xl == xn_lo:
             return ys[-1], ys_lo[-1]
-        return _dd.add(xh, xl,
-                       *_dd.sub(ys.item(-1), ys_lo.item(-1), xn, xn_lo))
+        return _tail(xs, xs_lo, ys, ys_lo, -1, xh, xl)
     i = int(xs.searchsorted(xh, side="right")) - 1
     if xs.item(i) == xh:
         if xs_lo.item(i) == xl:
             return ys[i], ys_lo[i]
         if xl < xs_lo.item(i):
             i -= 1  # dd-below the knot: the point belongs to the piece left of it
-    ah, bh = xs.item(i), xs.item(i + 1)
-    al, bl = xs_lo.item(i), xs_lo.item(i + 1)
-    ch, dh = ys.item(i), ys.item(i + 1)
-    cl, dl = ys_lo.item(i), ys_lo.item(i + 1)
-    t = _dd.div(*_dd.sub(xh, xl, ah, al), *_dd.sub(bh, bl, ah, al))
-    return _dd.add(ch, cl, *_dd.mul(*t, *_dd.sub(dh, dl, ch, cl)))
+    return _piece(xs, xs_lo, ys, ys_lo, i, xh, xl)
+
+
+def _tail(xs, xs_lo, ys, ys_lo, k, xh, xl):
+    """The slope-one tail through knot k (0 or -1) at (xh, xl)."""
+    return _dd.add(xh, xl, *_dd.sub(ys.item(k), ys_lo.item(k), xs.item(k),
+                                    xs_lo.item(k)))
+
+
+def _piece(xs, xs_lo, ys, ys_lo, i, xh, xl):
+    """The interpolation on piece i at (xh, xl), on Python floats."""
+    return _dd.interp(xh, xl, xs.item(i), xs_lo.item(i), xs.item(i + 1),
+                      xs_lo.item(i + 1), ys.item(i), ys_lo.item(i),
+                      ys.item(i + 1), ys_lo.item(i + 1))
 
 
 def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
@@ -180,11 +189,9 @@ def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
             # knot and is held to the last piece
             j = np.minimum(i - (on_knot & (xl < knot_lo)), last - 1)[k]
             j1 = j + 1
-            ah, al, ch, cl = xs[j], xs_lo[j], ys[j], ys_lo[j]
-            dx = _dd.sub(xh[k], xl[k], ah, al)
-            t = _dd.div(*dx, *_dd.sub(xs[j1], xs_lo[j1], ah, al))
-            dy = _dd.mul(*t, *_dd.sub(ys[j1], ys_lo[j1], ch, cl))
-            h[k], l[k] = _dd.add(ch, cl, *dy)
+            h[k], l[k] = _dd.interp(xh[k], xl[k], xs[j], xs_lo[j], xs[j1],
+                                    xs_lo[j1], ys[j], ys_lo[j], ys[j1],
+                                    ys_lo[j1])
     return h.reshape(shape), l.reshape(shape)
 
 
@@ -209,10 +216,14 @@ def _eval_double(xs, xs_lo, ys, ys_lo, x):
     A query matching a knot's public (hi) coordinate counts as that knot:
     public doubles are the only coordinates callers can name.  It yields the
     paired full-precision knot, and r is then the knot's public ordinate.
-    A scalar x off the knots goes through _eval_dd as a Python float, and r
-    is an np.float64.  An ndarray x is evaluated lane by lane with the same
-    bits; only the lanes that are not knots go through _eval_dd_array, the
-    whole batch at once when it holds no knot.
+    A scalar x is placed once, by the last knot at or below it: that knot
+    is a hit, or x lies in the left tail (no such knot), the right tail
+    (the last knot) or that knot's piece, and the value is computed on
+    Python floats with _eval_dd's bits; r is then an np.float64.  (A
+    plain double has no tail, so it is never dd-below the knot it shares
+    a hi part with: that would be a hit.)  An ndarray x is evaluated lane
+    by lane with the same bits; only the lanes that are not knots go
+    through _eval_dd_array, the whole batch at once when it holds no knot.
     """
     if isinstance(x, np.ndarray):
         shape, x = x.shape, x.ravel()
@@ -229,10 +240,14 @@ def _eval_double(xs, xs_lo, ys, ys_lo, x):
                                     np.zeros(rest.size))
             h[rest], l[rest], r[rest] = rh, rl, rh + rl
         return h.reshape(shape), l.reshape(shape), r.reshape(shape)
-    i = int(xs.searchsorted(x))
-    if i < xs.size and xs.item(i) == x:
+    i = int(xs.searchsorted(x, side="right")) - 1
+    if i >= 0 and xs.item(i) == x:
         return ys[i], ys_lo[i], ys.item(i)
-    h, l = _eval_dd(xs, xs_lo, ys, ys_lo, float(x), 0.0)
+    x = float(x)
+    if i < 0 or i == xs.size - 1:
+        h, l = _tail(xs, xs_lo, ys, ys_lo, max(i, 0), x, 0.0)
+    else:
+        h, l = _piece(xs, xs_lo, ys, ys_lo, i, x, 0.0)
     return h, l, np.float64(h + l)
 
 
@@ -262,7 +277,7 @@ def _fstar_step(pl, c, xh, xl):
     """phi(F_c(x)) at the dd point x (floats or arrays), rounded once; +inf
     where F_c(x) overflows.  A scalar x gives an np.float64, or math.inf.
     A caller whose x may overflow enters np.errstate itself."""
-    fh, fl = _dd.add(*_dd.sqr(xh, xl), c, 0.0)
+    fh, fl = _dd.quad(xh, xl, c)
     if isinstance(fh, np.ndarray):
         yh, yl = _eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
         return np.where(np.isfinite(fh), yh + yl, np.inf)

@@ -100,7 +100,7 @@ def iterate_model(params_or_c, x0, max_iter, keep_trajectory=0):
             return OrbitResult(True, n, tuple(traj) if traj is not None else None)
         if n == max_iter:
             break
-        xh, xl = _dd.add(*_dd.sqr(xh, xl), c, 0.0)
+        xh, xl = _dd.quad(xh, xl, c)
     return OrbitResult(False, max_iter, tuple(traj) if traj is not None else None)
 
 
@@ -124,7 +124,7 @@ def _iterate_model_array(c, threshold, x0, max_iter):
                 lanes, xh, xl = lanes[keep], xh[keep], xl[keep]
             if n == max_iter or lanes.size == 0:
                 break
-            xh, xl = _dd.add(*_dd.sqr(xh, xl), c, 0.0)
+            xh, xl = _dd.quad(xh, xl, c)
     return OrbitResult(escaped, iteration)
 
 

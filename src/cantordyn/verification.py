@@ -129,7 +129,7 @@ def _suite_endpoint_orbits(model):
     knots, tails = model.knots, model.knots_lo
     for start in range(0, knots.size, model_cantor._BLOCK):
         k = np.arange(start, min(start + model_cantor._BLOCK, knots.size))
-        fh, fl = _dd.add(*_dd.sqr(knots[k], tails[k]), model.params.c, 0.0)
+        fh, fl = _dd.quad(knots[k], tails[k], model.params.c)
         got, to = fh + fl, model_cantor._shift(model.depth, k)
         i = _first(got != knots[to])
         if i is not None:

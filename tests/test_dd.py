@@ -1,18 +1,23 @@
-"""Two identities of the double-double kernels, pinned bit for bit.
+"""Identities of the double-double kernels, pinned bit for bit.
 
 lt(x, y) is the strict comparison le(x, y) & ~le(y, x) with 5 ufuncs in
 place of 12, and add(x, y) with a float tail yl = +-0.0 replaces
-two_sum(xl, yl) by (xl + yl, xl - xl).  Both must agree with the long
-form on every input: signed zeros, subnormals, infinities, NaN, equal hi
-parts with different lo parts, as Python floats, numpy.float64 and arrays.
+two_sum(xl, yl) by (xl + yl, xl - xl).  interp and quad are the
+compositions add(c, mul(div(sub(x, a), sub(b, a)), sub(d, c))) and
+add(*sqr(x), c, 0.0) written out.  Each must agree with the long form on
+every input: signed zeros, subnormals, infinities, NaN, equal hi parts
+with different lo parts, as Python floats, numpy.float64 and arrays.
 """
 
 import itertools
+import random
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from cantordyn import _dd
+from cantordyn.model_cantor import _BLOCK
 
 VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
           1e-20, -2.5e-17, 0.5, 1.0, -1.0, 1.0000000000000002, -3.0,
@@ -108,3 +113,108 @@ def test_kernel_identities_random(xh, xl, yh, yl, zero):
     assert _dd.lt(xh, xl, xh, yl) == lt_long(xh, xl, xh, yl)
     assert same_bits(_dd.add(xh, xl, yh, zero),
                      add_two_sum(xh, xl, yh, zero))
+
+
+def interp_long(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
+    """interp as the composition of the kernels."""
+    t = _dd.div(*_dd.sub(xh, xl, ah, al), *_dd.sub(bh, bl, ah, al))
+    return _dd.add(ch, cl, *_dd.mul(*t, *_dd.sub(dh, dl, ch, cl)))
+
+
+def quad_long(xh, xl, c):
+    return _dd.add(*_dd.sqr(xh, xl), c, 0.0)
+
+
+def same_outcome(f, g, *args):
+    """f(*args) and g(*args) give the same bits, or raise the same error
+    (a Python float division by zero raises)."""
+    try:
+        want = g(*args)
+    except ZeroDivisionError:
+        try:
+            f(*args)
+        except ZeroDivisionError:
+            return True
+        return False
+    got = f(*args)
+    return same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def special_tuples(k, n, seed):
+    """n seeded k-tuples of VALUES, with every value in every position."""
+    rng = random.Random(seed)
+    rows = [[VALUES[(j + i) % len(VALUES)] for i in range(k)]
+            for j in range(len(VALUES))]
+    rows += [[rng.choice(VALUES) for _ in range(k)] for _ in range(n)]
+    return rows
+
+
+def test_quad_is_its_composition_on_the_grid():
+    xh, xl, c = grid(3)  # 18^3 cases
+    with np.errstate(all="ignore"):
+        got, want = _dd.quad(xh, xl, c), quad_long(xh, xl, c)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        for args in zip(xh.tolist(), xl.tolist(), c.tolist()):
+            assert same_outcome(_dd.quad, quad_long, *args)
+            assert same_outcome(_dd.quad, quad_long, *map(np.float64, args))
+
+
+def test_interp_is_its_composition_on_the_special_values():
+    cols = np.array(special_tuples(10, 60000, 24)).T.copy()
+    with np.errstate(all="ignore"):
+        got, want = _dd.interp(*cols), interp_long(*cols)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        for args in cols.T[:4000].tolist():
+            assert same_outcome(_dd.interp, interp_long, *args)
+            assert same_outcome(_dd.interp, interp_long,
+                                *map(np.float64, args))
+
+
+def test_interp_is_its_composition_on_pieces():
+    # the shape of a real query: a < x < b, c < d, tails far below the heads
+    rng = random.Random(7)
+    rows = []
+    for _ in range(2000):
+        a = rng.uniform(-3.0, 3.0)
+        b = a + rng.uniform(1e-9, 1.0)
+        c = rng.uniform(-1.0, 1.0)
+        d = c + rng.uniform(1e-9, 1.0)
+        x = rng.uniform(a, b)
+        rows.append([v for h in (x, a, b, c, d)
+                     for v in (h, h * rng.choice([0.0, 3e-17, -1e-17]))])
+    for args in rows:
+        assert same_outcome(_dd.interp, interp_long, *args)
+    cols = np.array(rows).T.copy()
+    got, want = _dd.interp(*cols), interp_long(*cols)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(floats, min_size=10, max_size=10))
+def test_written_out_kernels_random(args):
+    assert same_outcome(_dd.interp, interp_long, *args)
+    assert same_outcome(_dd.quad, quad_long, *args[:3])
+    with np.errstate(all="ignore"):
+        cols = [np.array([v]) for v in args]
+        assert same_outcome(_dd.interp, interp_long, *cols)
+        assert same_outcome(_dd.quad, quad_long, *cols[:3])
+
+
+def test_interp_peaks_no_higher_than_its_composition():
+    rng = np.random.default_rng(5)
+    n = 4 * _BLOCK
+    a = rng.uniform(-3.0, 3.0, n)
+    b = a + rng.uniform(1e-9, 1.0, n)
+    c = rng.uniform(-1.0, 1.0, n)
+    d = c + rng.uniform(1e-9, 1.0, n)
+    x = a + (b - a) * rng.uniform(0.0, 1.0, n)
+    args = [v for h in (x, a, b, c, d) for v in (h, h * 1e-17)]
+    peaks = []
+    for f in (interp_long, _dd.interp):
+        tracemalloc.start()
+        try:
+            f(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
