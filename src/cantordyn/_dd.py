@@ -22,6 +22,15 @@ on floats, numpy scalars and arrays alike.  "The same bits" holds for
 results that are not NaN: the sign of a NaN can differ between two
 equal formulas, since the operand order CPython's float add hands to the
 hardware differs between its generic and specialized paths.
+
+quad leaves out two operations of add's float-tail shortcut, neither of
+which can change a result that is not NaN.  With E the two_sum error of
+hi + c and t the square's tail, it adds E + t for E + (t + 0.0), which
+differs only when t and E are both -0.0, and it drops the last step
+e + (t - t), which for a finite t changes only e = -0.0.  In round to
+nearest a sum is -0.0 only when both its terms are, and the square's hi
+part is never -0.0, so E is never -0.0, nor is the e built on it.  An
+infinite or NaN t gives NaN either way.
 """
 
 import math
@@ -222,7 +231,7 @@ def interp(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
 
 def quad(xh, xl, c):
     """add(*sqr(x), c, 0.0), the step x -> x^2 + c, written out in the
-    composition's order (the float tail 0.0 takes add's shortcut)."""
+    composition's order, less two operations (see the module docstring)."""
     p = xh * xh
     t = _SPLITTER * xh
     h = t - (t - xh)
@@ -236,10 +245,9 @@ def quad(xh, xl, c):
     s = h + c
     e = s - h
     e = (h - (s - e)) + (c - e)
-    e = e + (t + 0.0)
+    e = e + t
     h = s + e
     e = e - (h - s)
-    e = e + (t - t)
     s = h + e
     return s, e - (s - h)
 

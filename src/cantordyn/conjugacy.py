@@ -15,12 +15,14 @@ A scalar query off the knots reads the few knots it needs with
 ndarray.item and computes on Python floats, which give the bits of numpy
 scalar arithmetic at about half its cost.  Scalar and array queries alike
 interpolate with _dd.interp and step F_c with _dd.quad, the written-out
-kernels, so one formula serves both.  A knot hit returns the
-stored numpy scalars themselves, so the F* step from a knot still runs on
-numpy scalars; that step is left for the address shift
-(model_cantor._shift), which names its image outright.  Public scalar
-results are np.float64 off the knots and float on a knot.  Every evaluator also takes
-an ndarray and then gives, lane by lane, the bits of the scalar call.
+kernels, so one formula serves both.  A knot hit returns the stored numpy
+scalars themselves, so the F* step from a knot still runs on numpy
+scalars; that step is left for the address shift (model_cantor._shift),
+which names its image outright.  Public scalar results are np.float64 off
+the knots and float on a knot.  Every evaluator also takes an ndarray,
+which one evaluator, _eval_array, places whole with one searchsorted,
+reading each lane's branch (knot, piece or tail) from that index alone;
+each lane gets the bits of the scalar call.
 """
 
 import bisect
@@ -110,32 +112,25 @@ def _level_knots(system, N):
 def _eval_dd(xs, xs_lo, ys, ys_lo, xh, xl):
     """Evaluate the PL map at the double-double point (xh, xl).
 
-    A query equal to a knot (both components) returns the paired knot
-    unperturbed, as the stored numpy scalars; this includes the hull
-    corners, which must not go through the tail arithmetic or orbit
-    locking degrades.  Any other query reads the hull corners and its
-    piece's two knots with ndarray.item, so that the dd arithmetic runs on
-    Python floats: the same IEEE operations, hence the same bits, without
-    a numpy scalar made for every intermediate.  A numpy-scalar query (the
-    F_c image of a knot hit) gives numpy scalars, with the same bits.
+    The point is placed as _eval_array places a lane.  A query equal to a
+    knot (both components) returns the paired knot unperturbed, as the
+    stored numpy scalars; this includes the hull corners, which must not
+    go through the tail arithmetic or orbit locking degrades.  Any other
+    query reads its piece's two knots, or its tail's corner, with
+    ndarray.item, so that the dd arithmetic runs on Python floats: the
+    same IEEE operations, hence the same bits, without a numpy scalar made
+    for every intermediate.  A numpy-scalar query (the F_c image of a knot
+    hit) gives numpy scalars, with the same bits.
     """
-    x0, x0_lo = xs.item(0), xs_lo.item(0)
-    if (xh, xl) <= (x0, x0_lo):
-        if xh == x0 and xl == x0_lo:
-            return ys[0], ys_lo[0]
-        return _tail(xs, xs_lo, ys, ys_lo, 0, xh, xl)
-    xn, xn_lo = xs.item(-1), xs_lo.item(-1)
-    if (xh, xl) >= (xn, xn_lo):
-        if xh == xn and xl == xn_lo:
-            return ys[-1], ys_lo[-1]
-        return _tail(xs, xs_lo, ys, ys_lo, -1, xh, xl)
-    i = int(xs.searchsorted(xh, side="right")) - 1
-    if xs.item(i) == xh:
+    j = i = int(xs.searchsorted(xh, side="right")) - 1
+    if xs.item(i) == xh:  # i = -1 reads the last knot, which lies above xh
         if xs_lo.item(i) == xl:
             return ys[i], ys_lo[i]
         if xl < xs_lo.item(i):
-            i -= 1  # dd-below the knot: the point belongs to the piece left of it
-    return _piece(xs, xs_lo, ys, ys_lo, i, xh, xl)
+            j = i - 1  # dd-below the knot: the piece left of it
+    if 0 <= j < xs.size - 1:
+        return _piece(xs, xs_lo, ys, ys_lo, j, xh, xl)
+    return _tail(xs, xs_lo, ys, ys_lo, 0 if j < 0 else -1, xh, xl)
 
 
 def _tail(xs, xs_lo, ys, ys_lo, k, xh, xl):
@@ -151,48 +146,56 @@ def _piece(xs, xs_lo, ys, ys_lo, i, xh, xl):
                       ys.item(i + 1), ys_lo.item(i + 1))
 
 
-def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
-    """_eval_dd over arrays of double-double points, with the same bits.
+def _eval_array(xs, xs_lo, ys, ys_lo, xh, xl=None):
+    """The PL map over an array of points: the dd value (h, l) and its
+    rounding r, each of xh's shape, every lane with the scalar call's bits.
 
-    One searchsorted places every point; each lane then takes the branch
-    the scalar version would take: the paired knot on an exact (hi, lo)
-    match (hull corners included), the slope-one tail outside the hull, and
-    otherwise the dd interpolation on its piece, a point dd-below a knot
-    belonging to the piece left of it.  Knot hits are a table read; the
-    tail and the interpolation each run only on their own lanes, and their
-    results are scattered back.  The result has the shape of xh.
+    With xl None the lanes are plain doubles, as _eval_double takes them: a
+    lane equal to a knot's hi part is that knot, and its r is the stored
+    ordinate itself (-0.0 keeps its sign).  Else they are the dd points
+    (xh, xl), as _eval_dd takes them: a knot only on an exact (hi, lo)
+    match, and r = h + l.  One searchsorted places every lane at i, the
+    last knot whose hi part is at or below it, and i alone decides its
+    branch: knot i, or piece j = i (i - 1 when dd-below knot i), where
+    j = -1 is the left tail and j = last the right tail.  So a lane
+    dd-below knot 0 is in the left tail, one dd-below the last knot on the
+    last piece, and a NaN lane in the right tail.  Hits are a table read;
+    the tail (its offsets read as Python floats) and the interpolation run
+    only on their own lanes, and are scattered back.
     """
-    shape = np.shape(xh)
-    xh, xl = np.ravel(xh), np.ravel(xl)
-    last = xs.size - 1
-    i = np.maximum(xs.searchsorted(xh, side="right") - 1, 0)
-    on_knot = xs[i] == xh
-    knot_lo = xs_lo[i]
-    hit = on_knot & (knot_lo == xl)
+    shape, xh = np.shape(xh), np.ravel(xh)
+    j = i = xs.searchsorted(xh, side="right") - 1
+    hit = xs[i] == xh  # i = -1 reads the last knot, which lies above xh
+    if xl is not None:
+        xl, lo = np.ravel(xl), xs_lo[i]
+        j = i - (hit & (xl < lo))
+        hit &= lo == xl
     h, l = ys[i], ys_lo[i]  # fancy indexing copies: the hits are final
-    left = _dd.le(xh, xl, xs[0], xs_lo[0])
-    tail = ~hit & (left | _dd.le(xs[-1], xs_lo[-1], xh, xl))
-    inner = ~(hit | tail)
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = tail.nonzero()[0]
-        if k.size:
-            off_l = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
-            off_r = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
-            lk = left[k]
-            h[k], l[k] = _dd.add(xh[k], xl[k],
-                                 np.where(lk, off_l[0], off_r[0]),
-                                 np.where(lk, off_l[1], off_r[1]))
-        k = inner.nonzero()[0]
-        if k.size:
-            # an inner lane's piece starts at knot 0 or later (a lane
-            # dd-below knot 0 is a tail); a NaN lane lands past the last
-            # knot and is held to the last piece
-            j = np.minimum(i - (on_knot & (xl < knot_lo)), last - 1)[k]
-            j1 = j + 1
-            h[k], l[k] = _dd.interp(xh[k], xl[k], xs[j], xs_lo[j], xs[j1],
-                                    xs_lo[j1], ys[j], ys_lo[j], ys[j1],
-                                    ys_lo[j1])
-    return h.reshape(shape), l.reshape(shape)
+    k = (~hit).nonzero()[0]
+    if k.size:
+        j = j[k]
+        tail = (j < 0) | (j == xs.size - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if tail.any():
+                t, left = k[tail], j[tail] < 0
+                off = [_dd.sub(ys.item(e), ys_lo.item(e), xs.item(e),
+                               xs_lo.item(e)) for e in (0, -1)]
+                h[t], l[t] = _dd.add(xh[t], 0.0 if xl is None else xl[t],
+                                     np.where(left, off[0][0], off[1][0]),
+                                     np.where(left, off[0][1], off[1][1]))
+                k, j = k[~tail], j[~tail]
+            if k.size:
+                j1 = j + 1
+                h[k], l[k] = _dd.interp(xh[k], 0.0 if xl is None else xl[k],
+                                        xs[j], xs_lo[j], xs[j1], xs_lo[j1],
+                                        ys[j], ys_lo[j], ys[j1], ys_lo[j1])
+    r = h + l if xl is not None else np.where(hit, h, h + l)
+    return h.reshape(shape), l.reshape(shape), r.reshape(shape)
+
+
+def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
+    """_eval_dd over arrays of dd points, with its bits: _eval_array's h, l."""
+    return _eval_array(xs, xs_lo, ys, ys_lo, xh, xl)[:2]
 
 
 def _finite(x):
@@ -214,32 +217,15 @@ def _eval_double(xs, xs_lo, ys, ys_lo, x):
     double-double value (h, l) and its rounding r.
 
     A query matching a knot's public (hi) coordinate counts as that knot:
-    public doubles are the only coordinates callers can name.  It yields the
-    paired full-precision knot, and r is then the knot's public ordinate.
-    A scalar x is placed once, by the last knot at or below it: that knot
-    is a hit, or x lies in the left tail (no such knot), the right tail
-    (the last knot) or that knot's piece, and the value is computed on
-    Python floats with _eval_dd's bits; r is then an np.float64.  (A
-    plain double has no tail, so it is never dd-below the knot it shares
-    a hi part with: that would be a hit.)  An ndarray x is evaluated lane
-    by lane with the same bits; only the lanes that are not knots go
-    through _eval_dd_array, the whole batch at once when it holds no knot.
+    public doubles are the only coordinates callers can name.  It yields
+    the paired full-precision knot, and r is then the knot's public
+    ordinate.  x is placed once, by the last knot at or below it, as
+    _eval_array places a lane (an ndarray x goes there whole).  A scalar
+    x off the knots is computed on Python floats with _eval_dd's bits,
+    and r is then an np.float64.
     """
     if isinstance(x, np.ndarray):
-        shape, x = x.shape, x.ravel()
-        i = np.minimum(xs.searchsorted(x), xs.size - 1)
-        miss = xs[i] != x
-        if miss.all():
-            h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros(x.size))
-            return h.reshape(shape), l.reshape(shape), (h + l).reshape(shape)
-        h, l = ys[i], ys_lo[i]
-        r = h.copy()
-        rest = miss.nonzero()[0]
-        if rest.size:
-            rh, rl = _eval_dd_array(xs, xs_lo, ys, ys_lo, x[rest],
-                                    np.zeros(rest.size))
-            h[rest], l[rest], r[rest] = rh, rl, rh + rl
-        return h.reshape(shape), l.reshape(shape), r.reshape(shape)
+        return _eval_array(xs, xs_lo, ys, ys_lo, x)
     i = int(xs.searchsorted(x, side="right")) - 1
     if i >= 0 and xs.item(i) == x:
         return ys[i], ys_lo[i], ys.item(i)
@@ -279,8 +265,8 @@ def _fstar_step(pl, c, xh, xl):
     A caller whose x may overflow enters np.errstate itself."""
     fh, fl = _dd.quad(xh, xl, c)
     if isinstance(fh, np.ndarray):
-        yh, yl = _eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
-        return np.where(np.isfinite(fh), yh + yl, np.inf)
+        y = _eval_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)[2]
+        return np.where(np.isfinite(fh), y, np.inf)
     if not math.isfinite(fh):
         return math.inf
     yh, yl = _eval_dd(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)

@@ -276,7 +276,9 @@ def _check_bailout(bailout):
 def mandelbrot_escape(c_re, c_im, max_iter, bailout=2.0):
     """Escape iteration of z -> z^2 + c from z = 0, or None when the orbit
     stays within the bailout for max_iter steps.  c and bailout must be
-    finite (DomainError otherwise)."""
+    finite (DomainError otherwise).  It returns None once a state equals
+    the one one or two steps back: the step is a function of the state's
+    value, so the orbit then cycles among states already tested."""
     max_iter = int(max_iter)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
@@ -284,11 +286,14 @@ def mandelbrot_escape(c_re, c_im, max_iter, bailout=2.0):
     if not (np.isfinite(cr) and np.isfinite(ci)):
         raise DomainError(f"c must be finite, got {cr!r} + {ci!r}i")
     b2 = _check_bailout(bailout)
-    zr = zi = 0.0
+    zr = zi = yr = yi = 0.0  # z_0, and z_0 again as the state before it
     for n in range(1, max_iter + 1):
+        xr, xi, yr, yi = yr, yi, zr, zi
         zr, zi = zr * zr - zi * zi + cr, 2.0 * zr * zi + ci
         if zr * zr + zi * zi > b2:
             return n
+        if (zr == yr and zi == yi) or (zr == xr and zi == xi):
+            return None
     return None
 
 

@@ -19,8 +19,9 @@ search (_find_gaps), and splits at the maximal gap each lane stops at;
 the public helpers run the search and the tightening (_tighten_gaps,
 which only tighten_gap needs) on one lane.
 All splits come from _NodeSplitter, which membership calls one node at a
-time for a float and one level at a time for an array of points.  A
-descent stops at _descent_limit(spec).  In the build a lane starts
+time for a float and one level at a time, the level one int, for an array
+of points; only the strict search passes a level per lane.  A descent
+stops at _descent_limit(spec).  In the build a lane starts
 its search not at the hull but at the deepest tree node already known to
 contain its segment: the matching child of the parent's gap node when a
 comparison confirms the containment, else the parent's own start node.
@@ -225,9 +226,10 @@ class _NodeSplitter:
 
     A call takes a node's segment [U, V] as dd pairs, its level n and its
     index j, and returns its gap (G, H) as dd pairs.  The parts are floats
-    for one node, or arrays with one node per lane; a lane gets the bits
-    the float call gives.  FatCantor's removed proportions and an explicit
-    tree's gap arrays are built on demand, as deep as the calls go.
+    for one node, or arrays with one node per lane, with n one int or (for
+    lanes at different levels) an array; a lane gets the float call's
+    bits.  FatCantor's removed proportions (a pair of floats at an int n)
+    and an explicit tree's gap arrays are built as deep as the calls go.
     """
 
     def __init__(self, spec):
@@ -238,13 +240,12 @@ class _NodeSplitter:
 
     def __call__(self, U, V, n, j):
         spec = self.spec
-        lanes = isinstance(n, np.ndarray)
         if isinstance(spec, AffineIFS2):
             return _cut(spec, U, V, None)
         if isinstance(spec, MiddleAlpha):
             return _cut(spec, U, V, (spec.alpha, spec.alpha_lo))
         if isinstance(spec, ExplicitGapTree):
-            if not lanes:
+            if not isinstance(j, np.ndarray):
                 g, h = spec.levels[n][j]
                 return (float(g), 0.0), (float(h), 0.0)
             if self.tables is None:
@@ -252,10 +253,11 @@ class _NodeSplitter:
                 flat = [gap for level in spec.levels for gap in level]
                 self.tables = np.array(flat, dtype=float).reshape(len(flat), 2).T
             g, h = self.tables[:, (1 << n) - 1 + j]
-            zero = np.zeros(n.size)
+            zero = np.zeros(j.size)
             return (g, zero), (h, zero)
         if not isinstance(spec, FatCantor):
             raise DomainError(f"unsupported spec type {type(spec).__name__}")
+        lanes = isinstance(n, np.ndarray)
         deepest = int(n.max()) if lanes else n
         while len(self.fracs) <= deepest:
             self.fracs.append(_dd.mul(*self.fracs[-1], spec.ratio, 0.0))
@@ -316,7 +318,7 @@ def _members(split, x, depth):
     for n in range(depth):
         if not lane.size:
             break
-        G, H = split(U, V, np.full(lane.size, n), j)
+        G, H = split(U, V, n, j)
         xs = flat[lane]
         down = xs <= G[0]
         up = ~down & (xs >= H[0])
@@ -476,8 +478,7 @@ def build_target_system(spec, depth, mode="strict"):
                 if search:
                     G, H, start, missed = _strict_gaps(split, C, D, start)
                 else:  # each segment's own tree node
-                    G, H = split(C, D, np.full(Ch.size, n),
-                                 np.arange(k.start, k.start + Ch.size))
+                    G, H = split(C, D, n, k.start + np.arange(Ch.size))
                     missed = np.full(Ch.size, -1)
                 _check_splits(spec, n, C, D, G, H, missed)
             # segment i's children are [C_i, G_i] and [H_i, D_i]

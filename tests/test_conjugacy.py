@@ -624,6 +624,23 @@ def test_eval_dd_array_non_finite_lanes_match_frozen_oracle(phi12):
         assert same_bits(g[~nan], w[~nan])
 
 
+def test_scalar_dd_eval_places_non_finite_points_as_the_array(phi12):
+    """_eval_dd places a point as _eval_array places a lane, inf, -inf and
+    NaN parts included: each gives the lane's value, any NaN counting as
+    NaN.  A NaN hi part, or a NaN lo part on the last knot, lies in the
+    right tail, not on a piece past the last knot."""
+    args = (phi12.xs, phi12.xs_lo, phi12.ys, phi12.ys_lo)
+    special = [np.inf, -np.inf, np.nan]
+    his = np.array(special + [phi12.xs[0], phi12.xs[7], phi12.xs[-1], 0.25])
+    xh, xl = (a.ravel() for a in np.meshgrid(his, special + [0.0, 1e-30]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lanes = np.transpose(_eval_dd_array(*args, xh, xl))
+        for a, b, want in zip(xh.tolist(), xl.tolist(), lanes):
+            got = np.array(_eval_dd(*args, a, b), dtype=np.float64)
+            assert np.array_equal(np.isnan(got), np.isnan(want)), (a, b)
+            assert same_bits(got[~np.isnan(got)], want[~np.isnan(want)])
+
+
 def test_eval_double_all_knots_reads_the_table(phi12):
     # every lane a knot: the interpolation never runs
     q = phi12.xs[::-1].copy()

@@ -8,6 +8,7 @@ amplifies the half-ulp rounding error past the drift budget.
 """
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -555,6 +556,38 @@ class TestClassifyGrid:
         assert np.array_equal(calls[0], np.linspace(-2.5, 2.5, 11))
 
 
+def escape_loop(c_re, c_im, max_iter, bailout):
+    """mandelbrot_escape's loop as it was before it stopped on a repeated
+    state, frozen as its oracle (inputs already valid)."""
+    b2 = float(bailout) * float(bailout)
+    zr = zi = 0.0
+    for n in range(1, max_iter + 1):
+        zr, zi = zr * zr - zi * zi + c_re, 2.0 * zr * zi + c_im
+        if zr * zr + zi * zi > b2:
+            return n
+    return None
+
+
+def escape_probes():
+    """Seeded c as (re, im) floats: the cardioid c = w/2 - w^2/4 and the
+    period-2 disk c = -1 + w/4 for |w| well inside 1, within 1e-12 to 1e-2
+    of 1 on either side, uniform over [-2.5, 1] x [-1.5, 1.5] and on the
+    diagonals im = +-re, where z_2 has the real part of z_1; plus the
+    fixed and period-2 points c = 0 and c = -1 and the cusps."""
+    rng = np.random.default_rng(37)
+    m = 150
+    t = rng.uniform(0.0, 2.0 * math.pi, 3 * m)
+    near = 10.0 ** rng.uniform(-12.0, -2.0, m)
+    w = np.concatenate([rng.uniform(0.0, 0.95, m), 1.0 - near,
+                        1.0 + near]) * np.exp(1j * t)
+    d = rng.uniform(-1.5, 1.0, m)
+    c = np.concatenate([w / 2 - w * w / 4, -1.0 + w / 4,
+                        rng.uniform(-2.5, 1.0, m)
+                        + 1j * rng.uniform(-1.5, 1.5, m), d + 1j * d,
+                        d - 1j * d, [0.0, -1.0, 0.25, -0.75, -1.25, -2.0]])
+    return list(zip(c.real.tolist(), c.imag.tolist()))
+
+
 class TestMandelbrot:
     def test_interior_points(self):
         assert mandelbrot_escape(0.0, 0.0, 1000) is None
@@ -595,6 +628,36 @@ class TestMandelbrot:
             return
         assert mandelbrot_escape(re, im, 10) == 1
 
+
+    @pytest.mark.parametrize("bailout", [2.0, 1.0, 0.5, 0.0])
+    def test_escape_matches_frozen_loop(self, bailout):
+        # stopping on a repeated state changes no answer: seeded c in the
+        # cardioid, in the period-2 disk, near both edges and escaping
+        for cr, ci in escape_probes():
+            for max_iter in (1, 2, 3, 200):
+                assert (mandelbrot_escape(cr, ci, max_iter, bailout)
+                        == escape_loop(cr, ci, max_iter, bailout)), (cr, ci)
+
+    def test_escape_stops_on_a_cycle(self):
+        # c = 0 repeats its state at step 1 and c = -1 the state two steps
+        # back at step 2; running 10^7 steps would take seconds
+        start = time.perf_counter()
+        assert mandelbrot_escape(0.0, 0.0, 10 ** 7) is None
+        assert mandelbrot_escape(-1.0, 0.0, 10 ** 7) is None
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("bailout", [2.0, 0.5])
+    def test_escape_matches_grid_pixel_by_pixel(self, bailout):
+        region = (-1.6, 0.5, -1.0, 1.0)
+        w, h = 48, 40
+        grid = mandelbrot_grid(region, w, h, 300, bailout)
+        re_min, re_max, im_min, im_max = region
+        for i in range(h):
+            ci = im_max - (i + 0.5) * (im_max - im_min) / h
+            for j in range(w):
+                cr = re_min + (j + 0.5) * (re_max - re_min) / w
+                n = mandelbrot_escape(cr, ci, 300, bailout)
+                assert grid[i, j] == (-1 if n is None else n), (i, j)
 
     @pytest.mark.parametrize("call", [
         lambda: mandelbrot_grid((math.nan, 1, -1, 1), 3, 2, 10),

@@ -1011,3 +1011,45 @@ def test_array_membership_clamps_explicit_depth():
         assert membership(tree, x, depth).tolist() == want
     assert membership(tree, x, 1).tolist() == [True, True, True, False,
                                                True, True, True, True]
+
+
+def explicit_tree(depth):
+    """An explicit gap tree holding the gaps of a natural MiddleAlpha(0.4)
+    build, `depth` levels deep."""
+    system = build_target_system(MiddleAlpha(0.4, hull=(-1.0, 2.0)), depth,
+                                 mode="natural")
+    return ExplicitGapTree(hull=(-1.0, 2.0), levels=tuple(
+        tuple(zip(system.gap_c[k].tolist(), system.gap_d[k].tolist()))
+        for k in range(1, depth + 1)))
+
+
+@pytest.mark.parametrize("spec", [
+    middle_thirds(), MiddleAlpha(0.5, hull=(-0.0, 1.0)), AffineIFS2(0.3, 0.2),
+    AffineIFS2(0.05, 0.9), FatCantor(0.3, 0.5), FatCantor(0.05, 0.9),
+    explicit_tree(6)], ids=repr)
+def test_int_level_splitter_matches_per_lane_levels(spec):
+    # one int level over lane arrays gives, bit for bit, the gaps of the
+    # call with one level per lane (on the same splitter and on a fresh
+    # one) and of the float call on a lane; the splitter meets each level
+    # first as an int, FatCantor's past its cached proportions
+    rng = np.random.default_rng(5)
+    a, b = spec.hull
+    explicit = isinstance(spec, ExplicitGapTree)
+    split = _NodeSplitter(spec)
+    for n in (0, 1, 2, 5) if explicit else (0, 3, 2, 30, 31, 90):
+        if explicit:
+            j = rng.permutation(1 << n)  # every node of the level
+        else:
+            j = rng.integers(0, 1 << min(n, 62), 64)
+        m = j.size
+        u = np.sort(rng.uniform(a, b, (2, m)), axis=0)
+        U, V = (u[0], rng.uniform(-1e-18, 1e-18, m)), (u[1], np.zeros(m))
+        got = split(U, V, n, j)
+        for s in (split, _NodeSplitter(spec)):
+            assert level_bits(got) == level_bits(s(U, V, np.full(m, n), j))
+        k = m - 1
+        G, H = _NodeSplitter(spec)((U[0].item(k), U[1].item(k)),
+                                   (V[0].item(k), V[1].item(k)), n,
+                                   int(j[k]))
+        lane = [part[k] for gap in got for part in gap]
+        assert np.array(lane).tobytes() == np.array([*G, *H]).tobytes()

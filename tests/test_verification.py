@@ -466,7 +466,7 @@ def test_target_construction_reports_perturbed_endpoint(k, delta):
         assert got[1] == f"stored endpoint {float(a[k])!r} rejected by membership"
 
 
-# --- the standing sweep: 15 values of c x 5 targets x 5 depths ------------
+# --- the standing sweep: 15 values of c x 6 target rows x 5 depths -------
 
 SWEEP_C = (-2.37, -2.38, -2.4, -2.45, -2.5, -2.7, -3.0, -3.5, -4.0, -5.0,
            -6.0, -8.0, -10.0, -20.0, -50.0)
@@ -482,10 +482,17 @@ HELD_BACK = {(c, "fat:0.3,0.5") for c in (-2.37, -2.38, -2.4, -6.0, -8.0,
     (c, "affine:0.3,0.2") for c in (-4.0, -8.0, -20.0)}
 
 
+# every target strict, and in natural mode the one whose natural build
+# differs from its strict one
+SWEEP_ROWS = [(name, "strict") for name in SWEEP_SPECS] + [
+    ("affine:0.8,0.1", "natural")]
+
+
 @pytest.fixture(scope="module")
 def sweep_targets():
-    return {(name, depth): build_target_system(spec, depth, mode="strict")
-            for name, spec in SWEEP_SPECS.items() for depth in SWEEP_DEPTHS}
+    return {(name, mode, depth): build_target_system(SWEEP_SPECS[name], depth,
+                                                     mode=mode)
+            for name, mode in SWEEP_ROWS for depth in SWEEP_DEPTHS}
 
 
 def gap_midpoints(target):
@@ -506,15 +513,15 @@ def test_sweep_rows(c, sweep_targets):
         model = build_model_system(params, depth)
         ok, detail = _suite_endpoint_orbits(model)
         assert ok, (depth, detail)
-        for name in SWEEP_SPECS:
-            target = sweep_targets[name, depth]
+        for name, mode in SWEEP_ROWS:
+            target = sweep_targets[name, mode, depth]
             pl = build_phi(model, target, depth)
             ok, detail = _suite_conjugacy_map(pl, model, target)
-            assert ok, (name, depth, detail)
+            assert ok, (name, mode, depth, detail)
             mids, level = gap_midpoints(target)
             res = iterate_target(pl, params, mids, max(depth, 1))
-            assert res.escaped.all() and np.array_equal(res.iteration,
-                                                        level), (name, depth)
+            assert res.escaped.all() and np.array_equal(
+                res.iteration, level), (name, mode, depth)
     for name, spec in SWEEP_SPECS.items():
         failed = [r for r in run_verification(c, 8, spec) if not r.ok]
         if (c, name) in HELD_BACK:
