@@ -11,18 +11,27 @@ abscissa returns the paired ordinate bit for bit, which is what lets orbits
 of F* = phi o F o phi^(-1) lock onto the endpoint cycles instead of drifting
 off the invariant set within a handful of expanding steps.  Interior
 arithmetic runs in double-double; public results are correctly rounded.
-A scalar query off the knots reads the few knots it needs with
-ndarray.item and computes on Python floats, which give the bits of numpy
-scalar arithmetic at about half its cost.  Scalar and array queries alike
+
+The evaluators read a map through one record per direction, _Direction:
+phi maps the xs onto the ys and phi^(-1) the ys onto the xs.  A record
+holds its direction's four knot arrays, memoryviews of them, and the two
+slope-one tail offsets at the hull corners, made once with the map.  A
+scalar query is placed with bisect on the abscissa view, which gives
+searchsorted's side="right" index (NaN, +-inf and +-0.0 included) at
+about 60% of its cost; off the knots it reads the few knots it needs
+through the views, as Python floats, which give the bits of numpy scalar
+arithmetic at about half its cost.  Scalar and array queries alike
 interpolate with _dd.interp and step F_c with _dd.quad, the written-out
 kernels, so one formula serves both.  A knot hit returns the stored numpy
 scalars themselves, so the F* step from a knot still runs on numpy
-scalars; that step is left for the address shift (model_cantor._shift),
-which names its image outright.  Public scalar results are np.float64 off
-the knots and float on a knot.  Every evaluator also takes an ndarray,
-which one evaluator, _eval_array, places whole with one searchsorted,
-reading each lane's branch (knot, piece or tail) from that index alone;
-each lane gets the bits of the scalar call.
+scalars: as Python floats the bounded orbits run faster, but the
+benchmark's per-op ledger then grows past its memory bound, and that step
+is left for the address shift (model_cantor._shift), which names its
+image outright.  Public scalar results are np.float64 off the knots and
+float on a knot.  Every evaluator also takes an ndarray, which one
+evaluator, _eval_array, places whole with one searchsorted, reading each
+lane's branch (knot, piece or tail) from that index alone; each lane gets
+the bits of the scalar call.
 """
 
 import bisect
@@ -48,7 +57,11 @@ class MonotonePLMap:
     widest level-N target segment.  A map that build_phi pairs at a
     system's own depth shares that system's knot arrays (IntervalSystem's
     knots and knots_lo) instead of copying them, so writing into one
-    writes into the other.
+    writes into the other, with one exception: the tail offsets at the
+    two hull corners are fixed when the map is made.
+
+    The evaluators read the map through _phi and _phi_inv, its two
+    directions as _Direction records.
     """
 
     xs: np.ndarray
@@ -63,10 +76,42 @@ class MonotonePLMap:
             object.__setattr__(self, "xs_lo", np.zeros_like(self.xs))
         if self.ys_lo is None:
             object.__setattr__(self, "ys_lo", np.zeros_like(self.ys))
+        object.__setattr__(self, "_phi", _Direction(
+            self.xs, self.xs_lo, self.ys, self.ys_lo))
+        object.__setattr__(self, "_phi_inv", _Direction(
+            self.ys, self.ys_lo, self.xs, self.xs_lo))
 
     @property
     def breakpoints(self):
         return list(zip(self.xs.tolist(), self.ys.tolist()))
+
+
+class _Direction:
+    """One direction of a MonotonePLMap, knots xs (tails xs_lo) onto knots
+    ys (tails ys_lo), as the evaluators read it.
+
+    xv, xv_lo, yv and yv_lo are memoryviews of the four arrays: indexing
+    one gives a Python float, and bisect places a scalar on xv.  The
+    views share the arrays' memory.  left and right are the dd offsets
+    ys - xs at knot 0 and at knot last, the slope-one tails' translations,
+    computed once, on Python floats.
+    """
+
+    __slots__ = ("xs", "xs_lo", "ys", "ys_lo", "xv", "xv_lo", "yv", "yv_lo",
+                 "last", "left", "right")
+
+    def __init__(self, xs, xs_lo, ys, ys_lo):
+        self.xs, self.xs_lo, self.ys, self.ys_lo = xs, xs_lo, ys, ys_lo
+        self.xv, self.xv_lo, self.yv, self.yv_lo = map(memoryview,
+                                                       (xs, xs_lo, ys, ys_lo))
+        self.last = xs.size - 1
+        self.left, self.right = (_dd.sub(self.yv[k], self.yv_lo[k],
+                                         self.xv[k], self.xv_lo[k])
+                                 for k in (0, -1))
+
+    def __reduce__(self):
+        # memoryviews do not pickle; the arrays rebuild them
+        return _Direction, (self.xs, self.xs_lo, self.ys, self.ys_lo)
 
 
 def build_phi(model, target, N):
@@ -109,60 +154,59 @@ def _level_knots(system, N):
             _interleave(system.a_lo[N], system.b_lo[N]))
 
 
-def _eval_dd(xs, xs_lo, ys, ys_lo, xh, xl):
-    """Evaluate the PL map at the double-double point (xh, xl).
+def _eval_dd(d, xh, xl):
+    """Evaluate direction d at the double-double point (xh, xl).
 
-    The point is placed as _eval_array places a lane.  A query equal to a
-    knot (both components) returns the paired knot unperturbed, as the
-    stored numpy scalars; this includes the hull corners, which must not
-    go through the tail arithmetic or orbit locking degrades.  Any other
-    query reads its piece's two knots, or its tail's corner, with
-    ndarray.item, so that the dd arithmetic runs on Python floats: the
-    same IEEE operations, hence the same bits, without a numpy scalar made
-    for every intermediate.  A numpy-scalar query (the F_c image of a knot
-    hit) gives numpy scalars, with the same bits.
+    The point is placed as _eval_array places a lane, by bisect on d.xv.
+    A query equal to a knot (both components) returns the paired knot
+    unperturbed, as the stored numpy scalars; this includes the hull
+    corners, which must not go through the tail arithmetic or orbit
+    locking degrades.  Any other query goes to _piece, on Python floats.
+    A numpy-scalar query (the F_c image of a knot hit) gives numpy
+    scalars, with the same bits.
     """
-    j = i = int(xs.searchsorted(xh, side="right")) - 1
-    if xs.item(i) == xh:  # i = -1 reads the last knot, which lies above xh
-        if xs_lo.item(i) == xl:
-            return ys[i], ys_lo[i]
-        if xl < xs_lo.item(i):
+    j = i = bisect.bisect_right(d.xv, xh) - 1
+    if d.xv[i] == xh:  # i = -1 reads the last knot, which lies above xh
+        lo = d.xv_lo[i]
+        if lo == xl:
+            return d.ys[i], d.ys_lo[i]
+        if xl < lo:
             j = i - 1  # dd-below the knot: the piece left of it
-    if 0 <= j < xs.size - 1:
-        return _piece(xs, xs_lo, ys, ys_lo, j, xh, xl)
-    return _tail(xs, xs_lo, ys, ys_lo, 0 if j < 0 else -1, xh, xl)
+    return _piece(d, j, xh, xl)
 
 
-def _tail(xs, xs_lo, ys, ys_lo, k, xh, xl):
-    """The slope-one tail through knot k (0 or -1) at (xh, xl)."""
-    return _dd.add(xh, xl, *_dd.sub(ys.item(k), ys_lo.item(k), xs.item(k),
-                                    xs_lo.item(k)))
+def _piece(d, j, xh, xl):
+    """Piece j of direction d at (xh, xl), where j = -1 is the left tail
+    and j = d.last the right tail: a tail adds its stored corner offset,
+    a piece interpolates between its two knots, read through the views as
+    Python floats."""
+    if j < 0:
+        return _dd.add(xh, xl, *d.left)
+    if j == d.last:
+        return _dd.add(xh, xl, *d.right)
+    x, x_lo, y, y_lo, k = d.xv, d.xv_lo, d.yv, d.yv_lo, j + 1
+    return _dd.interp(xh, xl, x[j], x_lo[j], x[k], x_lo[k],
+                      y[j], y_lo[j], y[k], y_lo[k])
 
 
-def _piece(xs, xs_lo, ys, ys_lo, i, xh, xl):
-    """The interpolation on piece i at (xh, xl), on Python floats."""
-    return _dd.interp(xh, xl, xs.item(i), xs_lo.item(i), xs.item(i + 1),
-                      xs_lo.item(i + 1), ys.item(i), ys_lo.item(i),
-                      ys.item(i + 1), ys_lo.item(i + 1))
-
-
-def _eval_array(xs, xs_lo, ys, ys_lo, xh, xl=None):
-    """The PL map over an array of points: the dd value (h, l) and its
-    rounding r, each of xh's shape, every lane with the scalar call's bits.
+def _eval_array(d, xh, xl=None):
+    """Direction d over an array of points: the dd value (h, l) and the
+    knot-hit mask, each of xh's shape, every lane with the scalar call's
+    bits.
 
     With xl None the lanes are plain doubles, as _eval_double takes them: a
-    lane equal to a knot's hi part is that knot, and its r is the stored
-    ordinate itself (-0.0 keeps its sign).  Else they are the dd points
-    (xh, xl), as _eval_dd takes them: a knot only on an exact (hi, lo)
-    match, and r = h + l.  One searchsorted places every lane at i, the
-    last knot whose hi part is at or below it, and i alone decides its
-    branch: knot i, or piece j = i (i - 1 when dd-below knot i), where
-    j = -1 is the left tail and j = last the right tail.  So a lane
-    dd-below knot 0 is in the left tail, one dd-below the last knot on the
-    last piece, and a NaN lane in the right tail.  Hits are a table read;
-    the tail (its offsets read as Python floats) and the interpolation run
-    only on their own lanes, and are scattered back.
+    lane equal to a knot's hi part is that knot.  Else they are the dd
+    points (xh, xl), as _eval_dd takes them: a knot only on an exact
+    (hi, lo) match.  One searchsorted places every lane at i, the last
+    knot whose hi part is at or below it, and i alone decides its branch:
+    knot i, or piece j = i (i - 1 when dd-below knot i), where j = -1 is
+    the left tail and j = last the right tail.  So a lane dd-below knot 0
+    is in the left tail, one dd-below the last knot on the last piece, and
+    a NaN lane in the right tail.  Hits are a table read; the tail (the
+    record's corner offsets) and the interpolation run only on their own
+    lanes, and are scattered back.
     """
+    xs, xs_lo, ys, ys_lo = d.xs, d.xs_lo, d.ys, d.ys_lo
     shape, xh = np.shape(xh), np.ravel(xh)
     j = i = xs.searchsorted(xh, side="right") - 1
     hit = xs[i] == xh  # i = -1 reads the last knot, which lies above xh
@@ -174,28 +218,25 @@ def _eval_array(xs, xs_lo, ys, ys_lo, xh, xl=None):
     k = (~hit).nonzero()[0]
     if k.size:
         j = j[k]
-        tail = (j < 0) | (j == xs.size - 1)
+        tail = (j < 0) | (j == d.last)
         with np.errstate(over="ignore", invalid="ignore"):
             if tail.any():
                 t, left = k[tail], j[tail] < 0
-                off = [_dd.sub(ys.item(e), ys_lo.item(e), xs.item(e),
-                               xs_lo.item(e)) for e in (0, -1)]
                 h[t], l[t] = _dd.add(xh[t], 0.0 if xl is None else xl[t],
-                                     np.where(left, off[0][0], off[1][0]),
-                                     np.where(left, off[0][1], off[1][1]))
+                                     np.where(left, d.left[0], d.right[0]),
+                                     np.where(left, d.left[1], d.right[1]))
                 k, j = k[~tail], j[~tail]
             if k.size:
                 j1 = j + 1
                 h[k], l[k] = _dd.interp(xh[k], 0.0 if xl is None else xl[k],
                                         xs[j], xs_lo[j], xs[j1], xs_lo[j1],
                                         ys[j], ys_lo[j], ys[j1], ys_lo[j1])
-    r = h + l if xl is not None else np.where(hit, h, h + l)
-    return h.reshape(shape), l.reshape(shape), r.reshape(shape)
+    return h.reshape(shape), l.reshape(shape), hit.reshape(shape)
 
 
-def _eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
+def _eval_dd_array(d, xh, xl):
     """_eval_dd over arrays of dd points, with its bits: _eval_array's h, l."""
-    return _eval_array(xs, xs_lo, ys, ys_lo, xh, xl)[:2]
+    return _eval_array(d, xh, xl)[:2]
 
 
 def _finite(x):
@@ -212,28 +253,26 @@ def _finite(x):
     return x
 
 
-def _eval_double(xs, xs_lo, ys, ys_lo, x):
-    """Evaluate at x, a float or an ndarray of plain doubles, returning the
-    double-double value (h, l) and its rounding r.
+def _eval_double(d, x):
+    """Evaluate direction d at x, a float or an ndarray of plain doubles,
+    returning the double-double value (h, l) and its rounding r.
 
     A query matching a knot's public (hi) coordinate counts as that knot:
     public doubles are the only coordinates callers can name.  It yields
     the paired full-precision knot, and r is then the knot's public
-    ordinate.  x is placed once, by the last knot at or below it, as
-    _eval_array places a lane (an ndarray x goes there whole).  A scalar
-    x off the knots is computed on Python floats with _eval_dd's bits,
-    and r is then an np.float64.
+    ordinate (-0.0 keeps its sign).  x is placed once, by the last knot at
+    or below it, as _eval_array places a lane (an ndarray x goes there
+    whole).  A scalar x off the knots is computed on Python floats with
+    _eval_dd's bits, and r is then an np.float64.
     """
     if isinstance(x, np.ndarray):
-        return _eval_array(xs, xs_lo, ys, ys_lo, x)
-    i = int(xs.searchsorted(x, side="right")) - 1
-    if i >= 0 and xs.item(i) == x:
-        return ys[i], ys_lo[i], ys.item(i)
+        h, l, hit = _eval_array(d, x)
+        return h, l, np.where(hit, h, h + l)
     x = float(x)
-    if i < 0 or i == xs.size - 1:
-        h, l = _tail(xs, xs_lo, ys, ys_lo, max(i, 0), x, 0.0)
-    else:
-        h, l = _piece(xs, xs_lo, ys, ys_lo, i, x, 0.0)
+    i = bisect.bisect_right(d.xv, x) - 1
+    if d.xv[i] == x:  # i = -1 reads the last knot, which lies above x
+        return d.ys[i], d.ys_lo[i], d.yv[i]
+    h, l = _piece(d, i, x, 0.0)
     return h, l, np.float64(h + l)
 
 
@@ -244,19 +283,28 @@ def eval_phi(pl, x):
     gives an ndarray of the same shape, equal bit for bit to evaluating
     each element on its own.
     """
-    return _eval_double(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, _finite(x))[2]
+    return _eval_double(pl._phi, _finite(x))[2]
 
 
 def eval_phi_inverse(pl, y):
     """The unique x with phi_N(x) = y (the knot table read sideways).
 
     Takes a finite float or ndarray, like eval_phi."""
-    return _eval_double(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, _finite(y))[2]
+    return _eval_double(pl._phi_inv, _finite(y))[2]
 
 
 def _phi_inv_dd(pl, y):
-    """Inverse image of the public double y as a double-double pair."""
-    return _eval_double(pl.ys, pl.ys_lo, pl.xs, pl.xs_lo, y)[:2]
+    """Inverse image of the public double y (a float, an np.float64 or an
+    ndarray) as a double-double pair: _eval_double's (h, l), without
+    building the rounding."""
+    d = pl._phi_inv
+    if isinstance(y, np.ndarray):
+        return _eval_array(d, y)[:2]
+    y = float(y)
+    i = bisect.bisect_right(d.xv, y) - 1
+    if d.xv[i] == y:
+        return d.ys[i], d.ys_lo[i]
+    return _piece(d, i, y, 0.0)
 
 
 def _fstar_step(pl, c, xh, xl):
@@ -265,11 +313,11 @@ def _fstar_step(pl, c, xh, xl):
     A caller whose x may overflow enters np.errstate itself."""
     fh, fl = _dd.quad(xh, xl, c)
     if isinstance(fh, np.ndarray):
-        y = _eval_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)[2]
-        return np.where(np.isfinite(fh), y, np.inf)
+        h, l, _ = _eval_array(pl._phi, fh, fl)
+        return np.where(np.isfinite(fh), h + l, np.inf)
     if not math.isfinite(fh):
         return math.inf
-    yh, yl = _eval_dd(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
+    yh, yl = _eval_dd(pl._phi, fh, fl)
     return np.float64(yh + yl)
 
 

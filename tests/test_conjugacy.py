@@ -8,10 +8,13 @@ F*(1/2) = phi(-3) = 0 + (-3 + p) = -0.6972243622680053 (correctly rounded;
 checked in 60-digit Decimal from p = (1 + sqrt(13))/2).
 """
 
+import bisect
 import math
+import pickle
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from cantordyn import (
 from cantordyn import _dd, conjugacy
 from cantordyn.conjugacy import (
     MappingReport,
+    _eval_array,
     _eval_dd,
     _eval_dd_array,
     _eval_double,
@@ -330,16 +334,14 @@ def test_array_eval_matches_scalar(phi_cases):
 def test_array_dd_eval_matches_scalar(phi_cases):
     """Exact (hi, lo) knot hits, dd-below and dd-above neighbours, tails."""
     for pl, _ in phi_cases:
-        for xs, xs_lo, ys, ys_lo in ((pl.xs, pl.xs_lo, pl.ys, pl.ys_lo),
-                                     (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)):
+        for d in (pl._phi, pl._phi_inv):
             sel = knot_index(pl)
-            q = probe_points(xs[sel])
+            q = probe_points(d.xs[sel])
             lo = np.zeros_like(q)
             for shift in (0.0, -1e-30, 1e-30):
-                lo[:sel.size] = xs_lo[sel] + shift
-                h, l = _eval_dd_array(xs, xs_lo, ys, ys_lo, q, lo)
-                ref = [_eval_dd(xs, xs_lo, ys, ys_lo, float(a), float(b))
-                       for a, b in zip(q, lo)]
+                lo[:sel.size] = d.xs_lo[sel] + shift
+                h, l = _eval_dd_array(d, q, lo)
+                ref = [_eval_dd(d, float(a), float(b)) for a, b in zip(q, lo)]
                 assert same_bits(h, [r[0] for r in ref])
                 assert same_bits(l, [r[1] for r in ref])
 
@@ -417,9 +419,8 @@ def test_array_dd_eval_random(phi12, picks):
     """Double-double queries on and beside the knots of phi12."""
     xh = np.array([phi12.xs[i] for i, _ in picks], dtype=np.float64)
     xl = np.array([phi12.xs_lo[i] + d for i, d in picks], dtype=np.float64)
-    args = (phi12.xs, phi12.xs_lo, phi12.ys, phi12.ys_lo)
-    h, l = _eval_dd_array(*args, xh, xl)
-    ref = [_eval_dd(*args, float(a), float(b)) for a, b in zip(xh, xl)]
+    h, l = _eval_dd_array(phi12._phi, xh, xl)
+    ref = [_eval_dd(phi12._phi, float(a), float(b)) for a, b in zip(xh, xl)]
     assert same_bits(h, [r[0] for r in ref])
     assert same_bits(l, [r[1] for r in ref])
 
@@ -558,6 +559,13 @@ def reference_eval_double_array(xs, xs_lo, ys, ys_lo, x):
             np.where(knot, ys[i], h + l))
 
 
+def directions(pl):
+    """phi and phi^(-1) of pl, each as its record and as the arrays the
+    frozen references take."""
+    return ((pl._phi, (pl.xs, pl.xs_lo, pl.ys, pl.ys_lo)),
+            (pl._phi_inv, (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)))
+
+
 def oracle_queries(knots):
     """Named query arrays over one knot table: all knots, no knots, a mix,
     duplicates with 0.0 beside -0.0, a 2-D block and an empty array."""
@@ -577,10 +585,9 @@ def oracle_queries(knots):
 
 def test_eval_double_matches_frozen_oracle(oracle_cases):
     for pl, _, _ in oracle_cases:
-        for table in ((pl.xs, pl.xs_lo, pl.ys, pl.ys_lo),
-                      (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)):
+        for d, table in directions(pl):
             for name, q in oracle_queries(table[0]).items():
-                got = _eval_double(*table, q)
+                got = _eval_double(d, q)
                 want = reference_eval_double_array(*table, q)
                 for g, w in zip(got, want):
                     assert same_bits(g, w), (pl.depth, name)
@@ -590,19 +597,18 @@ def test_eval_dd_array_matches_frozen_oracle(oracle_cases):
     """Plain and double-double queries: exact (hi, lo) knot hits, points
     dd-below and dd-above a knot, both tails, and F_c images of knots."""
     for pl, params, _ in oracle_cases:
-        for xs, xs_lo, ys, ys_lo in ((pl.xs, pl.xs_lo, pl.ys, pl.ys_lo),
-                                     (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)):
+        for d, (xs, xs_lo, ys, ys_lo) in directions(pl):
             for name, q in oracle_queries(xs).items():
                 for lo in (np.zeros_like(q), np.full_like(q, 1e-30),
                            np.full_like(q, -1e-30)):
                     if name == "knots":
                         lo = xs_lo + lo
-                    got = _eval_dd_array(xs, xs_lo, ys, ys_lo, q, lo)
+                    got = _eval_dd_array(d, q, lo)
                     want = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, q, lo)
                     assert same_bits(got[0], want[0]), (pl.depth, name)
                     assert same_bits(got[1], want[1]), (pl.depth, name)
             fh, fl = _dd.add(*_dd.sqr(xs, xs_lo), params.c, 0.0)
-            got = _eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
+            got = _eval_dd_array(d, fh, fl)
             want = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
@@ -616,7 +622,7 @@ def test_eval_dd_array_non_finite_lanes_match_frozen_oracle(phi12):
     his = np.array(special + [phi12.xs[0], phi12.xs[7], phi12.xs[-1], 0.25])
     xh, xl = (a.ravel() for a in np.meshgrid(his, special + [0.0, 1e-30]))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _eval_dd_array(*args, xh, xl)
+        got = _eval_dd_array(phi12._phi, xh, xl)
         want = reference_eval_dd_array(*args, xh, xl)
     for g, w in zip(got, want):
         nan = np.isnan(w)
@@ -629,14 +635,14 @@ def test_scalar_dd_eval_places_non_finite_points_as_the_array(phi12):
     NaN parts included: each gives the lane's value, any NaN counting as
     NaN.  A NaN hi part, or a NaN lo part on the last knot, lies in the
     right tail, not on a piece past the last knot."""
-    args = (phi12.xs, phi12.xs_lo, phi12.ys, phi12.ys_lo)
+    d = phi12._phi
     special = [np.inf, -np.inf, np.nan]
     his = np.array(special + [phi12.xs[0], phi12.xs[7], phi12.xs[-1], 0.25])
     xh, xl = (a.ravel() for a in np.meshgrid(his, special + [0.0, 1e-30]))
     with np.errstate(over="ignore", invalid="ignore"):
-        lanes = np.transpose(_eval_dd_array(*args, xh, xl))
+        lanes = np.transpose(_eval_dd_array(d, xh, xl))
         for a, b, want in zip(xh.tolist(), xl.tolist(), lanes):
-            got = np.array(_eval_dd(*args, a, b), dtype=np.float64)
+            got = np.array(_eval_dd(d, a, b), dtype=np.float64)
             assert np.array_equal(np.isnan(got), np.isnan(want)), (a, b)
             assert same_bits(got[~np.isnan(got)], want[~np.isnan(want)])
 
@@ -644,7 +650,7 @@ def test_scalar_dd_eval_places_non_finite_points_as_the_array(phi12):
 def test_eval_double_all_knots_reads_the_table(phi12):
     # every lane a knot: the interpolation never runs
     q = phi12.xs[::-1].copy()
-    h, l, r = _eval_double(phi12.xs, phi12.xs_lo, phi12.ys, phi12.ys_lo, q)
+    h, l, r = _eval_double(phi12._phi, q)
     assert same_bits(h, phi12.ys[::-1]) and same_bits(l, phi12.ys_lo[::-1])
     assert same_bits(r, phi12.ys[::-1])
 
@@ -718,12 +724,11 @@ def test_eval_dd_matches_frozen_reference(oracle_cases):
     as np.float64: the knot hits of _eval_double feed numpy scalars
     through _fstar_step into _eval_dd."""
     for pl, params, _ in oracle_cases:
-        for table in ((pl.xs, pl.xs_lo, pl.ys, pl.ys_lo),
-                      (pl.ys, pl.ys_lo, pl.xs, pl.xs_lo)):
+        for d, table in directions(pl):
             for xh, xl in scalar_dd_queries(table[0], table[1], params.c):
                 for cast in (float, np.float64):
                     q = cast(xh), cast(xl)
-                    got = _eval_dd(*table, *q)
+                    got = _eval_dd(d, *q)
                     want = reference_eval_dd(*table, *q)
                     assert same_bits(got, want), (pl.depth, params.c, q)
 
@@ -744,3 +749,91 @@ def test_public_scalar_result_types(phi12, params3):
     for y0 in (y, off_y):
         res = iterate_target(phi12, params3, y0, 50, keep_trajectory=5)
         assert [type(v) for v in res.trajectory] == [float] + [np.float64] * 4
+
+
+# --- the direction records ------------------------------------------------
+
+# the targets of the standing sweep (tests/test_verification.py), each in
+# the modes its sweep rows build
+SWEEP_TARGETS = {
+    "middle-thirds": (middle_thirds(), "strict"),
+    "affine:0.3,0.2": (AffineIFS2(0.3, 0.2), "strict"),
+    "middle-alpha:0.5": (MiddleAlpha(0.5), "strict"),
+    "fat:0.3,0.5": (FatCantor(0.3, 0.5), "strict"),
+    "affine:0.8,0.1": (AffineIFS2(0.8, 0.1), "strict"),
+    "affine:0.8,0.1-natural": (AffineIFS2(0.8, 0.1), "natural"),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_TARGETS)
+def test_bisect_places_as_searchsorted(model12, name):
+    """The scalar evaluators place a query with bisect on the record's
+    memoryview; searchsorted(side="right") is the array evaluator's
+    placement.  They agree on every knot of both directions, its
+    neighbours an ulp away, +-0.0, the hull corners, +-inf and NaN, as
+    Python floats and, where a knot hit feeds F_c, as np.float64."""
+    spec, mode = SWEEP_TARGETS[name]
+    pl = build_phi(model12, build_target_system(spec, 12, mode), 12)
+    for d in (pl._phi, pl._phi_inv):
+        knots = d.xs
+        special = np.array([0.0, -0.0, knots[0], knots[-1], np.inf, -np.inf,
+                            np.nan])
+        q = np.concatenate([knots, np.nextafter(knots, np.inf),
+                            np.nextafter(knots, -np.inf), special])
+        want = (knots.searchsorted(q, side="right") - 1).tolist()
+        assert [bisect.bisect_right(d.xv, v) - 1 for v in q.tolist()] == want
+        for v in np.concatenate([knots, special]):
+            assert (bisect.bisect_right(d.xv, v)
+                    == int(knots.searchsorted(v, side="right")))
+
+
+def test_direction_records_pickle(phi12, params3):
+    """The records hold memoryviews, which do not pickle; a map does, and
+    the copy evaluates as the original."""
+    copy = pickle.loads(pickle.dumps(phi12))
+    y = np.linspace(-0.5, 1.5, 101)
+    assert same_bits(eval_fstar(copy, params3, y), eval_fstar(phi12, params3, y))
+    assert same_bits(copy._phi_inv.left, phi12._phi_inv.left)
+
+
+def exact_piece(d, q):
+    """Direction d at the exact value q inside its hull, in Fractions over
+    the stored dd knots (each knot hi + lo), and the index of q's piece."""
+    X = lambda i: Fraction(d.xs.item(i)) + Fraction(d.xs_lo.item(i))
+    Y = lambda i: Fraction(d.ys.item(i)) + Fraction(d.ys_lo.item(i))
+    j = 0
+    while X(j + 1) <= q:
+        j += 1
+    return Y(j) + (q - X(j)) * (Y(j + 1) - Y(j)) / (X(j + 1) - X(j)), j
+
+
+@pytest.mark.parametrize("depth", [2, 8, 10])
+def test_near_tie_next_to_a_far_knot_rounds_correctly(depth):
+    """c = -20, affine:0.3,0.2 strict: F_c of the model knot paired with
+    the target knot 0.09, stepped once in dd, lies 2^-102 below the
+    model knot of the target knot 0.8.  The exact phi there lies 1.27e-32
+    below the midpoint between 0.7999999999999999 and 0.8.  _dd.interp
+    errs by about 4e-34, so _eval_dd and _eval_array round it correctly;
+    the stored-slope kernel c + (x - a) * s errs by 1.27e-32 and rounds to
+    0.8, so this point separates the two."""
+    params = derive_params(-20.0)
+    pl = build_phi(build_model_system(params, depth),
+                   build_target_system(AffineIFS2(0.3, 0.2), depth), depth)
+    k = int(np.flatnonzero(pl.ys == 0.09)[0])
+    fh, fl = _dd.quad(pl.xs.item(k), pl.xs_lo.item(k), params.c)
+    d = pl._phi
+    exact, j = exact_piece(d, Fraction(fh) + Fraction(fl))
+    below, above = 0.7999999999999999, 0.8
+    assert pl.ys[j + 1] == above
+    gap = (Fraction(below) + Fraction(above)) / 2 - exact
+    assert 1e-32 < gap < 2e-32
+    h, l = _eval_dd(d, fh, fl)
+    assert abs(Fraction(h) + Fraction(l) - exact) < gap / 10
+    assert h + l == below
+    ah, al, hit = _eval_array(d, np.array([fh]), np.array([fl]))
+    assert not hit[0] and same_bits(ah + al, [below])
+    a, b = (d.xs.item(j), d.xs_lo.item(j)), (d.xs.item(j + 1), d.xs_lo.item(j + 1))
+    c, e = (d.ys.item(j), d.ys_lo.item(j)), (d.ys.item(j + 1), d.ys_lo.item(j + 1))
+    slope = _dd.div(*_dd.sub(*e, *c), *_dd.sub(*b, *a))
+    sh, sl = _dd.add(*c, *_dd.mul(*_dd.sub(fh, fl, *a), *slope))
+    assert sh + sl == above

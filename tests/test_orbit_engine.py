@@ -253,7 +253,7 @@ def reference_iterate_target_array(pl, params, y0, max_iter, threshold):
         if n == max_iter or alive.size == 0:
             break
         fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
-        yh, yl = _eval_dd_array(pl.xs, pl.xs_lo, pl.ys, pl.ys_lo, fh, fl)
+        yh, yl = _eval_dd_array(pl._phi, fh, fl)
         y = yh + yl
     return OrbitResult(escaped, iteration)
 
