@@ -32,6 +32,13 @@ float on a knot.  Every evaluator also takes an ndarray, which one
 evaluator, _eval_array, places whole with one searchsorted, reading each
 lane's branch (knot, piece or tail) from that index alone; each lane gets
 the bits of the scalar call.
+
+Scalars and arrays take separate helpers, so no step of an orbit tests
+its argument's type: _eval_float (a double) and _eval_dd (a dd point)
+evaluate one point, _fstar_scalar composes one F* step from them, and
+_eval_array, _phi_inv_dd and _fstar_step do the same for arrays.
+iterate_target's scalar loop and scalar eval_fstar call the scalar ones
+directly, and place every query by bisect on the direction's knots.
 """
 
 import bisect
@@ -175,6 +182,19 @@ def _eval_dd(d, xh, xl):
     return _piece(d, j, xh, xl)
 
 
+def _eval_float(d, x):
+    """Evaluate direction d at the float x: the dd value (h, l) and i, the
+    index of the knot whose hi part x equals, or None.
+
+    x is placed by bisect, as _eval_dd places a point; a knot gives the
+    stored numpy scalars, any other x _piece's Python floats.
+    """
+    i = bisect.bisect_right(d.xv, x) - 1
+    if d.xv[i] == x:  # i = -1 reads the last knot, which lies above x
+        return d.ys[i], d.ys_lo[i], i
+    return (*_piece(d, i, x, 0.0), None)
+
+
 def _piece(d, j, xh, xl):
     """Piece j of direction d at (xh, xl), where j = -1 is the left tail
     and j = d.last the right tail: a tail adds its stored corner offset,
@@ -260,20 +280,15 @@ def _eval_double(d, x):
     A query matching a knot's public (hi) coordinate counts as that knot:
     public doubles are the only coordinates callers can name.  It yields
     the paired full-precision knot, and r is then the knot's public
-    ordinate (-0.0 keeps its sign).  x is placed once, by the last knot at
-    or below it, as _eval_array places a lane (an ndarray x goes there
-    whole).  A scalar x off the knots is computed on Python floats with
-    _eval_dd's bits, and r is then an np.float64.
+    ordinate (-0.0 keeps its sign).  An ndarray x is placed whole by
+    _eval_array, a float by _eval_float, with the same bits; a float off
+    the knots gives an np.float64 r.
     """
     if isinstance(x, np.ndarray):
         h, l, hit = _eval_array(d, x)
         return h, l, np.where(hit, h, h + l)
-    x = float(x)
-    i = bisect.bisect_right(d.xv, x) - 1
-    if d.xv[i] == x:  # i = -1 reads the last knot, which lies above x
-        return d.ys[i], d.ys_lo[i], d.yv[i]
-    h, l = _piece(d, i, x, 0.0)
-    return h, l, np.float64(h + l)
+    h, l, i = _eval_float(d, x)
+    return h, l, (np.float64(h + l) if i is None else d.yv[i])
 
 
 def eval_phi(pl, x):
@@ -294,31 +309,29 @@ def eval_phi_inverse(pl, y):
 
 
 def _phi_inv_dd(pl, y):
-    """Inverse image of the public double y (a float, an np.float64 or an
-    ndarray) as a double-double pair: _eval_double's (h, l), without
-    building the rounding."""
-    d = pl._phi_inv
-    if isinstance(y, np.ndarray):
-        return _eval_array(d, y)[:2]
-    y = float(y)
-    i = bisect.bisect_right(d.xv, y) - 1
-    if d.xv[i] == y:
-        return d.ys[i], d.ys_lo[i]
-    return _piece(d, i, y, 0.0)
+    """Inverse images of the public doubles in the array y as a
+    double-double pair: _eval_double's (h, l), without building the
+    rounding."""
+    return _eval_array(pl._phi_inv, y)[:2]
 
 
 def _fstar_step(pl, c, xh, xl):
-    """phi(F_c(x)) at the dd point x (floats or arrays), rounded once; +inf
-    where F_c(x) overflows.  A scalar x gives an np.float64, or math.inf.
-    A caller whose x may overflow enters np.errstate itself."""
+    """phi(F_c(x)) over arrays of dd points x, rounded once; +inf where
+    F_c(x) overflows.  The caller enters np.errstate."""
     fh, fl = _dd.quad(xh, xl, c)
-    if isinstance(fh, np.ndarray):
-        h, l, _ = _eval_array(pl._phi, fh, fl)
-        return np.where(np.isfinite(fh), h + l, np.inf)
+    h, l, _ = _eval_array(pl._phi, fh, fl)
+    return np.where(np.isfinite(fh), h + l, np.inf)
+
+
+def _fstar_scalar(pl, c, xh, xl):
+    """_fstar_step at one dd point: the float phi(F_c(x)), or math.inf
+    where F_c(x) overflows.  A knot-hit x (numpy scalars) steps on numpy
+    scalars."""
+    fh, fl = _dd.quad(xh, xl, c)
     if not math.isfinite(fh):
         return math.inf
-    yh, yl = _eval_dd(pl._phi, fh, fl)
-    return np.float64(yh + yl)
+    h, l = _eval_dd(pl._phi, fh, fl)
+    return float(h + l)
 
 
 def eval_fstar(pl, params, y):
@@ -330,9 +343,13 @@ def eval_fstar(pl, params, y):
     or ndarray, like eval_phi.  Where F_c(phi^(-1)(y)) overflows the double
     range, F*(y) is +inf.
     """
-    xh, xl = _phi_inv_dd(pl, _finite(y))
+    y = _finite(y)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _fstar_step(pl, params.c, xh, xl)
+        if isinstance(y, np.ndarray):
+            return _fstar_step(pl, params.c, *_phi_inv_dd(pl, y))
+        xh, xl, _ = _eval_float(pl._phi_inv, y)
+        y = _fstar_scalar(pl, params.c, xh, xl)
+    return y if y == math.inf else np.float64(y)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,8 @@ from typing import Optional
 import numpy as np
 
 from . import _dd
-from .conjugacy import _finite, _fstar_step, _phi_inv_dd
+from .conjugacy import (_eval_float, _finite, _fstar_scalar, _fstar_step,
+                        _phi_inv_dd)
 from .errors import DomainError
 from .quadratic_map import QuadraticParams, derive_params
 
@@ -141,7 +142,9 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
     lane to the scalar call, and `trajectory` is None.  The array loop
     stops as soon as the images of its live states are all live states
     themselves (closed under F*), since none of them can escape later; see
-    _iterate_target_array.  The scalar loop runs every step.
+    _iterate_target_array.  The scalar loop runs every step, on the
+    scalar helpers of conjugacy; the trajectory holds y0 as a float and
+    the later iterates as np.float64.
     """
     max_iter = int(max_iter)
     if max_iter < 1:
@@ -152,16 +155,17 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
     y = _finite(y0)
     if isinstance(y, np.ndarray):
         return _iterate_target_array(pl, params, y, max_iter, threshold)
+    d, c = pl._phi_inv, params.c
     traj = [] if keep_trajectory else None
     for n in range(max_iter + 1):
         if traj is not None and len(traj) < keep_trajectory:
-            traj.append(y)
-        xh, xl = _phi_inv_dd(pl, y)
+            traj.append(np.float64(y) if n else y)
+        xh, xl, _ = _eval_float(d, y)
         if abs(xh + xl) > threshold:
             return OrbitResult(True, n, tuple(traj) if traj is not None else None)
         if n == max_iter:
             break
-        y = _fstar_step(pl, params.c, xh, xl)
+        y = _fstar_scalar(pl, c, xh, xl)
     return OrbitResult(False, max_iter, tuple(traj) if traj is not None else None)
 
 

@@ -5,9 +5,20 @@ model system, the strict target system and phi a single time, and every
 construction suite checks those objects, against an oracle of its own
 (bisection, enumeration, membership) or as an exact identity of the
 symbolic dynamics: F_c shifts the model's knots by address, phi sends
-knots onto knots, and a level-n gap point leaves after n steps.  The
-suites work on whole arrays and report the first violation in the order
-of a point-by-point scan.
+knots onto knots, and a level-n gap point leaves after n steps.  Every
+suite reports the first violation in the order of a point-by-point scan.
+
+Each check takes the path that is cheap for its size.  The large ones run
+as single array calls: the dichotomy's endpoints (1022 at depth 8, 512
+distinct states), the stored endpoints given to membership, the knots and
+the grid of the conjugacy map.  The small ones run point by point through
+the scalar calls: the dichotomy's gap midpoints (at most 31, levels <= 5)
+through iterate_target and target-construction's (at most 15) through
+membership.  An array call on a few dozen lanes costs numpy's fixed
+per-call overhead on every elementwise step (about 150 of them in one dd
+interpolation), more than the arithmetic itself on Python floats.  Both
+paths give the same verdicts and the scalar loops stop at the first
+failure, so the printed text is the same either way.
 """
 
 from dataclasses import dataclass
@@ -152,14 +163,11 @@ def _suite_target_construction(target):
         return False, f"stored endpoint {float(ends[k])!r} rejected by membership"
     # a strict gap is a natural gap of the spec's tree, possibly deeper than
     # level `depth`: test its midpoint as deep as the strict descents go
-    mids = [0.5 * (target.gap_c[n] + target.gap_d[n])
-            for n in range(1, min(depth, 4) + 1)]
-    if mids:
-        mids = np.concatenate(mids)
-        k = _first(membership(spec, mids, _descent_limit(spec)))
-        if k is not None:
-            return False, (f"gap midpoint {float(mids[k])!r} accepted by "
-                           "membership")
+    limit = _descent_limit(spec)
+    for n in range(1, min(depth, 4) + 1):
+        for mid in (0.5 * (target.gap_c[n] + target.gap_d[n])).tolist():
+            if membership(spec, mid, limit):
+                return False, f"gap midpoint {mid!r} accepted by membership"
     return True, f"depth {depth}: strict refinement consistent with membership"
 
 
@@ -223,18 +231,14 @@ def _suite_conjugacy_spot_values(pl, params, target):
 
 
 def _suite_dichotomy(pl, params, target):
-    # a level-n gap point leaves after exactly n steps; np.empty(0) keeps a
-    # depth-0 target, which has no gaps, working
-    mids = [0.5 * (target.gap_c[n] + target.gap_d[n])
-            for n in range(1, min(target.depth, 5) + 1)]
-    level = np.repeat(np.arange(1, len(mids) + 1), [m.size for m in mids])
-    mids = np.concatenate([np.empty(0)] + mids)
-    res = orbit_engine.iterate_target(pl, params, mids, 5)
-    k = _first(~res.escaped | (res.iteration != level))
-    if k is not None:
-        verdict = "escaped_at" if res.escaped[k] else "bounded"
-        return False, (f"level-{level[k]} gap midpoint {float(mids[k])!r}: "
-                       f"{verdict} {res.iteration[k]}")
+    # a level-n gap point leaves after exactly n steps
+    for n in range(1, min(target.depth, 5) + 1):
+        for mid in (0.5 * (target.gap_c[n] + target.gap_d[n])).tolist():
+            res = orbit_engine.iterate_target(pl, params, mid, 5)
+            if not res.escaped or res.iteration != n:
+                verdict = "escaped_at" if res.escaped else "bounded"
+                return False, (f"level-{n} gap midpoint {mid!r}: "
+                               f"{verdict} {res.iteration}")
     per_level = [np.concatenate([target.level_a[n], target.level_b[n]])
                  for n in range(min(target.depth, 8) + 1)]
     ends = np.concatenate(per_level)

@@ -7,6 +7,7 @@ to binary64, escapes after a handful of steps once the local slope 2p ~ 4.6
 amplifies the half-ulp rounding error past the drift budget.
 """
 
+import bisect
 import math
 import time
 import tracemalloc
@@ -438,6 +439,115 @@ def test_dichotomy_endpoints_close_within_a_few_steps(monkeypatch, c, most):
     assert not got.escaped.any()
     assert (got.iteration == 10**6).all()
     assert calls
+
+
+# iterate_target's scalar loop and scalar eval_fstar as they were when
+# _phi_inv_dd and _fstar_step dispatched on their argument's type, frozen
+# as the oracle of the loop over the scalar helpers.
+
+def reference_piece(d, j, xh, xl):
+    if j < 0:
+        return _dd.add(xh, xl, *d.left)
+    if j == d.last:
+        return _dd.add(xh, xl, *d.right)
+    x, x_lo, y, y_lo, k = d.xv, d.xv_lo, d.yv, d.yv_lo, j + 1
+    return _dd.interp(xh, xl, x[j], x_lo[j], x[k], x_lo[k],
+                      y[j], y_lo[j], y[k], y_lo[k])
+
+
+def reference_eval_dd(d, xh, xl):
+    j = i = bisect.bisect_right(d.xv, xh) - 1
+    if d.xv[i] == xh:
+        lo = d.xv_lo[i]
+        if lo == xl:
+            return d.ys[i], d.ys_lo[i]
+        if xl < lo:
+            j = i - 1
+    return reference_piece(d, j, xh, xl)
+
+
+def reference_phi_inv_dd(pl, y):
+    d = pl._phi_inv
+    y = float(y)
+    i = bisect.bisect_right(d.xv, y) - 1
+    if d.xv[i] == y:
+        return d.ys[i], d.ys_lo[i]
+    return reference_piece(d, i, y, 0.0)
+
+
+def reference_fstar_step(pl, c, xh, xl):
+    fh, fl = _dd.quad(xh, xl, c)
+    if not math.isfinite(fh):
+        return math.inf
+    yh, yl = reference_eval_dd(pl._phi, fh, fl)
+    return np.float64(yh + yl)
+
+
+def reference_eval_fstar(pl, params, y):
+    xh, xl = reference_phi_inv_dd(pl, float(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return reference_fstar_step(pl, params.c, xh, xl)
+
+
+def reference_iterate_target_scalar(pl, params, y0, max_iter,
+                                    keep_trajectory=0):
+    threshold = params.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
+    y = float(y0)
+    traj = [] if keep_trajectory else None
+    for n in range(max_iter + 1):
+        if traj is not None and len(traj) < keep_trajectory:
+            traj.append(y)
+        xh, xl = reference_phi_inv_dd(pl, y)
+        if abs(xh + xl) > threshold:
+            return OrbitResult(True, n, tuple(traj) if traj is not None else None)
+        if n == max_iter:
+            break
+        y = reference_fstar_step(pl, params.c, xh, xl)
+    return OrbitResult(False, max_iter, tuple(traj) if traj is not None else None)
+
+
+def same_scalar(a, b):
+    """The same type and the same bits."""
+    return type(a) is type(b) and (np.float64(a).view(np.int64)
+                                   == np.float64(b).view(np.int64))
+
+
+def assert_scalar_matches_frozen(pl, params, ys, max_iter):
+    for y in ys:
+        want = reference_iterate_target_scalar(pl, params, y, max_iter, 8)
+        got = iterate_target(pl, params, y, max_iter, keep_trajectory=8)
+        assert (got.escaped, got.iteration) == (want.escaped,
+                                                 want.iteration), y
+        assert len(got.trajectory) == len(want.trajectory), y
+        assert all(map(same_scalar, got.trajectory, want.trajectory)), y
+        got = iterate_target(pl, params, y, max_iter)
+        assert (got.escaped, got.iteration, got.trajectory) == (
+            want.escaped, want.iteration, None), y
+        assert same_scalar(eval_fstar(pl, params, y),
+                           reference_eval_fstar(pl, params, y)), y
+
+
+def scalar_orbit_starts(pl, target):
+    """Seeded hull points, every gap midpoint, knots (every one of a small
+    phi, about 64 of a larger one) with their neighbours an ulp away, both
+    tails and +-1e300, as Python floats."""
+    a, b = target.hull
+    rng = np.random.default_rng(pl.ys.size)
+    knots = pl.ys[np.unique(np.r_[0:pl.ys.size:max(1, pl.ys.size // 64),
+                                  pl.ys.size - 1])]
+    mids = [0.5 * (target.gap_c[n] + target.gap_d[n])
+            for n in range(1, target.depth + 1)]
+    return np.concatenate([
+        rng.uniform(a, b, 16), *mids, knots, np.nextafter(knots, np.inf),
+        np.nextafter(knots, -np.inf),
+        [a - 1.0, a - 1e-9, b + 1e-9, b + 2.5, 1e300, -1e300]]).tolist()
+
+
+def test_scalar_iterate_matches_frozen_loop(oracle_cases):
+    # 12 steps: past every gap midpoint's escape (level <= 8)
+    for pl, params, target in oracle_cases:
+        assert_scalar_matches_frozen(pl, params,
+                                     scalar_orbit_starts(pl, target), 12)
 
 
 def test_scalar_target_loop_enters_no_errstate(monkeypatch, phi12, params3):

@@ -1,6 +1,7 @@
 """The `verify` suites report the first violation a point-by-point scan
-would meet, though they evaluate and iterate whole arrays at once, and a
-run that builds its systems once reports what rebuilding per suite did."""
+would meet, though their large checks evaluate and iterate whole arrays
+at once, and a run that builds its systems once reports what rebuilding
+per suite did."""
 
 import re
 import tracemalloc
@@ -27,6 +28,7 @@ from cantordyn import (
     quadratic_map,
     verification,
 )
+from cantordyn.cli import main
 from cantordyn.errors import NoRealFixedPoint
 from cantordyn.target_cantor import TargetSystem, _descent_limit, membership
 from cantordyn.verification import (
@@ -207,6 +209,73 @@ def test_dichotomy_reports_first_violation():
         "level-3 gap midpoint 0.05555555555555555: escaped_at 2")
     assert _suite_dichotomy(pl, derive_params(-1.0), target)[1] == (
         "level-1 gap midpoint 0.5: bounded 5")
+
+
+def verify_fail_lines(capsys, argv):
+    """The FAIL lines `cantordyn verify` prints for argv (exit code 2)."""
+    assert main(["verify", *argv]) == 2
+    return [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL")]
+
+
+# The rerouted checks (the dichotomy's gap midpoints through scalar
+# iterate_target, target-construction's through scalar membership) print
+# the first violation of a scan level by level, left to right, midpoints
+# before endpoints: each expected line is the one the array checks printed.
+
+def test_verify_reports_a_bounded_level3_midpoint(monkeypatch, capsys):
+    # the left end of the third level-3 gap moved onto its midpoint: that
+    # midpoint is then a knot, and its orbit runs on knots
+    build_phi = conjugacy.build_phi
+
+    def bent(model, target, depth):
+        pl = build_phi(model, target, depth)
+        k = int(np.searchsorted(pl.ys, target.gap_c[3][2]))
+        ys, ys_lo = pl.ys.copy(), pl.ys_lo.copy()
+        ys[k] = 0.5 * (target.gap_c[3][2] + target.gap_d[3][2])
+        ys_lo[k] = 0.0
+        return MonotonePLMap(xs=pl.xs, ys=ys, err_bound=pl.err_bound,
+                             depth=depth, xs_lo=pl.xs_lo, ys_lo=ys_lo)
+
+    monkeypatch.setattr(conjugacy, "build_phi", bent)
+    assert verify_fail_lines(capsys, ["--c", "-3", "--depth", "8"]) == [
+        "FAIL conjugacy-map: knot not exact: phi(1.0206294600609995) = "
+        "0.7222222222222222 != 0.7037037037037037",
+        "FAIL dichotomy: level-3 gap midpoint 0.7222222222222222: bounded 5"]
+
+
+def test_verify_reports_a_level3_midpoint_escaping_early(monkeypatch,
+                                                         capsys):
+    # phi paired with the model of c = -3 while F_c is that of c = -4
+    build_phi = conjugacy.build_phi
+    monkeypatch.setattr(conjugacy, "build_phi", lambda model, target, depth:
+                        build_phi(build_model_system(derive_params(-3.0),
+                                                     depth), target, depth))
+    assert verify_fail_lines(capsys, ["--c", "-4", "--depth", "8",
+                                      "--target", "middle-alpha:0.5"]) == [
+        "FAIL conjugacy-map: knot not exact: phi(-2.5615528128088303) = "
+        "-0.2587771750768356 != 0.0",
+        "FAIL conjugacy-spot-values: F*(1.0) = np.float64(0.7999988203756248),"
+        " expected the fixed endpoint",
+        "FAIL dichotomy: level-3 gap midpoint 0.03125: escaped_at 2"]
+
+
+def test_verify_reports_an_accepted_level2_midpoint(monkeypatch, capsys):
+    # middle-thirds levels checked against a two-level gap tree: the
+    # level-1 midpoint and the first level-2 one fall into its gaps, the
+    # second level-2 midpoint (5/6) misses the gap (0.78, 0.8)
+    tree = ExplicitGapTree((0.0, 1.0), (((1 / 3, 2 / 3),),
+                                        ((1 / 9, 2 / 9), (0.78, 0.8))))
+    build = verification.build_target_system
+
+    def relabelled(spec, depth, mode):
+        t = build(spec, depth, mode)
+        return TargetSystem(tree, mode, t.a_N, t.b_N, t.a_lo_N, t.b_lo_N)
+
+    monkeypatch.setattr(verification, "build_target_system", relabelled)
+    assert verify_fail_lines(capsys, ["--c", "-3", "--depth", "8"]) == [
+        "FAIL target-construction: gap midpoint 0.8333333333333333 accepted "
+        "by membership"]
 
 
 def test_conjugacy_map_reports_perturbed_knot():
