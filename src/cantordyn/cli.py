@@ -252,14 +252,16 @@ def _build_parser():
         p.add_argument("--depth", type=int, default=default, metavar="N",
                        help=f"refinement depth (default {default})")
 
-    def add_target(p):
+    def add_target(p, mode=True):
         p.add_argument("--target", default="middle-thirds", metavar="SPEC",
                        help="middle-thirds | middle-alpha:A | affine:R1,R2 | "
                             "fat:G0,RHO | gaps:FILE")
         p.add_argument("--hull", metavar="A,B",
                        help="target hull (default 0,1; not with gaps:)")
-        p.add_argument("--mode", choices=("strict", "natural"),
-                       default="strict", help="gap selection per refinement")
+        if mode:
+            p.add_argument("--mode", choices=("strict", "natural"),
+                           default="strict",
+                           help="gap selection per refinement")
 
     p = add("build-model", "build the nested segments of bounded orbits of "
                            "x^2 + c and optionally save them")
@@ -323,10 +325,11 @@ def _build_parser():
     p.add_argument("--max-iter", type=int, default=256, metavar="N")
     p.add_argument("--out", required=True, metavar="FILE")
 
-    p = add("verify", "run the self-check suites and print PASS/FAIL lines")
+    p = add("verify", "run the self-check suites on the strict "
+                      "construction and print PASS/FAIL lines")
     add_c(p)
     add_depth(p, default=10)
-    add_target(p)
+    add_target(p, mode=False)
 
     return parser
 

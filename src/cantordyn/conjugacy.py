@@ -36,7 +36,7 @@ the bits of the scalar call.
 Scalars and arrays take separate helpers, so no step of an orbit tests
 its argument's type: _eval_float (a double) and _eval_dd (a dd point)
 evaluate one point, _fstar_scalar composes one F* step from them, and
-_eval_array, _phi_inv_dd and _fstar_step do the same for arrays.
+_eval_array and _fstar_step do the same for arrays.
 iterate_target's scalar loop and scalar eval_fstar call the scalar ones
 directly, and place every query by bisect on the direction's knots.
 """
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import _dd
 from .errors import CantorDynError, DomainError
-from .model_cantor import _BLOCK, _interleave
+from .model_cantor import _BLOCK, _interleave, max_segment_length
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,8 @@ def build_phi(model, target, N):
     ys, ys_lo = _level_knots(target, N)
     if not ((xs[1:] > xs[:-1]).all() and (ys[1:] > ys[:-1]).all()):
         raise CantorDynError("endpoint pairing is not strictly increasing")
-    # the widest level-N segment, taken block by block so that no
-    # level-sized temporary is made (the maximum is exact either way)
-    a, b = target.level_a[N], target.level_b[N]
-    err = float(np.max([np.max(b[k:k + _BLOCK] - a[k:k + _BLOCK])
-                        for k in range(0, a.size, _BLOCK)]))
-    return MonotonePLMap(xs=xs, ys=ys, err_bound=err, depth=N,
-                         xs_lo=xs_lo, ys_lo=ys_lo)
+    return MonotonePLMap(xs=xs, ys=ys, err_bound=max_segment_length(target, N),
+                         depth=N, xs_lo=xs_lo, ys_lo=ys_lo)
 
 
 def _level_knots(system, N):
@@ -254,11 +249,6 @@ def _eval_array(d, xh, xl=None):
     return h.reshape(shape), l.reshape(shape), hit.reshape(shape)
 
 
-def _eval_dd_array(d, xh, xl):
-    """_eval_dd over arrays of dd points, with its bits: _eval_array's h, l."""
-    return _eval_array(d, xh, xl)[:2]
-
-
 def _finite(x):
     """x as a float or a float64 ndarray; DomainError unless every entry is
     finite."""
@@ -308,13 +298,6 @@ def eval_phi_inverse(pl, y):
     return _eval_double(pl._phi_inv, _finite(y))[2]
 
 
-def _phi_inv_dd(pl, y):
-    """Inverse images of the public doubles in the array y as a
-    double-double pair: _eval_double's (h, l), without building the
-    rounding."""
-    return _eval_array(pl._phi_inv, y)[:2]
-
-
 def _fstar_step(pl, c, xh, xl):
     """phi(F_c(x)) over arrays of dd points x, rounded once; +inf where
     F_c(x) overflows.  The caller enters np.errstate."""
@@ -346,7 +329,8 @@ def eval_fstar(pl, params, y):
     y = _finite(y)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(y, np.ndarray):
-            return _fstar_step(pl, params.c, *_phi_inv_dd(pl, y))
+            return _fstar_step(pl, params.c,
+                               *_eval_array(pl._phi_inv, y)[:2])
         xh, xl, _ = _eval_float(pl._phi_inv, y)
         y = _fstar_scalar(pl, params.c, xh, xl)
     return y if y == math.inf else np.float64(y)

@@ -300,7 +300,10 @@ def build_model_system(params, depth):
 
 
 def max_segment_length(system, n):
-    """Largest segment length at level n; DomainError if n is out of range."""
+    """Largest segment length at level n, scanned block by block with no
+    level-sized temporary; DomainError if n is out of range."""
     n = int(n)
     system._check_level(n)
-    return float(np.max(system.level_b[n] - system.level_a[n]))
+    a, b = system.level_a[n], system.level_b[n]
+    return max(float(np.max(b[k:k + _BLOCK] - a[k:k + _BLOCK]))
+               for k in range(0, a.size, _BLOCK))

@@ -29,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from . import _dd
-from .conjugacy import (_eval_float, _finite, _fstar_scalar, _fstar_step,
-                        _phi_inv_dd)
+from .conjugacy import (_eval_array, _eval_float, _finite, _fstar_scalar,
+                        _fstar_step)
 from .errors import DomainError
 from .quadratic_map import QuadraticParams, derive_params
 
@@ -197,7 +197,7 @@ def _iterate_target_array(pl, params, y0, max_iter, threshold):
     lanes = np.arange(y0.size)
     bits, owner = np.unique(y0.ravel().view(np.int64), return_inverse=True)
     for n in range(max_iter + 1):
-        xh, xl = _phi_inv_dd(pl, bits.view(np.float64))
+        xh, xl = _eval_array(pl._phi_inv, bits.view(np.float64))[:2]
         esc = np.abs(xh + xl) > threshold
         if esc.any():
             out = esc[owner]

@@ -16,15 +16,17 @@ endpoints, through the gap views, so it keeps no level of its own.
 Natural mode applies the split formulas to a block of _BLOCK segments at
 a time.  Strict mode runs one masked descent per level, the middle-third
 search (_find_gaps), and splits at the maximal gap each lane stops at;
-the public helpers run the search and the tightening (_tighten_gaps,
-which only tighten_gap needs) on one lane.
-All splits come from _NodeSplitter, which membership calls one node at a
-time for a float and one level at a time, the level one int, for an array
-of points; only the strict search passes a level per lane.  A descent
-stops at _descent_limit(spec).  In the build a lane starts
-its search not at the hull but at the deepest tree node already known to
-contain its segment: the matching child of the parent's gap node when a
-comparison confirms the containment, else the parent's own start node.
+find_gap_in_middle_third runs that search on one lane.  tighten_gap's
+tightening (_tighten), which the build does not need, walks the tree
+on floats.
+All splits come from _NodeSplitter, which membership and _tighten call
+one node at a time for floats, and membership one level at a time, the
+level one int, for an array of points; only the strict search passes a
+level per lane.  A descent stops at _descent_limit(spec).  In the build
+a lane starts its search not at the hull but at the deepest tree node
+already known to contain its segment: the matching child of the parent's
+gap node when a comparison confirms the containment, else the parent's
+own start node.
 Every gap above such a node lies wholly left or right of the segment, so a
 descent from the hull would pass those nodes without changing state;
 starting below them saves a descent of length ~n per segment at level n.
@@ -37,7 +39,6 @@ affine ratios on opposite sides of 1/3 and explicit trees, run the search.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +55,10 @@ def _check_hull(hull):
         raise DomainError(f"hull must be finite, got [{a!r}, {b!r}]")
     if not a < b:
         raise DomainError(f"hull must satisfy a < b, got [{a!r}, {b!r}]")
-    if not np.isfinite(b - a):
-        raise DomainError(f"hull width b - a overflows, got [{a!r}, {b!r}]")
+    # the dd kernels split a node's length by multiplying it by 2^27 + 1
+    if not np.isfinite(_dd._SPLITTER * (b - a)):
+        raise DomainError(f"hull width overflows the double-double split, "
+                          f"got [{a!r}, {b!r}]")
     return a, b
 
 
@@ -199,8 +202,7 @@ def _descent_limit(spec):
     else:
         r = 0.5  # FatCantor: the removed proportions shrink towards 0
     a, b = _check_hull(spec.hull)
-    width = min(b - a, sys.float_info.max)  # b - a overflows for the widest hulls
-    return math.ceil(math.log(max(abs(a), abs(b)) / width * 2.0 ** -106)
+    return math.ceil(math.log(max(abs(a), abs(b)) / (b - a) * 2.0 ** -106)
                      / math.log(r))
 
 
@@ -359,10 +361,9 @@ def tighten_gap(spec, gap, tol=None):
 
     e' is the largest member below e, f' the smallest member above f.  For
     the tree-backed specs of this module both are computed exactly by the
-    tightening (_tighten_gaps) on one lane from the hull; tol is its slack
-    (a natural gap counts as containing (e, f) when it does so up to tol
-    per side), must be positive, and defaults to 1e-12 times the hull
-    length.
+    tightening (_tighten) from the hull; tol is its slack (a natural gap
+    counts as containing (e, f) when it does so up to tol per side), must
+    be positive, and defaults to 1e-12 times the hull length.
     """
     a, b = _check_hull(spec.hull)
     if tol is None:
@@ -374,11 +375,34 @@ def tighten_gap(spec, gap, tol=None):
         raise DomainError(f"invalid open interval ({e!r}, {f!r})")
     if e < a or f > b:
         raise DomainError(f"({e!r}, {f!r}) is not inside the hull [{a!r}, {b!r}]")
-    G, H, stuck = _tighten_gaps(_NodeSplitter(spec), _lane(e, 0.0),
-                                _lane(f, 0.0), *_lane(tol))
-    if stuck[0] >= 0:
-        raise _descent_error(spec, "tighten", stuck[0], e, f)
-    return float(G[0][0]), float(H[0][0])
+    G, H = _tighten(_NodeSplitter(spec), (e, 0.0), (f, 0.0), float(tol))
+    return float(G[0]), float(H[0])
+
+
+def _tighten(split, E, F, slack):
+    """The maximal natural gap (G, H) containing the member-free interval
+    (E, F), dd pairs of floats, walked down from the hull on floats as
+    membership walks a point.
+
+    A natural gap counts as containing (E, F) when it does so up to slack
+    per side.  Raises _descent_error's error for the level where the walk
+    stops: short of the descent limit when members lie inside (E, F).
+    """
+    spec = split.spec
+    U, V = ((float(x), 0.0) for x in spec.hull)
+    j, limit = 0, _descent_limit(spec)
+    for n in range(limit):
+        G, H = split(U, V, n, j)
+        if (_dd.le(*_dd.sub(*G, *E), slack, 0.0)
+                and _dd.le(*_dd.sub(*F, *H), slack, 0.0)):
+            return G, H
+        if _dd.le(*F, *G):
+            V, j = G, 2 * j
+        elif _dd.le(*H, *E):
+            U, j = H, 2 * j + 1
+        else:
+            raise _descent_error(spec, "tighten", n, E[0], F[0])
+    raise _descent_error(spec, "tighten", limit, E[0], F[0])
 
 
 def _lane(*xs):
@@ -586,43 +610,6 @@ def _find_gaps(split, C, D, start):
         state = _drop_spent(limit, tuple(x[go] for x in (
             lane, *U, *V, n + 1, 2 * j + right, *lo, *hi, sl)), missed)
     return E, F, G, H, node, missed
-
-
-def _tighten_gaps(split, E, F, slack):
-    """The tightening behind tighten_gap: for every lane, the maximal
-    natural gap containing the member-free interval (E_i, F_i), as a masked
-    descent from the hull.
-
-    A natural gap counts as containing (E_i, F_i) when it does so up to
-    slack_i per side.  Returns the gaps G, H and, per lane, -1 or the level
-    where the descent stopped: short of the descent limit when members lie
-    inside (E_i, F_i).
-    """
-    m = E[0].size
-    G, H = _blank(m, 2), _blank(m, 2)
-    stuck = np.full(m, -1)
-    limit = _descent_limit(split.spec)
-    hull = (np.repeat(x, m) for x in _hull_lane(split.spec))
-    # (lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl, slack)
-    state = _drop_spent(limit, (np.arange(m), *hull, *E, *F, slack), stuck)
-    while state[0].size:
-        lane, Uh, Ul, Vh, Vl, n, j, eh, el, fh, fl, sl = state
-        e, f = (eh, el), (fh, fl)
-        Gs, Hs = split((Uh, Ul), (Vh, Vl), n, j)
-        hit = (_dd.le(*_dd.sub(*Gs, *e), sl, 0.0)
-               & _dd.le(*_dd.sub(*f, *Hs), sl, 0.0))
-        _put(G, lane, hit, Gs)
-        _put(H, lane, hit, Hs)
-        left = ~hit & _dd.le(*f, *Gs)
-        right = ~hit & ~left & _dd.le(*Hs, *e)
-        members = ~(hit | left | right)
-        stuck[lane[members]] = n[members]
-        U = _pick(right, Hs, (Uh, Ul))
-        V = _pick(left, Gs, (Vh, Vl))
-        go = left | right
-        state = _drop_spent(limit, tuple(x[go] for x in (
-            lane, *U, *V, n + 1, 2 * j + right, *e, *f, sl)), stuck)
-    return G, H, stuck
 
 
 def _strict_gaps(split, C, D, start):

@@ -115,7 +115,7 @@ def _structure_errors(system, shrink):
     if np.any(b[:-1] >= a[1:]):
         return f"level {N}: segments overlap or touch"
     for n in range(N + 1):
-        top = float(np.max(system.level_b[n] - system.level_a[n]))
+        top = model_cantor.max_segment_length(system, n)
         if top > shrink(n):
             return f"level {n}: max length {top!r} exceeds bound {shrink(n)!r}"
     return None

@@ -1,6 +1,8 @@
 """Shared fixtures: the c = -3 / middle-thirds pair used throughout.
 
-Builds are deterministic, so everything heavy is session-scoped.
+Builds are deterministic, so everything heavy is session-scoped.  The
+frozen references of the array evaluators are kept here too, shared by
+the conjugacy and orbit tests.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from cantordyn import (
     derive_params,
     middle_thirds,
 )
+from cantordyn import _dd
 
 
 @pytest.fixture(scope="session")
@@ -108,3 +111,38 @@ def _mp_images(system):
 @pytest.fixture(scope="session")
 def mp_images():
     return _mp_images
+
+
+# _eval_array on dd points and on doubles (the array branch of
+# _eval_double) as they were when every branch ran on every lane and
+# np.where kept each lane's answer, frozen as the oracle of the versions
+# that compute only the lanes that need it.
+
+def reference_eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
+    last = xs.size - 1
+    i = np.clip(np.searchsorted(xs, xh, side="right") - 1, 0, last)
+    on_knot = xs[i] == xh
+    hit = on_knot & (xs_lo[i] == xl)
+    left = _dd.le(xh, xl, xs[0], xs_lo[0])
+    tail = left | _dd.le(xs[-1], xs_lo[-1], xh, xl)
+    j = np.clip(i - (on_knot & (xl < xs_lo[i])), 0, last - 1)
+    off_l = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
+    off_r = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        th, tl = _dd.add(xh, xl, np.where(left, off_l[0], off_r[0]),
+                         np.where(left, off_l[1], off_r[1]))
+        dx = _dd.sub(xh, xl, xs[j], xs_lo[j])
+        t = _dd.div(*dx, *_dd.sub(xs[j + 1], xs_lo[j + 1], xs[j], xs_lo[j]))
+        dy = _dd.mul(*t, *_dd.sub(ys[j + 1], ys_lo[j + 1], ys[j], ys_lo[j]))
+        ih, il = _dd.add(ys[j], ys_lo[j], *dy)
+    h = np.where(hit, ys[i], np.where(tail, th, ih))
+    l = np.where(hit, ys_lo[i], np.where(tail, tl, il))
+    return h, l
+
+
+def reference_eval_double_array(xs, xs_lo, ys, ys_lo, x):
+    i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
+    knot = xs[i] == x
+    h, l = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
+    return (np.where(knot, ys[i], h), np.where(knot, ys_lo[i], l),
+            np.where(knot, ys[i], h + l))

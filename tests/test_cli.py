@@ -437,7 +437,8 @@ def test_help_and_no_args(capsys):
 
 # (argv, rc, stdout, stderr) of each usage path, recorded from the CLI that
 # copied the parsed flags into a config record before dispatch; the handlers
-# now read the parsed namespace and must answer byte for byte the same.
+# now read the parsed namespace and must answer byte for byte the same,
+# except that verify, which checks the strict construction, takes no --mode.
 # {tmp} stands for the test's directory, which holds it.cfg
 # (c=-3, y0=1/3, max-iter=50, depth=49), bad.cfg and g.json (one gap).
 USAGE_PATHS = [
@@ -490,7 +491,9 @@ USAGE_PATHS = [
     (['fstar'],
      1, '', 'usage error: the following arguments are required: --eval\n'),
     (['verify', '--mode', 'bogus'],
-     1, '', "usage error: argument --mode: invalid choice: 'bogus' (choose from 'strict', 'natural')\n"),
+     1, '', 'usage error: unrecognized arguments: --mode bogus\n'),
+    (['verify', '--depth', '2', '--mode', 'natural'],
+     1, '', 'usage error: unrecognized arguments: --mode natural\n'),
 ]
 
 

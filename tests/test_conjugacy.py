@@ -43,11 +43,11 @@ from cantordyn.conjugacy import (
     MappingReport,
     _eval_array,
     _eval_dd,
-    _eval_dd_array,
     _eval_double,
     _mapping_samples,
 )
 from cantordyn.model_cantor import _BLOCK
+from conftest import reference_eval_dd_array, reference_eval_double_array
 
 THIRD = 0.3333333333333333
 TWO_THIRDS = 0.6666666666666666
@@ -340,7 +340,7 @@ def test_array_dd_eval_matches_scalar(phi_cases):
             lo = np.zeros_like(q)
             for shift in (0.0, -1e-30, 1e-30):
                 lo[:sel.size] = d.xs_lo[sel] + shift
-                h, l = _eval_dd_array(d, q, lo)
+                h, l = _eval_array(d, q, lo)[:2]
                 ref = [_eval_dd(d, float(a), float(b)) for a, b in zip(q, lo)]
                 assert same_bits(h, [r[0] for r in ref])
                 assert same_bits(l, [r[1] for r in ref])
@@ -419,7 +419,7 @@ def test_array_dd_eval_random(phi12, picks):
     """Double-double queries on and beside the knots of phi12."""
     xh = np.array([phi12.xs[i] for i, _ in picks], dtype=np.float64)
     xl = np.array([phi12.xs_lo[i] + d for i, d in picks], dtype=np.float64)
-    h, l = _eval_dd_array(phi12._phi, xh, xl)
+    h, l = _eval_array(phi12._phi, xh, xl)[:2]
     ref = [_eval_dd(phi12._phi, float(a), float(b)) for a, b in zip(xh, xl)]
     assert same_bits(h, [r[0] for r in ref])
     assert same_bits(l, [r[1] for r in ref])
@@ -524,41 +524,6 @@ def test_mapping_check_memory_stays_near_its_draws(params3, thirds):
     assert peak - before < 320 * 4 * _BLOCK
 
 
-# _eval_dd_array and the array branch of _eval_double as they were when
-# every branch ran on every lane and np.where kept each lane's answer,
-# frozen as the oracle of the versions that compute only the lanes that
-# need it.
-
-def reference_eval_dd_array(xs, xs_lo, ys, ys_lo, xh, xl):
-    last = xs.size - 1
-    i = np.clip(np.searchsorted(xs, xh, side="right") - 1, 0, last)
-    on_knot = xs[i] == xh
-    hit = on_knot & (xs_lo[i] == xl)
-    left = _dd.le(xh, xl, xs[0], xs_lo[0])
-    tail = left | _dd.le(xs[-1], xs_lo[-1], xh, xl)
-    j = np.clip(i - (on_knot & (xl < xs_lo[i])), 0, last - 1)
-    off_l = _dd.sub(ys[0], ys_lo[0], xs[0], xs_lo[0])
-    off_r = _dd.sub(ys[-1], ys_lo[-1], xs[-1], xs_lo[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        th, tl = _dd.add(xh, xl, np.where(left, off_l[0], off_r[0]),
-                         np.where(left, off_l[1], off_r[1]))
-        dx = _dd.sub(xh, xl, xs[j], xs_lo[j])
-        t = _dd.div(*dx, *_dd.sub(xs[j + 1], xs_lo[j + 1], xs[j], xs_lo[j]))
-        dy = _dd.mul(*t, *_dd.sub(ys[j + 1], ys_lo[j + 1], ys[j], ys_lo[j]))
-        ih, il = _dd.add(ys[j], ys_lo[j], *dy)
-    h = np.where(hit, ys[i], np.where(tail, th, ih))
-    l = np.where(hit, ys_lo[i], np.where(tail, tl, il))
-    return h, l
-
-
-def reference_eval_double_array(xs, xs_lo, ys, ys_lo, x):
-    i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
-    knot = xs[i] == x
-    h, l = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
-    return (np.where(knot, ys[i], h), np.where(knot, ys_lo[i], l),
-            np.where(knot, ys[i], h + l))
-
-
 def directions(pl):
     """phi and phi^(-1) of pl, each as its record and as the arrays the
     frozen references take."""
@@ -603,12 +568,12 @@ def test_eval_dd_array_matches_frozen_oracle(oracle_cases):
                            np.full_like(q, -1e-30)):
                     if name == "knots":
                         lo = xs_lo + lo
-                    got = _eval_dd_array(d, q, lo)
+                    got = _eval_array(d, q, lo)[:2]
                     want = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, q, lo)
                     assert same_bits(got[0], want[0]), (pl.depth, name)
                     assert same_bits(got[1], want[1]), (pl.depth, name)
             fh, fl = _dd.add(*_dd.sqr(xs, xs_lo), params.c, 0.0)
-            got = _eval_dd_array(d, fh, fl)
+            got = _eval_array(d, fh, fl)[:2]
             want = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
@@ -622,7 +587,7 @@ def test_eval_dd_array_non_finite_lanes_match_frozen_oracle(phi12):
     his = np.array(special + [phi12.xs[0], phi12.xs[7], phi12.xs[-1], 0.25])
     xh, xl = (a.ravel() for a in np.meshgrid(his, special + [0.0, 1e-30]))
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _eval_dd_array(phi12._phi, xh, xl)
+        got = _eval_array(phi12._phi, xh, xl)[:2]
         want = reference_eval_dd_array(*args, xh, xl)
     for g, w in zip(got, want):
         nan = np.isnan(w)
@@ -640,7 +605,7 @@ def test_scalar_dd_eval_places_non_finite_points_as_the_array(phi12):
     his = np.array(special + [phi12.xs[0], phi12.xs[7], phi12.xs[-1], 0.25])
     xh, xl = (a.ravel() for a in np.meshgrid(his, special + [0.0, 1e-30]))
     with np.errstate(over="ignore", invalid="ignore"):
-        lanes = np.transpose(_eval_dd_array(d, xh, xl))
+        lanes = np.transpose(_eval_array(d, xh, xl)[:2])
         for a, b, want in zip(xh.tolist(), xl.tolist(), lanes):
             got = np.array(_eval_dd(d, a, b), dtype=np.float64)
             assert np.array_equal(np.isnan(got), np.isnan(want)), (a, b)

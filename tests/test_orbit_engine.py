@@ -37,8 +37,9 @@ from cantordyn import (
     middle_thirds,
 )
 from cantordyn import _dd, orbit_engine
-from cantordyn.conjugacy import _eval_dd_array, _fstar_step, _phi_inv_dd
+from cantordyn.conjugacy import _fstar_step
 from cantordyn.fileio import PALETTE, export_escape_image
+from conftest import reference_eval_dd_array, reference_eval_double_array
 
 
 class TestIterateModel:
@@ -239,13 +240,15 @@ class TestIterateTargetBatched:
 
 def reference_iterate_target_array(pl, params, y0, max_iter, threshold):
     """_iterate_target_array as it was when it iterated every live lane,
-    frozen as the oracle of the version that iterates distinct states."""
+    frozen as the oracle of the version that iterates distinct states, on
+    the frozen array evaluators."""
+    xs, xs_lo, ys, ys_lo = pl.xs, pl.xs_lo, pl.ys, pl.ys_lo
     escaped = np.zeros(y0.shape, dtype=bool)
     iteration = np.full(y0.shape, max_iter, dtype=np.int64)
     alive = np.arange(y0.size)
     y = y0.ravel()
     for n in range(max_iter + 1):
-        xh, xl = _phi_inv_dd(pl, y)
+        xh, xl, _ = reference_eval_double_array(ys, ys_lo, xs, xs_lo, y)
         esc = np.abs(xh + xl) > threshold
         if esc.any():
             escaped.flat[alive[esc]] = True
@@ -254,7 +257,7 @@ def reference_iterate_target_array(pl, params, y0, max_iter, threshold):
         if n == max_iter or alive.size == 0:
             break
         fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
-        yh, yl = _eval_dd_array(pl._phi, fh, fl)
+        yh, yl = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
         y = yh + yl
     return OrbitResult(escaped, iteration)
 

@@ -36,7 +36,7 @@ from cantordyn.model_cantor import _BLOCK, _interleave
 from cantordyn.target_cantor import (_check_splits, _cut, _descent_error,
                                      _descent_limit, _find_gaps, _hull_lane,
                                      _lane, _NodeSplitter, _splits_naturally,
-                                     _strict_gaps, _tighten_gaps)
+                                     _strict_gaps, _tighten)
 
 
 def exact_thirds_level(n):
@@ -246,10 +246,12 @@ def test_nonfinite_hull_rejected(hull):
             make()
 
 
-@pytest.mark.parametrize("hull", [(-1e308, 1e308), (-1.7e308, 1.7e308)])
+@pytest.mark.parametrize("hull", [(-1e308, 1e308), (-1.7e308, 1.7e308),
+                                  (-1e300, 1e300), (0.0, 1.5e300)])
 def test_overflowing_hull_width_rejected(hull):
-    # each end is finite but b - a is not: refused at construction, not
-    # deferred to a build that fails with an unrelated message
+    # each end is finite but b - a, or the dd split of it (b - a times
+    # 2^27 + 1), is not: refused at construction, not deferred to a build
+    # that fails with an unrelated message
     makers = (
         lambda: MiddleAlpha(0.5, hull=hull),
         lambda: middle_thirds(hull),
@@ -260,6 +262,18 @@ def test_overflowing_hull_width_rejected(hull):
     for make in makers:
         with pytest.raises(DomainError, match="hull width"):
             make()
+
+
+def test_widest_splittable_hull_builds():
+    # 1.3e300 times 2^27 + 1 is still finite
+    hull = (0.0, 1.3e300)
+    for spec in (MiddleAlpha(0.5, hull=hull), AffineIFS2(0.3, 0.2, hull=hull),
+                 ExplicitGapTree(hull=hull, levels=(((5e299, 8e299),),))):
+        for mode in ("strict", "natural"):
+            system = build_target_system(spec, 1, mode)
+            assert system.hull == hull
+        assert membership(spec, np.array(hull), 1).all()
+        assert all(membership(spec, x, 1) for x in hull)
 
 
 class TestExplicitGapTree:
@@ -652,15 +666,13 @@ def one_lane_find(spec, c, d):
 
 def one_lane_tighten(spec, e, f, tol):
     """tighten_gap past its argument checks."""
-    G, H, stuck = _tighten_gaps(_NodeSplitter(spec), _lane(e, 0.0),
-                                _lane(f, 0.0), *_lane(tol))
-    if stuck[0] >= 0:
-        raise _descent_error(spec, "tighten", stuck[0], e, f)
-    return float(G[0][0]), float(H[0][0])
+    return _tighten(_NodeSplitter(spec), (e, 0.0), (f, 0.0), tol)
 
 
+# AffineIFS2(0.05, 0.9) descends up to 698 levels
 HELPER_SPECS = [middle_thirds(), MiddleAlpha(0.5), AffineIFS2(0.3, 0.2),
-                AffineIFS2(0.8, 0.1), FatCantor(0.3, 0.5)]
+                AffineIFS2(0.8, 0.1), FatCantor(0.3, 0.5),
+                AffineIFS2(0.05, 0.9), MiddleAlpha(0.2, hull=(-2.0, 3.0))]
 
 
 @pytest.mark.parametrize("spec", HELPER_SPECS, ids=repr)
@@ -683,7 +695,8 @@ def test_helpers_match_frozen_walks(spec):
                                       limit, (1e-12 * (b - a), 0.0))
             assert members[0] is DomainError
     # outside the hull both descents run out of tree at the derived limit
-    for x, y in ((-0.5, -0.25), (1.25, 1.5)):
+    w = b - a
+    for x, y in ((a - w / 2, a - w / 4), (b + w / 4, b + w / 2)):
         for got, want in (
                 (outcome(one_lane_find, spec, x, y),
                  outcome(_find_gap_dd, spec, (x, 0.0), (y, 0.0), limit)),
@@ -731,9 +744,9 @@ def test_search_stops_at_the_gap_a_tightening_finds(spec):
         E, F, G, H, node = found
         U0, U1, V0, V1, n, j = node
         assert all(map(np.array_equal, split((U0, U1), (V0, V1), n, j), (G, H)))
-        tG, tH, stuck = _tighten_gaps(split, E, F, np.zeros(m))
-        assert np.all(stuck == -1)
-        assert all(map(np.array_equal, (*tG, *tH), (*G, *H)))
+        for lane in zip(*(x.tolist() for x in (*E, *F, *G, *H))):
+            e, f, g, h = lane[0:2], lane[2:4], lane[4:6], lane[6:8]
+            assert _tighten(split, e, f, 0.0) == (g, h)
         G, H, start, _ = _strict_gaps(split, A, B, start)
         A = tuple(_interleave(u, g) for u, g in zip(A, H))
         B = tuple(_interleave(g, v) for g, v in zip(G, B))
