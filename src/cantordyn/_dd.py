@@ -9,19 +9,21 @@ The kernels take and return (hi, lo) pairs whose parts are floats or numpy
 arrays alike: the formulas are plain elementwise arithmetic, so one kernel
 serves a single value and the 2^n endpoints of a whole refinement level with
 the same bits.  le and lt compare pairs with | and &, so they yield a bool or
-a bool array.  Only sqrt is scalar, because of math.sqrt and its zero test;
-v_sqrt is its array form.
+a bool array.  Only sqrt is scalar, because of math.sqrt and its zero test.
 
-Two compositions are also written out as straight-line code: interp, one
-piece of a piecewise-linear map, and quad, the step x^2 + c.  They are
-the hot path of every scalar F* step, and on Python floats the composed
-form spends most of its time on its ~40 nested calls, not on the
-arithmetic; written out, they run in about 40% of the time.  They do the
-composition's operations in its order, so their results have its bits
-on floats, numpy scalars and arrays alike.  "The same bits" holds for
-results that are not NaN: the sign of a NaN can differ between two
-equal formulas, since the operand order CPython's float add hands to the
-hardware differs between its generic and specialized paths.
+Four compositions are also written out as straight-line code: interp, one
+piece of a piecewise-linear map; quad, the step x^2 + c; root, the
+preimage branch sqrt(x - c); and cut, the principal gap of a segment.
+interp and quad are the hot path of every scalar F* step, root and cut
+the per-level steps of the model and target builds, which take them on
+floats for their narrow levels and on arrays for the rest.  On Python
+floats a composed form spends most of its time on its ~40 nested calls,
+not on the arithmetic; written out, they run in 40-55% of the time.
+They do the composition's operations in its order, so their results
+have its bits on floats, numpy scalars and arrays alike.  "The same
+bits" holds for results that are not NaN: the sign of a NaN can differ
+between two equal formulas, since the operand order CPython's float add
+hands to the hardware differs between its generic and specialized paths.
 
 quad leaves out two operations of add's float-tail shortcut, neither of
 which can change a result that is not NaN.  With E the two_sum error of
@@ -252,21 +254,152 @@ def quad(xh, xl, c):
     return s, e - (s - h)
 
 
+def root(xh, xl, c):
+    """sqrt(*add(xh, xl, -c, 0.0)), the branch sqrt(x - c), written out
+    for x - c > 0, so without sqrt's zero test: math.sqrt on floats,
+    np.sqrt on arrays.  Every two_sum but the one of the tails is long;
+    the tails take add's float-tail shortcut, as the composition does.
+    """
+    # add(x, -c, 0.0) -> (h, l)
+    s = xh - c
+    t = s - xh
+    e = (xh - (s - t)) + (-c - t)
+    h = xl + 0.0
+    g = xl - xl
+    t = e + h
+    u = s + t
+    e = t - (u - s)
+    t = e + g
+    del e, g, h, s
+    h = u + t
+    l = t - (h - u)
+    del t, u
+    # sqrt: q = sqrt(h), m = mul(q, 0.0, -q, 0.0), r = add(h, l, m).hi
+    q = np.sqrt(h) if isinstance(h, np.ndarray) else math.sqrt(h)
+    n = -q
+    p = q * n
+    t = _SPLITTER * q
+    a = t - (t - q)
+    b = q - a
+    t = _SPLITTER * n
+    s = t - (t - n)
+    t = n - s
+    e = ((a * s - p) + a * t + b * s) + b * t
+    del a, b, s
+    t = e + (q * 0.0 + 0.0 * n)
+    del e, n
+    m = p + t
+    t = t - (m - p)  # mul(...) = (m, t)
+    del p
+    s = h + m
+    u = s - h
+    e = (h - (s - u)) + (m - u)
+    del h, m
+    u = l + t
+    g = u - l
+    g = (l - (u - g)) + (t - g)
+    del l
+    t = e + u
+    u = s + t
+    e = t - (u - s)
+    del s
+    t = u + (e + g)  # the hi part of the last quick_sum
+    del e, g, u
+    s = t / (2.0 * q)
+    del t
+    h = q + s
+    return h, s - (h - q)
+
+
+def cut(U, V, p, q):
+    """(add(U, mul(L, p)), sub(V, mul(L, q))) with L = sub(V, U), the gap
+    (G, H) that leaves p * L of the segment [U, V] on its left and q * L on
+    its right, written out; U, V, p, q and the results are dd pairs.  When
+    p is q (a centred gap) the product is taken once.
+    """
+    uh, ul = U
+    vh, vl = V
+    # sub(V, U) -> (lh, ll)
+    s = vh - uh
+    t = s - vh
+    e = (vh - (s - t)) + (-uh - t)
+    h = vl - ul
+    t = h - vl
+    g = (vl - (h - t)) + (-ul - t)
+    t = e + h
+    lh = s + t
+    e = t - (lh - s)
+    t = e + g
+    del e, g, h
+    s = lh + t
+    ll = t - (s - lh)
+    lh = s
+    # split(L), shared by both products
+    t = _SPLITTER * lh
+    ah = t - (t - lh)
+    al = lh - ah
+    # mul(L, p) -> (mh, ml)
+    ph, pl = p
+    m = lh * ph
+    t = _SPLITTER * ph
+    s = t - (t - ph)
+    t = ph - s
+    e = ((ah * s - m) + ah * t + al * s) + al * t
+    t = e + (lh * pl + ll * ph)
+    del e
+    mh = m + t
+    ml = t - (mh - m)
+    del m
+    # add(U, m) -> G
+    s = uh + mh
+    t = s - uh
+    e = (uh - (s - t)) + (mh - t)
+    h = ul + ml
+    t = h - ul
+    g = (ul - (h - t)) + (ml - t)
+    del uh, ul
+    t = e + h
+    u = s + t
+    e = t - (u - s)
+    t = e + g
+    del e, g, h
+    s = u + t
+    G = s, t - (s - u)
+    del s, t, u
+    if q is not p:
+        # mul(L, q) -> (mh, ml)
+        qh, ql = q
+        m = lh * qh
+        t = _SPLITTER * qh
+        s = t - (t - qh)
+        t = qh - s
+        e = ((ah * s - m) + ah * t + al * s) + al * t
+        t = e + (lh * ql + ll * qh)
+        del e
+        mh = m + t
+        ml = t - (mh - m)
+        del m
+    del ah, al, lh, ll
+    # sub(V, m) -> H
+    s = vh - mh
+    t = s - vh
+    e = (vh - (s - t)) + (-mh - t)
+    h = vl - ml
+    t = h - vl
+    g = (vl - (h - t)) + (-ml - t)
+    del mh, ml, vh, vl
+    t = e + h
+    u = s + t
+    e = t - (u - s)
+    t = e + g
+    del e, g, h
+    s = u + t
+    return G, (s, t - (s - u))
+
+
 def sqrt(xh, xl):
     if xh == 0.0 and xl == 0.0:
         return 0.0, 0.0
     q = math.sqrt(xh)
     rh, _ = add(xh, xl, *mul(q, 0.0, -q, 0.0))
     return quick_sum(q, rh / (2.0 * q))
-
-
-def v_sqrt(xh, xl):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.sqrt(xh)
-        rh, _ = add(xh, xl, *mul(q, 0.0, -q, 0.0))
-        out_h, out_l = quick_sum(q, rh / (2.0 * q))
-    zero = xh == 0.0
-    if np.any(zero):
-        out_h = np.where(zero, 0.0, out_h)
-        out_l = np.where(zero, 0.0, out_l)
-    return out_h, out_l

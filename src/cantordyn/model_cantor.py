@@ -9,7 +9,11 @@ endpoint survives into the deepest level N, so a system stores level N alone,
 as one array of its endpoints in increasing order (the knots of phi_N), and
 reads each shallower level and gap off it as a strided view.  Endpoints are
 kept as numpy arrays of doubles plus double-double tails so level-20 builds
-stay both fast and faithful.
+stay both fast and faithful.  A level is one dd root, sqrt(x - c), over
+every gap edge, as numpy arrays in blocks of _BLOCK lanes; the narrow
+levels near the hull, with fewer than _NARROW edges, take the same kernel
+edge by edge on Python floats, where numpy's fixed cost per call would
+outweigh their arithmetic.  Both give the same bits.
 """
 
 from dataclasses import dataclass
@@ -34,6 +38,11 @@ MAX_DEPTH = 48
 # memory: one pass over a whole level of 2^17 lanes was slower than two
 # passes over its halves.
 _BLOCK = 1 << 13
+
+# Lanes below which a block runs lane by lane on Python floats: a dd step
+# on a narrow array costs numpy's fixed overhead per call, about 16 calls
+# for a dd add, more than the same arithmetic on floats.
+_NARROW = 32
 
 
 @dataclass(frozen=True)
@@ -206,8 +215,8 @@ def preimage_interval(params, interval):
     u, v = float(interval[0]), float(interval[1])
     _check_interval(params, u, v)
     c = params.c
-    ru = _dd.sqrt(*_dd.add(u, 0.0, -c, 0.0))
-    rv = _dd.sqrt(*_dd.add(v, 0.0, -c, 0.0))
+    # root leaves out sqrt's zero test, so x = c gives sqrt(0) = 0 here
+    ru, rv = (_dd.root(x, 0.0, c) if x != c else (0.0, 0.0) for x in (u, v))
     return (-rv[0], -ru[0]), (ru[0], rv[0])
 
 
@@ -247,12 +256,13 @@ def _check_resolved(system, what):
 def build_model_system(params, depth):
     """Backward-construct the nested system C_0 .. C_depth for certified params.
 
-    A level costs one dd add and one dd square root over both edges of
-    every gap at once, read from the knots side by side, in blocks of
-    _BLOCK lanes once a level outgrows one.  Raises RegimeError unless the
-    expansion bound certifies lambda > 1, and DomainError for depth
-    outside 0..MAX_DEPTH or deeper than the doubles resolve
-    (_check_resolved).
+    A level costs one dd root, sqrt(x - c), over both edges of every gap
+    at once, read from the knots side by side, in blocks of _BLOCK lanes
+    once a level outgrows one; a level of fewer than _NARROW edges runs
+    them one by one on Python floats, with the same bits.  Raises
+    RegimeError unless the expansion bound certifies lambda > 1, and
+    DomainError for depth outside 0..MAX_DEPTH or deeper than the doubles
+    resolve (_check_resolved).
     """
     depth = _validate_depth(depth)
     lam, certified = expansion_bound(params)
@@ -283,10 +293,14 @@ def build_model_system(params, depth):
         g = 1 << (n - 1)
         for start in range(0, g, _BLOCK // 2):
             b = slice(start, start + _BLOCK // 2)
-            r = _dd.v_sqrt(*_dd.add(
-                np.concatenate((system.gap_c[n][b], system.gap_d[n][b])),
-                np.concatenate((system.c_lo[n][b], system.d_lo[n][b])),
-                -c, 0.0))
+            xh = np.concatenate((system.gap_c[n][b], system.gap_d[n][b]))
+            xl = np.concatenate((system.c_lo[n][b], system.d_lo[n][b]))
+            if xh.size < _NARROW:
+                r = np.array([_dd.root(h, l, c) for h, l in
+                              zip(xh.tolist(), xl.tolist())]).T
+            else:
+                r = _dd.root(xh, xl, c)
+            del xh, xl
             k = r[0].size // 2
             up, down = slice(g + start, g + start + k), slice(g - start - k,
                                                                g - start)

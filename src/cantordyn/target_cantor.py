@@ -14,11 +14,13 @@ segment, inside the knot arrays of the system it returns: it reads level n
 from their views and writes the gaps it removes, level n + 1's new
 endpoints, through the gap views, so it keeps no level of its own.
 Natural mode applies the split formulas to a block of _BLOCK segments at
-a time.  Strict mode runs one masked descent per level, the middle-third
-search (_find_gaps), and splits at the maximal gap each lane stops at;
-find_gap_in_middle_third runs that search on one lane.  tighten_gap's
-tightening (_tighten), which the build does not need, walks the tree
-on floats.
+a time, and a level of fewer than _NARROW segments to one segment at a
+time on Python floats, where numpy's fixed cost per call would outweigh
+the arithmetic; _dd.cut gives both the same bits.  Strict mode runs one
+masked descent per level, the middle-third search (_find_gaps), and
+splits at the maximal gap each lane stops at; find_gap_in_middle_third
+runs that search on one lane.  tighten_gap's tightening (_tighten),
+which the build does not need, walks the tree on floats.
 All splits come from _NodeSplitter, which membership and _tighten call
 one node at a time for floats, and membership one level at a time, the
 level one int, for an array of points; only the strict search passes a
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import _dd
 from .errors import DomainError, SpecError
-from .model_cantor import (_BLOCK, IntervalSystem, _check_resolved,
+from .model_cantor import (_BLOCK, _NARROW, IntervalSystem, _check_resolved,
                            _interleave, _validate_depth)
 
 
@@ -169,20 +171,11 @@ def middle_thirds(hull=(0.0, 1.0)):
     return MiddleAlpha(alpha=ah, hull=hull, alpha_lo=al)
 
 
-def _cut(spec, U, V, frac):
-    """Principal gap (G, H) of [U, V] for the formula families; frac is the
-    centred proportion (unused for AffineIFS2).  Parts may be arrays."""
-    L = _dd.sub(*V, *U)
-    if isinstance(spec, AffineIFS2):
-        G = _dd.add(*U, *_dd.mul(*L, spec.r1, 0.0))
-        H = _dd.sub(*V, *_dd.mul(*L, spec.r2, 0.0))
-        return G, H
-    # centered gap of proportion frac: children have length L * (1 - frac) / 2
-    rh, rl = _dd.sub(1.0, 0.0, *frac)
-    half = _dd.mul(*L, rh / 2.0, rl / 2.0)
-    G = _dd.add(*U, *half)
-    H = _dd.sub(*V, *half)
-    return G, H
+def _half(fh, fl):
+    """(1 - frac) / 2 for a centred split removing the dd proportion frac:
+    the share of its parent each child keeps, as a dd pair."""
+    rh, rl = _dd.sub(1.0, 0.0, fh, fl)
+    return rh / 2.0, rl / 2.0
 
 
 def _descent_limit(spec):
@@ -230,22 +223,28 @@ class _NodeSplitter:
     index j, and returns its gap (G, H) as dd pairs.  The parts are floats
     for one node, or arrays with one node per lane, with n one int or (for
     lanes at different levels) an array; a lane gets the float call's
-    bits.  FatCantor's removed proportions (a pair of floats at an int n)
-    and an explicit tree's gap arrays are built as deep as the calls go.
+    bits.  The formula families split through _dd.cut, with the shares
+    p, q of its parent a gap leaves on its left and right: the ratios of
+    an AffineIFS2, (1 - frac) / 2 on both sides of a centred gap.
+    FatCantor's shares (a pair of floats at an int n) and an explicit
+    tree's gap arrays are built as deep as the calls go.
     """
 
     def __init__(self, spec):
         self.spec = spec
-        if isinstance(spec, FatCantor):
+        if isinstance(spec, AffineIFS2):
+            self.shares = (spec.r1, 0.0), (spec.r2, 0.0)
+        elif isinstance(spec, MiddleAlpha):
+            self.shares = (_half(spec.alpha, spec.alpha_lo),) * 2
+        elif isinstance(spec, FatCantor):
             self.fracs = [(spec.gap0, 0.0)]  # level n removes gap0 * ratio^n
+            self.halves = [_half(spec.gap0, 0.0)]
         self.tables = None  # the arrays lane calls index
 
     def __call__(self, U, V, n, j):
         spec = self.spec
-        if isinstance(spec, AffineIFS2):
-            return _cut(spec, U, V, None)
-        if isinstance(spec, MiddleAlpha):
-            return _cut(spec, U, V, (spec.alpha, spec.alpha_lo))
+        if isinstance(spec, (AffineIFS2, MiddleAlpha)):
+            return _dd.cut(U, V, *self.shares)
         if isinstance(spec, ExplicitGapTree):
             if not isinstance(j, np.ndarray):
                 g, h = spec.levels[n][j]
@@ -263,12 +262,15 @@ class _NodeSplitter:
         deepest = int(n.max()) if lanes else n
         while len(self.fracs) <= deepest:
             self.fracs.append(_dd.mul(*self.fracs[-1], spec.ratio, 0.0))
+            self.halves.append(_half(*self.fracs[-1]))
             self.tables = None
         if not lanes:
-            return _cut(spec, U, V, self.fracs[n])
-        if self.tables is None:
-            self.tables = np.array(self.fracs).T
-        return _cut(spec, U, V, (self.tables[0][n], self.tables[1][n]))
+            half = self.halves[n]
+        else:
+            if self.tables is None:
+                self.tables = np.array(self.halves).T
+            half = self.tables[0][n], self.tables[1][n]
+        return _dd.cut(U, V, half, half)
 
 
 def membership(spec, x, depth):
@@ -485,7 +487,8 @@ def build_target_system(spec, depth, mode="strict"):
     # Level n is read from the knots' views and its gaps are written
     # through the gap views of level n + 1, the new endpoints of level N.
     # Formula splits go block by block, each block copied to contiguous
-    # arrays first; the search takes a whole level.
+    # arrays first, and a block of fewer than _NARROW segments lane by
+    # lane on floats; the search takes a whole level.
     for n in range(depth):
         m = 1 << n
         level = (system.level_a[n], system.a_lo[n],
@@ -499,17 +502,30 @@ def build_target_system(spec, depth, mode="strict"):
             # overflow and NaN stay silent, as in float arithmetic; the split
             # check below refuses what they produce
             with np.errstate(over="ignore", invalid="ignore"):
+                missed = np.full(Ch.size, -1)
                 if search:
                     G, H, start, missed = _strict_gaps(split, C, D, start)
+                elif Ch.size < _NARROW:
+                    G, H = _by_lane(split, C, D, n, k.start)
                 else:  # each segment's own tree node
                     G, H = split(C, D, n, k.start + np.arange(Ch.size))
-                    missed = np.full(Ch.size, -1)
                 _check_splits(spec, n, C, D, G, H, missed)
             # segment i's children are [C_i, G_i] and [H_i, D_i]
             for gap, x in zip(gaps, (*G, *H)):
                 gap[k] = x
 
     return _check_resolved(system, f"{mode} target {spec!r}")
+
+
+def _by_lane(split, C, D, n, j):
+    """The gaps G, H of a block of segments [C, D] at level n, nodes j,
+    j + 1, ..., as arrays: split's float call on one lane at a time."""
+    gaps = []
+    for i, (ch, cl, dh, dl) in enumerate(zip(*(x.tolist() for x in (*C, *D)))):
+        G, H = split((ch, cl), (dh, dl), n, j + i)
+        gaps.append((*G, *H))
+    gaps = np.array(gaps)
+    return (gaps[:, 0], gaps[:, 1]), (gaps[:, 2], gaps[:, 3])
 
 
 def _pick(mask, x, y):

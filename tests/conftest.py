@@ -2,7 +2,8 @@
 
 Builds are deterministic, so everything heavy is session-scoped.  The
 frozen references of the array evaluators are kept here too, shared by
-the conjugacy and orbit tests.
+the conjugacy and orbit tests, and that of the array dd square root,
+shared by the kernel and model tests.
 """
 
 import numpy as np
@@ -146,3 +147,18 @@ def reference_eval_double_array(xs, xs_lo, ys, ys_lo, x):
     h, l = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, x, np.zeros_like(x))
     return (np.where(knot, ys[i], h), np.where(knot, ys_lo[i], l),
             np.where(knot, ys[i], h + l))
+
+
+# The array form of _dd.sqrt, zero test included, as it was before _dd.root
+# replaced its one use in the library, frozen as the oracle of root.
+
+def reference_v_sqrt(xh, xl):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.sqrt(xh)
+        rh, _ = _dd.add(xh, xl, *_dd.mul(q, 0.0, -q, 0.0))
+        out_h, out_l = _dd.quick_sum(q, rh / (2.0 * q))
+    zero = xh == 0.0
+    if np.any(zero):
+        out_h = np.where(zero, 0.0, out_h)
+        out_l = np.where(zero, 0.0, out_l)
+    return out_h, out_l

@@ -30,6 +30,7 @@ from cantordyn import (
 )
 from cantordyn import model_cantor, target_cantor
 from cantordyn.fileio import load_system, save_system
+from conftest import reference_v_sqrt
 
 
 def assert_nested_structure(system):
@@ -114,6 +115,17 @@ def test_segments_map_onto_parents(params3, model12):
             u, v = sorted([eval_map(params3, a[j]), eval_map(params3, b[j])])
             k = int(np.searchsorted(pa, u + 1e-9) - 1)
             assert pa[k] - 1e-9 <= u and v <= pb[k] + 1e-9
+
+
+def test_preimage_interval_of_c_itself():
+    # for c > -2 the point c lies in the hull; its preimage is 0, as the
+    # zero test of the composed sqrt gave it
+    params = derive_params(-1.0)
+    left, right = preimage_interval(params, (-1.0, 0.0))
+    assert left == (-1.0, -0.0) and right == (0.0, 1.0)
+    assert str(left) == "(-1.0, -0.0)"
+    assert preimage_interval(params, (-1.0, -1.0)) == ((-0.0, -0.0),
+                                                        (0.0, 0.0))
 
 
 def test_preimage_interval(params3):
@@ -371,8 +383,8 @@ def two_pass_model(params, depth):
         system.gap_d[n][:], system.d_lo[n][:] = gdh, gdl
         if n == depth:
             break
-        puh, pul = _dd.v_sqrt(*_dd.add(gch, gcl, -c, 0.0))
-        pvh, pvl = _dd.v_sqrt(*_dd.add(gdh, gdl, -c, 0.0))
+        puh, pul = reference_v_sqrt(*_dd.add(gch, gcl, -c, 0.0))
+        pvh, pvl = reference_v_sqrt(*_dd.add(gdh, gdl, -c, 0.0))
         gch = np.concatenate([-pvh[::-1], puh])
         gcl = np.concatenate([-pvl[::-1], pul])
         gdh = np.concatenate([-puh[::-1], pvh])
@@ -397,6 +409,39 @@ def test_one_pass_levels_match_two_pass_reference(c, monkeypatch):
         # the set is symmetric about 0: level N mirrors itself bit for bit
         assert np.array_equal(system.a_N.view(np.int64),
                               (-system.b_N[::-1]).view(np.int64)), depth
+
+
+@pytest.mark.parametrize("narrow", [1, model_cantor._NARROW, 1 << 13])
+@pytest.mark.parametrize("c", [-2.37, -3.0, -1e3])
+def test_levels_on_floats_match_levels_on_arrays(c, narrow, monkeypatch):
+    # levels of fewer than `narrow` edges take root lane by lane on floats:
+    # none of them (1), the default, or every level to depth 12 (2^13)
+    monkeypatch.setattr(model_cantor, "_check_resolved",
+                        lambda system, what: system)
+    monkeypatch.setattr(model_cantor, "_NARROW", narrow)
+    params = derive_params(c)
+    for depth in range(13):
+        system = build_model_system(params, depth)
+        got = (system.a_N, system.b_N, system.a_lo_N, system.b_lo_N)
+        want = two_pass_model(params, depth)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want], depth
+
+
+def test_model_build_peaks_no_higher():
+    # memory guard, in bytes numpy reports to tracemalloc: the written-out
+    # root drops each temporary once spent, so a depth-16 build peaks
+    # under the 3 231 760 bytes the composed sqrt(*add(...)) reached
+    import tracemalloc
+
+    params = derive_params(-3.0)
+    build_model_system(params, 4)
+    tracemalloc.start()
+    try:
+        build_model_system(params, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3231760
 
 
 # Systems whose deepest level collides in doubles: (build, depth, the deepest

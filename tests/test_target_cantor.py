@@ -33,7 +33,7 @@ from cantordyn import (
 )
 from cantordyn import _dd, target_cantor
 from cantordyn.model_cantor import _BLOCK, _interleave
-from cantordyn.target_cantor import (_check_splits, _cut, _descent_error,
+from cantordyn.target_cantor import (_check_splits, _descent_error,
                                      _descent_limit, _find_gaps, _hull_lane,
                                      _lane, _NodeSplitter, _splits_naturally,
                                      _strict_gaps, _tighten)
@@ -402,6 +402,21 @@ def _fractions(spec, count):
     while len(fracs) < count:
         fracs.append(_dd.mul(*fracs[-1], spec.ratio, 0.0))
     return fracs
+
+
+def _cut(spec, U, V, frac):
+    """Principal gap (G, H) of [U, V] for the formula families, composed
+    from the dd kernels as the splitter once computed it, frozen as the
+    oracle of _dd.cut; frac is the centred proportion (unused for
+    AffineIFS2).  Parts may be arrays."""
+    L = _dd.sub(*V, *U)
+    if isinstance(spec, AffineIFS2):
+        G = _dd.add(*U, *_dd.mul(*L, spec.r1, 0.0))
+        H = _dd.sub(*V, *_dd.mul(*L, spec.r2, 0.0))
+        return G, H
+    rh, rl = _dd.sub(1.0, 0.0, *frac)
+    half = _dd.mul(*L, rh / 2.0, rl / 2.0)
+    return _dd.add(*U, *half), _dd.sub(*V, *half)
 
 
 def _split(spec, U, V, n, j):
@@ -880,6 +895,22 @@ def test_natural_build_peaks_near_its_output():
     assert peak - out < 40 * 8 * _BLOCK
 
 
+@pytest.mark.parametrize("depth, parent_peak", [(14, 2216496),
+                                                (16, 3955120)])
+def test_natural_build_peaks_no_higher(depth, parent_peak):
+    # memory guard, in bytes numpy reports to tracemalloc: the written-out
+    # _dd.cut drops each temporary once spent, so a block's split keeps
+    # fewer arrays alive than the composed split, whose peaks these are
+    build_target_system(middle_thirds(), 4, "natural")
+    tracemalloc.start()
+    try:
+        build_target_system(middle_thirds(), depth, "natural")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < parent_peak
+
+
 SAME_SIDE = [name for name, r in AFFINE_SPECS.items()
              if (r[0] <= 1 / 3) == (r[1] <= 1 / 3)]
 
@@ -1066,3 +1097,92 @@ def test_int_level_splitter_matches_per_lane_levels(spec):
                                    int(j[k]))
         lane = [part[k] for gap in got for part in gap]
         assert np.array(lane).tobytes() == np.array([*G, *H]).tobytes()
+
+
+# --- narrow levels on floats against the composed array build -------------
+
+class ComposedSplitter(_NodeSplitter):
+    """The splitter with the formula families' gaps taken by the composed
+    _cut above, frozen as the oracle of _dd.cut and the narrow levels."""
+
+    def __call__(self, U, V, n, j):
+        if isinstance(self.spec, ExplicitGapTree) or isinstance(n, np.ndarray):
+            return super().__call__(U, V, n, j)
+        return _split(self.spec, U, V, n, j)
+
+
+def short_id(value):
+    """A test id: the repr, save the stored gaps of an explicit tree."""
+    if isinstance(value, ExplicitGapTree):
+        return f"ExplicitGapTree(depth={value.depth})"
+    return repr(value)
+
+
+BOUNDARY_SPECS = [
+    (spec, mode) for spec in (
+        middle_thirds(), MiddleAlpha(0.5, hull=(-0.0, 1.0)),
+        AffineIFS2(0.3, 0.2), AffineIFS2(0.8, 0.1),
+        FatCantor(0.3, 0.5, hull=(-2.0, 3.0)))
+    for mode in ("strict", "natural")] + [(explicit_tree(12), "natural")]
+
+
+@pytest.mark.parametrize("spec, mode", BOUNDARY_SPECS, ids=short_id)
+def test_narrow_levels_match_the_composed_build(spec, mode, monkeypatch):
+    # blocks of fewer than _NARROW segments split lane by lane on floats:
+    # none (1), the default, or every level to depth 12 (2^13); each build
+    # has the bits of the composed splits run on whole-level arrays
+    got = {}
+    for narrow in (1, target_cantor._NARROW, 1 << 13):
+        monkeypatch.setattr(target_cantor, "_NARROW", narrow)
+        got[narrow] = [build_outcome(spec, d, mode) for d in range(13)]
+    monkeypatch.setattr(target_cantor, "_NARROW", 0)
+    monkeypatch.setattr(target_cantor, "_NodeSplitter", ComposedSplitter)
+    want = [build_outcome(spec, d, mode) for d in range(13)]
+    for narrow, outcomes in got.items():
+        assert outcomes == want, narrow
+
+
+class DegenerateSplitter(_NodeSplitter):
+    """The splitter, except that node 5 of level 3 keeps its whole segment
+    as its left child: an empty left gap edge, G = U."""
+
+    def __call__(self, U, V, n, j):
+        G, H = super().__call__(U, V, n, j)
+        if n != 3:
+            return G, H
+        if isinstance(j, np.ndarray):
+            return tuple(np.where(j == 5, u, g) for u, g in zip(U, G)), H
+        return (U if j == 5 else G), H
+
+
+@pytest.mark.parametrize("spec", [middle_thirds(), AffineIFS2(0.3, 0.2),
+                                  FatCantor(0.3, 0.5), explicit_tree(6)],
+                         ids=short_id)
+def test_degenerate_narrow_split_keeps_its_text(spec, monkeypatch):
+    # the same SpecError, whether level 3 (8 segments) splits lane by lane
+    # on floats or as one block
+    u = build_target_system(spec, 3, "natural").level_a[3].item(5)
+    monkeypatch.setattr(target_cantor, "_NodeSplitter", DegenerateSplitter)
+    texts = []
+    for narrow in (1, target_cantor._NARROW):
+        monkeypatch.setattr(target_cantor, "_NARROW", narrow)
+        with pytest.raises(SpecError) as got:
+            build_target_system(spec, 6, "natural")
+        texts.append(str(got.value))
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(
+        f"level 4 split degenerated: segment [{u!r}, ")
+    assert f"with gap ({u!r}, " in texts[0]
+
+
+def test_rounded_away_segment_degenerates_alike_on_floats(monkeypatch):
+    # a segment that rounds to one double degenerates at level 6 (32
+    # segments), whether that level splits on arrays or on floats
+    spec = MiddleAlpha(0.999, hull=(1e16, 1e16 + 2))
+    for narrow in (1, 1 << 13):
+        monkeypatch.setattr(target_cantor, "_NARROW", narrow)
+        with pytest.raises(SpecError) as got:
+            build_target_system(spec, 6, "natural")
+        assert str(got.value) == (
+            "level 6 split degenerated: segment [1e+16, 1e+16] with gap "
+            "(1e+16, 1e+16)")
