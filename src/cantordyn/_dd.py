@@ -14,6 +14,10 @@ a bool array.  Only sqrt is scalar, because of math.sqrt and its zero test.
 Four compositions are also written out as straight-line code: interp, one
 piece of a piecewise-linear map; quad, the step x^2 + c; root, the
 preimage branch sqrt(x - c); and cut, the principal gap of a segment.
+interp takes the piece's left knot (a, c) with its dd width w and height
+v, not its right knot: both differences are fixed per piece, so the
+caller computes them once with sub, the same operations in the same
+order as inline, and interp spends none of its time on them.
 interp and quad are the hot path of every scalar F* step, root and cut
 the per-level steps of the model and target builds, which take them on
 floats for their narrow levels and on arrays for the rest.  On Python
@@ -33,6 +37,14 @@ e + (t - t), which for a finite t changes only e = -0.0.  In round to
 nearest a sum is -0.0 only when both its terms are, and the square's hi
 part is never -0.0, so E is never -0.0, nor is the e built on it.  An
 infinite or NaN t gives NaN either way.
+
+root likewise adds e + 0.0 where mul's tail step adds
+e + (q * 0.0 + 0.0 * n), with q the square root of the head and n = -q.
+For a finite q, q * 0.0 and 0.0 * n are zeros of opposite signs, whose
+sum in round to nearest is +0.0, so the two are the same operation.  An
+infinite or NaN q (the head +inf or NaN) makes e NaN already: the split
+of q computes t - (t - q) with t = inf or NaN.  The result is NaN either
+way.
 """
 
 import math
@@ -109,8 +121,10 @@ def div(xh, xl, yh, yl):
     return quick_sum(q1, rh / yh)
 
 
-def interp(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
-    """add(c, mul(div(sub(x, a), sub(b, a)), sub(d, c))), written out.
+def interp(xh, xl, ah, al, wh, wl, ch, cl, vh, vl):
+    """add(c, mul(div(sub(x, a), w), v)), written out: piece [a, a + w]
+    onto [c, c + v] at x, where w and v are the piece's dd width and
+    height.
 
     The operations of the composition in its order: a - b stands for
     a + (-b), the same IEEE result, and every two_sum is the long one,
@@ -125,6 +139,7 @@ def interp(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
     h = xl - al
     t = h - xl
     g = (xl - (h - t)) + (-al - t)
+    del ah, al
     t = e + h
     uh = s + t
     e = t - (uh - s)
@@ -133,21 +148,6 @@ def interp(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
     s = uh + t
     ul = t - (s - uh)
     uh = s
-    # sub(b, a) -> (wh, wl)
-    s = bh - ah
-    t = s - bh
-    e = (bh - (s - t)) + (-ah - t)
-    h = bl - al
-    t = h - bl
-    g = (bl - (h - t)) + (-al - t)
-    t = e + h
-    wh = s + t
-    e = t - (wh - s)
-    t = e + g
-    del e, g, h, ah, al, bh, bl
-    s = wh + t
-    wl = t - (s - wh)
-    wh = s
     # div: q = uh / wh, m = mul(q, 0.0, -wh, -wl), r = add(u, m).hi
     q = uh / wh
     nh = -wh
@@ -161,7 +161,7 @@ def interp(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
     e = ((qh * s - p) + qh * t + ql * s) + ql * t
     del qh, ql
     t = e + (q * -wl + 0.0 * nh)
-    del nh, e
+    del nh, e, wl
     mh = p + t
     ml = t - (mh - p)
     del p
@@ -183,21 +183,6 @@ def interp(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
     th = q + s
     tl = s - (th - q)
     del q
-    # sub(d, c) -> (vh, vl)
-    s = dh - ch
-    t = s - dh
-    e = (dh - (s - t)) + (-ch - t)
-    h = dl - cl
-    t = h - dl
-    g = (dl - (h - t)) + (-cl - t)
-    t = e + h
-    vh = s + t
-    e = t - (vh - s)
-    t = e + g
-    del e, g, h, dh, dl
-    s = vh + t
-    vl = t - (s - vh)
-    vh = s
     # mul(t, v) -> (ph, pl)
     p = th * vh
     t = _SPLITTER * th
@@ -259,6 +244,7 @@ def root(xh, xl, c):
     for x - c > 0, so without sqrt's zero test: math.sqrt on floats,
     np.sqrt on arrays.  Every two_sum but the one of the tails is long;
     the tails take add's float-tail shortcut, as the composition does.
+    mul's tail step is e + 0.0 (see the module docstring).
     """
     # add(x, -c, 0.0) -> (h, l)
     s = xh - c
@@ -286,7 +272,7 @@ def root(xh, xl, c):
     t = n - s
     e = ((a * s - p) + a * t + b * s) + b * t
     del a, b, s
-    t = e + (q * 0.0 + 0.0 * n)
+    t = e + 0.0
     del e, n
     m = p + t
     t = t - (m - p)  # mul(...) = (m, t)

@@ -22,16 +22,32 @@ about 60% of its cost; off the knots it reads the few knots it needs
 through the views, as Python floats, which give the bits of numpy scalar
 arithmetic at about half its cost.  Scalar and array queries alike
 interpolate with _dd.interp and step F_c with _dd.quad, the written-out
-kernels, so one formula serves both.  A knot hit returns the stored numpy
-scalars themselves, so the F* step from a knot still runs on numpy
-scalars: as Python floats the bounded orbits run faster, but the
-benchmark's per-op ledger then grows past its memory bound, and that step
-is left for the address shift (model_cantor._shift), which names its
-image outright.  Public scalar results are np.float64 off the knots and
-float on a knot.  Every evaluator also takes an ndarray, which one
-evaluator, _eval_array, places whole with one searchsorted, reading each
-lane's branch (knot, piece or tail) from that index alone; each lane gets
-the bits of the scalar call.
+kernels, so one formula serves both.
+
+_dd.interp takes a piece's left knot and its dd width and height.  The
+scalar path reads those from the map's piece table, which the two
+directions share (phi^(-1)'s widths are phi's heights).  The table is
+computed a block of _BLOCK pieces at a time, with _dd.sub on contiguous
+knot slices, the first time a scalar query lands in that block, so
+build_phi allocates nothing for it and a one-shot query on a deep map
+pays for one block, not for the whole map.  Like the tail offsets, a
+block is fixed once made: writing into the knot arrays afterwards does
+not reach it.  The array path computes the same two differences per
+batch, with the same _dd.sub, from the knots it gathers anyway: a batch
+such as segment_mapping_check's touches every block of a deep map, and
+through the table it would keep the whole map's differences (four
+doubles a piece) alive.  Either way a difference is _dd.sub of two
+knots, so the two paths give the same bits.
+
+A knot hit returns the stored numpy scalars themselves, so the F* step
+from a knot still runs on numpy scalars: as Python floats the bounded
+orbits run faster, but the benchmark's per-op ledger then grows past its
+memory bound, and that step is left for the address shift
+(model_cantor._shift), which names its image outright.  Public scalar
+results are np.float64 off the knots and float on a knot.  Every
+evaluator also takes an ndarray, which one evaluator, _eval_array, places
+whole with one searchsorted, reading each lane's branch (knot, piece or
+tail) from that index alone; each lane gets the bits of the scalar call.
 
 Scalars and arrays take separate helpers, so no step of an orbit tests
 its argument's type: _eval_float (a double) and _eval_dd (a dd point)
@@ -64,8 +80,9 @@ class MonotonePLMap:
     widest level-N target segment.  A map that build_phi pairs at a
     system's own depth shares that system's knot arrays (IntervalSystem's
     knots and knots_lo) instead of copying them, so writing into one
-    writes into the other, with one exception: the tail offsets at the
-    two hull corners are fixed when the map is made.
+    writes into the other, with two exceptions: the tail offsets at the
+    two hull corners are fixed when the map is made, and each block of
+    the piece table when a scalar query first reads it.
 
     The evaluators read the map through _phi and _phi_inv, its two
     directions as _Direction records.
@@ -83,10 +100,15 @@ class MonotonePLMap:
             object.__setattr__(self, "xs_lo", np.zeros_like(self.xs))
         if self.ys_lo is None:
             object.__setattr__(self, "ys_lo", np.zeros_like(self.ys))
-        object.__setattr__(self, "_phi", _Direction(
-            self.xs, self.xs_lo, self.ys, self.ys_lo))
-        object.__setattr__(self, "_phi_inv", _Direction(
-            self.ys, self.ys_lo, self.xs, self.xs_lo))
+        phi = _Direction(self.xs, self.xs_lo, self.ys, self.ys_lo)
+        object.__setattr__(self, "_phi", phi)
+        object.__setattr__(self, "_phi_inv", phi.inverse())
+
+    def __reduce__(self):
+        # the records hold memoryviews, which do not pickle; a copy makes
+        # them anew from the arrays, with an empty piece table
+        return MonotonePLMap, (self.xs, self.ys, self.err_bound, self.depth,
+                               self.xs_lo, self.ys_lo)
 
     @property
     def breakpoints(self):
@@ -102,12 +124,21 @@ class _Direction:
     views share the arrays' memory.  left and right are the dd offsets
     ys - xs at knot 0 and at knot last, the slope-one tails' translations,
     computed once, on Python floats.
+
+    blocks is the direction's piece table: entry b is None until a scalar
+    query first lands on one of the pieces j = b * block ... b * block +
+    block - 1 (block is _BLOCK when the map is made), and then the widths
+    xs[j + 1] - xs[j] and heights ys[j + 1] - ys[j] of those pieces, as
+    dd memoryviews (w, w_lo, v, v_lo).  fill computes them with _dd.sub
+    on contiguous knot slices and enters them in mirror too, the table of
+    the inverse direction, as (v, v_lo, w, w_lo): the two directions share
+    one table, whose memory grows a block at a time.
     """
 
     __slots__ = ("xs", "xs_lo", "ys", "ys_lo", "xv", "xv_lo", "yv", "yv_lo",
-                 "last", "left", "right")
+                 "last", "left", "right", "block", "blocks", "mirror")
 
-    def __init__(self, xs, xs_lo, ys, ys_lo):
+    def __init__(self, xs, xs_lo, ys, ys_lo, tables=None):
         self.xs, self.xs_lo, self.ys, self.ys_lo = xs, xs_lo, ys, ys_lo
         self.xv, self.xv_lo, self.yv, self.yv_lo = map(memoryview,
                                                        (xs, xs_lo, ys, ys_lo))
@@ -115,10 +146,30 @@ class _Direction:
         self.left, self.right = (_dd.sub(self.yv[k], self.yv_lo[k],
                                          self.xv[k], self.xv_lo[k])
                                  for k in (0, -1))
+        self.block = _BLOCK
+        if tables is None:
+            n = -(-self.last // _BLOCK)
+            tables = [None] * n, [None] * n
+        self.blocks, self.mirror = tables
 
-    def __reduce__(self):
-        # memoryviews do not pickle; the arrays rebuild them
-        return _Direction, (self.xs, self.xs_lo, self.ys, self.ys_lo)
+    def inverse(self):
+        """The direction ys onto xs, sharing this one's piece table."""
+        return _Direction(self.ys, self.ys_lo, self.xs, self.xs_lo,
+                          (self.mirror, self.blocks))
+
+    def fill(self, b):
+        """Enter block b of the piece table in both directions; return this
+        direction's entry."""
+        s = b * self.block
+        e = min(s + self.block, self.last)
+        left, right = slice(s, e), slice(s + 1, e + 1)
+        xs, xs_lo, ys, ys_lo = self.xs, self.xs_lo, self.ys, self.ys_lo
+        w, w_lo, v, v_lo = map(memoryview, (
+            *_dd.sub(xs[right], xs_lo[right], xs[left], xs_lo[left]),
+            *_dd.sub(ys[right], ys_lo[right], ys[left], ys_lo[left])))
+        self.mirror[b] = v, v_lo, w, w_lo
+        self.blocks[b] = entry = w, w_lo, v, v_lo
+        return entry
 
 
 def build_phi(model, target, N):
@@ -193,15 +244,16 @@ def _eval_float(d, x):
 def _piece(d, j, xh, xl):
     """Piece j of direction d at (xh, xl), where j = -1 is the left tail
     and j = d.last the right tail: a tail adds its stored corner offset,
-    a piece interpolates between its two knots, read through the views as
-    Python floats."""
+    a piece interpolates from its left knot by its width and height, read
+    through the views and the piece table as Python floats."""
     if j < 0:
         return _dd.add(xh, xl, *d.left)
     if j == d.last:
         return _dd.add(xh, xl, *d.right)
-    x, x_lo, y, y_lo, k = d.xv, d.xv_lo, d.yv, d.yv_lo, j + 1
-    return _dd.interp(xh, xl, x[j], x_lo[j], x[k], x_lo[k],
-                      y[j], y_lo[j], y[k], y_lo[k])
+    b, k = divmod(j, d.block)
+    w, w_lo, v, v_lo = d.blocks[b] or d.fill(b)
+    return _dd.interp(xh, xl, d.xv[j], d.xv_lo[j], w[k], w_lo[k],
+                      d.yv[j], d.yv_lo[j], v[k], v_lo[k])
 
 
 def _eval_array(d, xh, xl=None):
@@ -219,7 +271,9 @@ def _eval_array(d, xh, xl=None):
     is in the left tail, one dd-below the last knot on the last piece, and
     a NaN lane in the right tail.  Hits are a table read; the tail (the
     record's corner offsets) and the interpolation run only on their own
-    lanes, and are scattered back.
+    lanes, and are scattered back.  The interpolated lanes take their
+    pieces' widths and heights from the knots gathered for them, not
+    from the piece table (see the module docstring).
     """
     xs, xs_lo, ys, ys_lo = d.xs, d.xs_lo, d.ys, d.ys_lo
     shape, xh = np.shape(xh), np.ravel(xh)
@@ -243,9 +297,12 @@ def _eval_array(d, xh, xl=None):
                 k, j = k[~tail], j[~tail]
             if k.size:
                 j1 = j + 1
+                a, a_lo, c, c_lo = xs[j], xs_lo[j], ys[j], ys_lo[j]
+                w = _dd.sub(xs[j1], xs_lo[j1], a, a_lo)
+                v = _dd.sub(ys[j1], ys_lo[j1], c, c_lo)
+                del j, j1  # spent, before interp peaks
                 h[k], l[k] = _dd.interp(xh[k], 0.0 if xl is None else xl[k],
-                                        xs[j], xs_lo[j], xs[j1], xs_lo[j1],
-                                        ys[j], ys_lo[j], ys[j1], ys_lo[j1])
+                                        a, a_lo, *w, c, c_lo, *v)
     return h.reshape(shape), l.reshape(shape), hit.reshape(shape)
 
 

@@ -2,8 +2,9 @@
 
 Builds are deterministic, so everything heavy is session-scoped.  The
 frozen references of the array evaluators are kept here too, shared by
-the conjugacy and orbit tests, and that of the array dd square root,
-shared by the kernel and model tests.
+the conjugacy and orbit tests, that of the array dd square root,
+shared by the kernel and model tests, and that of the piece kernel as it
+took both knots, shared by the kernel and orbit tests.
 """
 
 import numpy as np
@@ -162,3 +163,121 @@ def reference_v_sqrt(xh, xl):
         out_h = np.where(zero, 0.0, out_h)
         out_l = np.where(zero, 0.0, out_l)
     return out_h, out_l
+
+
+# _dd.interp as it was when it took a piece's right knot (b, d) and
+# computed the piece's width b - a and height d - c itself, frozen as the
+# oracle of the kernel that takes the width and height as inputs.
+
+def reference_interp(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
+    # sub(x, a) -> (uh, ul)
+    s = xh - ah
+    t = s - xh
+    e = (xh - (s - t)) + (-ah - t)
+    h = xl - al
+    t = h - xl
+    g = (xl - (h - t)) + (-al - t)
+    t = e + h
+    uh = s + t
+    e = t - (uh - s)
+    t = e + g
+    del e, g, h, xh, xl
+    s = uh + t
+    ul = t - (s - uh)
+    uh = s
+    # sub(b, a) -> (wh, wl)
+    s = bh - ah
+    t = s - bh
+    e = (bh - (s - t)) + (-ah - t)
+    h = bl - al
+    t = h - bl
+    g = (bl - (h - t)) + (-al - t)
+    t = e + h
+    wh = s + t
+    e = t - (wh - s)
+    t = e + g
+    del e, g, h, ah, al, bh, bl
+    s = wh + t
+    wl = t - (s - wh)
+    wh = s
+    # div: q = uh / wh, m = mul(q, 0.0, -wh, -wl), r = add(u, m).hi
+    q = uh / wh
+    nh = -wh
+    p = q * nh
+    t = _dd._SPLITTER * q
+    qh = t - (t - q)
+    ql = q - qh
+    t = _dd._SPLITTER * nh
+    s = t - (t - nh)
+    t = nh - s
+    e = ((qh * s - p) + qh * t + ql * s) + ql * t
+    del qh, ql
+    t = e + (q * -wl + 0.0 * nh)
+    del nh, e
+    mh = p + t
+    ml = t - (mh - p)
+    del p
+    s = uh + mh
+    t = s - uh
+    e = (uh - (s - t)) + (mh - t)
+    del mh
+    h = ul + ml
+    t = h - ul
+    g = (ul - (h - t)) + (ml - t)
+    del ul, ml
+    t = e + h
+    uh = s + t
+    e = t - (uh - s)
+    t = uh + (e + g)  # the hi part of the last quick_sum
+    del e, g, h
+    s = t / wh
+    del wh
+    th = q + s
+    tl = s - (th - q)
+    del q
+    # sub(d, c) -> (vh, vl)
+    s = dh - ch
+    t = s - dh
+    e = (dh - (s - t)) + (-ch - t)
+    h = dl - cl
+    t = h - dl
+    g = (dl - (h - t)) + (-cl - t)
+    t = e + h
+    vh = s + t
+    e = t - (vh - s)
+    t = e + g
+    del e, g, h, dh, dl
+    s = vh + t
+    vl = t - (s - vh)
+    vh = s
+    # mul(t, v) -> (ph, pl)
+    p = th * vh
+    t = _dd._SPLITTER * th
+    qh = t - (t - th)
+    ql = th - qh
+    t = _dd._SPLITTER * vh
+    s = t - (t - vh)
+    t = vh - s
+    e = ((qh * s - p) + qh * t + ql * s) + ql * t
+    del qh, ql
+    t = e + (th * vl + tl * vh)
+    del th, tl, vh, vl, e
+    ph = p + t
+    pl = t - (ph - p)
+    del p
+    # add(c, p)
+    s = ch + ph
+    t = s - ch
+    e = (ch - (s - t)) + (ph - t)
+    del ph
+    h = cl + pl
+    t = h - cl
+    g = (cl - (h - t)) + (pl - t)
+    del pl
+    t = e + h
+    uh = s + t
+    e = t - (uh - s)
+    t = e + g
+    del e, g, h
+    s = uh + t
+    return s, t - (s - uh)

@@ -47,7 +47,8 @@ from cantordyn.conjugacy import (
     _mapping_samples,
 )
 from cantordyn.model_cantor import _BLOCK
-from conftest import reference_eval_dd_array, reference_eval_double_array
+from conftest import (reference_eval_dd_array, reference_eval_double_array,
+                      reference_interp)
 
 THIRD = 0.3333333333333333
 TWO_THIRDS = 0.6666666666666666
@@ -754,10 +755,15 @@ def test_bisect_places_as_searchsorted(model12, name):
 
 def test_direction_records_pickle(phi12, params3):
     """The records hold memoryviews, which do not pickle; a map does, and
-    the copy evaluates as the original."""
+    the copy evaluates as the original, from an empty piece table."""
+    eval_fstar(phi12, params3, 0.1)
+    assert filled(phi12)
     copy = pickle.loads(pickle.dumps(phi12))
+    assert filled(copy) == []
     y = np.linspace(-0.5, 1.5, 101)
     assert same_bits(eval_fstar(copy, params3, y), eval_fstar(phi12, params3, y))
+    assert same_bits([eval_fstar(copy, params3, v) for v in y.tolist()],
+                     [eval_fstar(phi12, params3, v) for v in y.tolist()])
     assert same_bits(copy._phi_inv.left, phi12._phi_inv.left)
 
 
@@ -802,3 +808,140 @@ def test_near_tie_next_to_a_far_knot_rounds_correctly(depth):
     slope = _dd.div(*_dd.sub(*e, *c), *_dd.sub(*b, *a))
     sh, sl = _dd.add(*c, *_dd.mul(*_dd.sub(fh, fl, *a), *slope))
     assert sh + sl == above
+
+
+# --- the piece table: widths and heights, a block at a time ----------------
+
+
+def filled(pl):
+    """The blocks of pl's piece table that hold differences, the same in
+    both directions, which share the table."""
+    phi, inv = pl._phi, pl._phi_inv
+    assert phi.blocks is inv.mirror and phi.mirror is inv.blocks
+    got = [b for b, entry in enumerate(phi.blocks) if entry is not None]
+    assert got == [b for b, entry in enumerate(inv.blocks) if entry is not None]
+    return got
+
+
+def inside(knots, pieces):
+    """Three doubles inside each piece j: an ulp above knot j, the
+    midpoint, an ulp below knot j + 1."""
+    a, b = knots[pieces], knots[pieces + 1]
+    return np.concatenate([np.nextafter(a, b), a + 0.5 * (b - a),
+                           np.nextafter(b, a)])
+
+
+def seam_pieces(pl):
+    """The pieces either side of every seam between two blocks of pl's
+    piece table, j = k * block - 1 and k * block, with the first and the
+    last piece."""
+    d = pl._phi
+    seams = [j for k in range(1, len(d.blocks))
+             for j in (k * d.block - 1, k * d.block)]
+    return np.array([0, *seams, d.last - 1])
+
+
+def assert_scalar_matches_array(pl, params, pieces):
+    """phi, phi^(-1), F* and iterate_target inside the given pieces of
+    both directions, each point on its own and as one array, bit for bit;
+    the F* queries include points whose F_c(phi^(-1)(y)) lands inside
+    phi's pieces."""
+    xs = inside(pl.xs, pieces)
+    ys = inside(pl.ys, pieces)
+    back = np.sqrt(xs - params.c)
+    ys = np.concatenate([ys, eval_phi(pl, back), eval_phi(pl, -back)])
+    assert same_bits(eval_phi(pl, xs), [eval_phi(pl, v) for v in xs.tolist()])
+    assert same_bits(eval_phi_inverse(pl, ys),
+                     [eval_phi_inverse(pl, v) for v in ys.tolist()])
+    assert same_bits(eval_fstar(pl, params, ys),
+                     [eval_fstar(pl, params, v) for v in ys.tolist()])
+    got = iterate_target(pl, params, ys, 60)
+    for k, v in enumerate(ys.tolist()):
+        one = iterate_target(pl, params, v, 60)
+        assert (got.escaped[k], got.iteration[k]) == (one.escaped,
+                                                      one.iteration)
+
+
+@pytest.fixture(scope="module")
+def phi14(params3, thirds):
+    return build_phi(build_model_system(params3, 14),
+                     build_target_system(thirds, 14), 14)
+
+
+def test_block_seams_read_the_knot_kernel(phi14):
+    """At depth 14 the table has four blocks.  Either side of each seam,
+    in both directions, the scalar piece gives the bits of the frozen
+    kernel on the piece's two knots, and the table entry holds the
+    knots' differences."""
+    pl = phi14
+    pieces = seam_pieces(pl)
+    assert len(pl._phi.blocks) == 4 and pieces.size == 8
+    for d in (pl._phi, pl._phi_inv):
+        for j in pieces.tolist():
+            b, k = divmod(j, d.block)
+            x = d.xv[j] + 0.375 * (d.xv[j + 1] - d.xv[j])
+            got = conjugacy._piece(d, j, x, 0.0)
+            want = reference_interp(x, 0.0, d.xv[j], d.xv_lo[j], d.xv[j + 1],
+                                    d.xv_lo[j + 1], d.yv[j], d.yv_lo[j],
+                                    d.yv[j + 1], d.yv_lo[j + 1])
+            assert same_bits(got, want), (j, x)
+            w, w_lo, v, v_lo = d.blocks[b]
+            assert same_bits((w[k], w_lo[k]),
+                             _dd.sub(d.xv[j + 1], d.xv_lo[j + 1], d.xv[j],
+                                     d.xv_lo[j]))
+            assert same_bits((v[k], v_lo[k]),
+                             _dd.sub(d.yv[j + 1], d.yv_lo[j + 1], d.yv[j],
+                                     d.yv_lo[j]))
+    assert filled(pl) == [0, 1, 2, 3]
+
+
+def test_scalar_and_array_agree_across_block_seams(phi14, params3):
+    assert_scalar_matches_array(phi14, params3, seam_pieces(phi14))
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_small_blocks_match_the_array_path(monkeypatch, params3, thirds,
+                                           block):
+    """With blocks of a few pieces, a depth-6 map (127 pieces) has a seam
+    every few pieces and a short last block; every piece of both
+    directions agrees with the array path, which reads no table."""
+    monkeypatch.setattr(conjugacy, "_BLOCK", block)
+    pl = build_phi(build_model_system(params3, 6),
+                   build_target_system(thirds, 6), 6)
+    assert filled(pl) == [] and len(pl._phi.blocks) == -(-127 // block)
+    assert_scalar_matches_array(pl, params3, np.arange(127))
+    assert filled(pl) == list(range(len(pl._phi.blocks)))
+    for b, entry in enumerate(pl._phi.blocks):
+        assert {len(m) for m in entry} == {min(block, 127 - b * block)}
+
+
+def test_piece_table_fills_one_block_per_first_read(params3, thirds):
+    # memory guard, in bytes numpy reports to tracemalloc: building a
+    # depth-18 map fills no block of its 64; the first scalar query in a
+    # block keeps that block's four arrays (32 bytes a piece, 256 KB) and
+    # peaks at about 3.5 blocks in _dd.sub's temporaries; a later query
+    # in it, from either direction, allocates nothing more.
+    model = build_model_system(params3, 18)
+    target = build_target_system(thirds, 18, "natural")
+    pl = build_phi(model, target, 18)
+    assert len(pl._phi.blocks) == 64 and filled(pl) == []
+    block_bytes = 4 * 8 * _BLOCK
+    j = 3 * _BLOCK + 5
+    x = 0.5 * (pl.xs.item(j) + pl.xs.item(j + 1))
+    y = 0.5 * (pl.ys.item(j + 9) + pl.ys.item(j + 10))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        eval_phi(pl, x)
+        kept, peak = tracemalloc.get_traced_memory()
+        eval_phi(pl, x)
+        eval_phi_inverse(pl, y)
+        again = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert filled(pl) == [3]
+    assert block_bytes <= kept - before < 1.05 * block_bytes
+    assert peak - before < 4 * block_bytes
+    assert again - kept < 1024
+    eval_phi(pl, np.array([x, pl.xs.item(40 * _BLOCK) + 1e-9]))
+    assert filled(pl) == [3]

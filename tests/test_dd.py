@@ -3,12 +3,14 @@
 lt(x, y) is the strict comparison le(x, y) & ~le(y, x) with 5 ufuncs in
 place of 12, and add(x, y) with a float tail yl = +-0.0 replaces
 two_sum(xl, yl) by (xl + yl, xl - xl).  interp and quad are the
-compositions add(c, mul(div(sub(x, a), sub(b, a)), sub(d, c))) and
-add(*sqr(x), c, 0.0) written out.  Each must agree with the long form on
-every input: signed zeros, subnormals, infinities, NaN, equal hi parts
-with different lo parts, as Python floats, numpy.float64 and arrays.
-root, sqrt(*add(x, -c, 0.0)) written out, agrees where x - c > 0, and cut,
-a segment's principal gap, on the segments and shares the builds split.
+compositions add(c, mul(div(sub(x, a), w), v)) and add(*sqr(x), c, 0.0)
+written out.  Each must agree with the long form on every input: signed
+zeros, subnormals, infinities, NaN, equal hi parts with different lo
+parts, as Python floats, numpy.float64 and arrays.  interp given a
+piece's width sub(b, a) and height sub(d, c) also agrees with the frozen
+kernel that took the right knot (b, d).  root, sqrt(*add(x, -c, 0.0))
+written out, agrees where x - c > 0, and cut, a segment's principal gap,
+on the segments and shares the builds split.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantordyn import _dd
 from cantordyn.model_cantor import _BLOCK
-from conftest import reference_v_sqrt
+from conftest import reference_interp, reference_v_sqrt
 
 VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
           1e-20, -2.5e-17, 0.5, 1.0, -1.0, 1.0000000000000002, -3.0,
@@ -119,10 +121,10 @@ def test_kernel_identities_random(xh, xl, yh, yl, zero):
                      add_two_sum(xh, xl, yh, zero))
 
 
-def interp_long(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
+def interp_long(xh, xl, ah, al, wh, wl, ch, cl, vh, vl):
     """interp as the composition of the kernels."""
-    t = _dd.div(*_dd.sub(xh, xl, ah, al), *_dd.sub(bh, bl, ah, al))
-    return _dd.add(ch, cl, *_dd.mul(*t, *_dd.sub(dh, dl, ch, cl)))
+    t = _dd.div(*_dd.sub(xh, xl, ah, al), wh, wl)
+    return _dd.add(ch, cl, *_dd.mul(*t, vh, vl))
 
 
 def quad_long(xh, xl, c):
@@ -174,23 +176,73 @@ def test_interp_is_its_composition_on_the_special_values():
                                 *map(np.float64, args))
 
 
-def test_interp_is_its_composition_on_pieces():
-    # the shape of a real query: a < x < b, c < d, tails far below the heads
-    rng = random.Random(7)
+def knot_rows(n, seed):
+    """n seeded pieces in the shape of a real query, as rows (x, a, b, c,
+    d) of dd pairs: a < x < b, c < d, tails far below the heads or +-0.0."""
+    rng = random.Random(seed)
     rows = []
-    for _ in range(2000):
+    for _ in range(n):
         a = rng.uniform(-3.0, 3.0)
         b = a + rng.uniform(1e-9, 1.0)
         c = rng.uniform(-1.0, 1.0)
         d = c + rng.uniform(1e-9, 1.0)
         x = rng.uniform(a, b)
         rows.append([v for h in (x, a, b, c, d)
-                     for v in (h, h * rng.choice([0.0, 3e-17, -1e-17]))])
+                     for v in (h, h * rng.choice([0.0, -0.0, 3e-17, -1e-17]))])
+    return rows
+
+
+def with_steps(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
+    """interp's inputs for the piece from (a, c) to (b, d) at x."""
+    return (xh, xl, ah, al, *_dd.sub(bh, bl, ah, al),
+            ch, cl, *_dd.sub(dh, dl, ch, cl))
+
+
+def test_interp_is_its_composition_on_pieces():
+    rows = [with_steps(*r) for r in knot_rows(2000, 7)]
     for args in rows:
         assert same_outcome(_dd.interp, interp_long, *args)
     cols = np.array(rows).T.copy()
     got, want = _dd.interp(*cols), interp_long(*cols)
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+
+def same_dd(got, want):
+    """Two dd values, hi and lo, equal as int64 bit patterns."""
+    return all(np.array_equal(np.float64(g).view(np.int64),
+                              np.float64(w).view(np.int64))
+               for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_interp_matches_the_knot_kernel_on_pieces(seed):
+    """Widths and heights from sub give the frozen kernel's bits, on
+    Python floats, numpy scalars and arrays."""
+    rows = knot_rows(3000, seed)
+    for r in rows[:1500]:
+        want = reference_interp(*r)
+        assert isinstance(want[0], float)
+        assert same_dd(_dd.interp(*with_steps(*r)), want)
+        r = [np.float64(v) for v in r]
+        got = _dd.interp(*with_steps(*r))
+        assert isinstance(got[0], np.float64) and same_dd(got, want)
+    cols = np.array(rows).T.copy()
+    got, want = _dd.interp(*with_steps(*cols)), reference_interp(*cols)
+    assert got[0].shape == (len(rows),) and same_dd(got, want)
+
+
+def test_interp_matches_the_knot_kernel_on_the_special_values():
+    cols = np.array(special_tuples(10, 30000, 25)).T.copy()
+    with np.errstate(all="ignore"):
+        got = _dd.interp(*with_steps(*cols))
+        want = reference_interp(*cols)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        for args in cols.T[:3000].tolist():
+            assert same_outcome(lambda *a: _dd.interp(*with_steps(*a)),
+                                reference_interp, *args)
+            args = [np.float64(v) for v in args]
+            assert same_outcome(lambda *a: _dd.interp(*with_steps(*a)),
+                                reference_interp, *args)
 
 
 @settings(max_examples=300, deadline=None)
@@ -208,11 +260,11 @@ def test_interp_peaks_no_higher_than_its_composition():
     rng = np.random.default_rng(5)
     n = 4 * _BLOCK
     a = rng.uniform(-3.0, 3.0, n)
-    b = a + rng.uniform(1e-9, 1.0, n)
+    width = rng.uniform(1e-9, 1.0, n)
     c = rng.uniform(-1.0, 1.0, n)
-    d = c + rng.uniform(1e-9, 1.0, n)
-    x = a + (b - a) * rng.uniform(0.0, 1.0, n)
-    args = [v for h in (x, a, b, c, d) for v in (h, h * 1e-17)]
+    height = rng.uniform(1e-9, 1.0, n)
+    x = a + width * rng.uniform(0.0, 1.0, n)
+    args = [v for h in (x, a, width, c, height) for v in (h, h * 1e-17)]
     peaks = []
     for f in (interp_long, _dd.interp):
         tracemalloc.start()
@@ -290,6 +342,17 @@ def test_root_is_its_composition(seed):
         assert same_bits(got, want), args
         assert isinstance(got[0], float) and isinstance(got[1], float)
         assert same_bits(_dd.root(*map(np.float64, args), c), want)
+
+
+def test_root_drops_a_zero_sum():
+    """root adds e + 0.0 where mul's tail step adds e + (q * 0.0 + 0.0 * n)
+    with n = -q: for every finite q, signed zeros and subnormals included,
+    the sum is +0.0, as a float, a numpy scalar and an array."""
+    q = [v for v in VALUES if np.isfinite(v)] + [7.5e-155, 3.0e153]
+    for v in q + [np.float64(v) for v in q]:
+        assert same_bits(v * 0.0 + 0.0 * -v, 0.0)
+    q = np.array(q)
+    assert same_bits(q * 0.0 + 0.0 * -q, np.zeros_like(q))
 
 
 def segments(seed, n):

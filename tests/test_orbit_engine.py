@@ -39,7 +39,8 @@ from cantordyn import (
 from cantordyn import _dd, orbit_engine
 from cantordyn.conjugacy import _fstar_step
 from cantordyn.fileio import PALETTE, export_escape_image
-from conftest import reference_eval_dd_array, reference_eval_double_array
+from conftest import (reference_eval_dd_array, reference_eval_double_array,
+                      reference_interp)
 
 
 class TestIterateModel:
@@ -454,8 +455,8 @@ def reference_piece(d, j, xh, xl):
     if j == d.last:
         return _dd.add(xh, xl, *d.right)
     x, x_lo, y, y_lo, k = d.xv, d.xv_lo, d.yv, d.yv_lo, j + 1
-    return _dd.interp(xh, xl, x[j], x_lo[j], x[k], x_lo[k],
-                      y[j], y_lo[j], y[k], y_lo[k])
+    return reference_interp(xh, xl, x[j], x_lo[j], x[k], x_lo[k],
+                            y[j], y_lo[j], y[k], y_lo[k])
 
 
 def reference_eval_dd(d, xh, xl):
