@@ -10,7 +10,24 @@ Evaluation is exact at knots by construction: a query equal to a stored knot
 abscissa returns the paired ordinate bit for bit, which is what lets orbits
 of F* = phi o F o phi^(-1) lock onto the endpoint cycles instead of drifting
 off the invariant set within a handful of expanding steps.  Interior
-arithmetic runs in double-double; public results are correctly rounded.
+arithmetic runs in double-double, and a public result off the knots is its
+dd value rounded once.  Against the exact map (the stored dd knots,
+linear in between, slope-one tails through the exact corner offsets, F*
+composed with no rounding) that result is correctly rounded wherever the
+exact value is at least 1e-6 in magnitude and not within 2^-100 of its
+own size from a rounding midpoint.  Elsewhere it can be off by one:
+each dd kernel errs by a few units of 2^-104 relative to its operands
+(Joldes, Muller and Popescu, ACM TOMS 44, 2017), and near zero that
+absolute error, taken from knots of size one, exceeds half an ulp of the
+result; in F* it is also multiplied by F_c' and by phi's slope.  There a
+result is within half an ulp of the exact value, plus 2^-100 of it, plus
+an error measured against an exact rational oracle over c in {-3, -2.5,
+-4, -8, -20}, five targets and depths 1, 4 and 8 (tests/test_conjugacy.py,
+MEASURED_ERROR; not a derived bound): none for phi, 6.1e-33 for phi^(-1)
+and 5.7e-27 for F*.  phi and phi^(-1) of a knot give its paired knot;
+F* of a knot is outside this contract, since its dd step can miss the
+knot it should land on by about 1e-31 (the address shift names that knot
+outright, model_cantor._shift).
 
 The evaluators read a map through one record per direction, _Direction:
 phi maps the xs onto the ys and phi^(-1) the ys onto the xs.  A record

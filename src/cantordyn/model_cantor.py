@@ -125,15 +125,20 @@ class IntervalSystem:
     taking their knot arrays themselves as the knots of phi_N, so a map
     shares its arrays with the systems it pairs.
 
-    The constructor interleaves its four arrays into new knot arrays; the
+    The constructor interleaves its four arrays into new knot arrays, and
+    refuses (DomainError) arrays that are not 1-D of one size 2^N; the
     builders allocate the knots and fill them through the views
     (_from_knots).
     """
 
     def __init__(self, a_N, b_N, a_lo_N, b_lo_N, params=None):
-        depth = a_N.size.bit_length() - 1
-        if a_N.size != 1 << depth:
-            raise DomainError(f"deepest level needs 2^N endpoints, got {a_N.size}")
+        shapes = {np.shape(x) for x in (a_N, b_N, a_lo_N, b_lo_N)}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise DomainError("deepest level needs four 1-D arrays of one "
+                              f"size, got shapes {sorted(shapes)}")
+        size = a_N.size
+        if size < 1 or size & (size - 1):
+            raise DomainError(f"deepest level needs 2^N endpoints, got {size}")
         self._store(_interleave(a_N, b_N), _interleave(a_lo_N, b_lo_N))
         self.params = params  # QuadraticParams for model systems, else None
 

@@ -7,8 +7,9 @@ compositions add(c, mul(div(sub(x, a), w), v)) and add(*sqr(x), c, 0.0)
 written out.  Each must agree with the long form on every input: signed
 zeros, subnormals, infinities, NaN, equal hi parts with different lo
 parts, as Python floats, numpy.float64 and arrays.  interp given a
-piece's width sub(b, a) and height sub(d, c) also agrees with the frozen
-kernel that took the right knot (b, d).  root, sqrt(*add(x, -c, 0.0))
+piece's width sub(b, a) and height sub(d, c) also agrees with knot_long,
+the composition on the piece's two knots (a, c) and (b, d), differences
+included.  root, sqrt(*add(x, -c, 0.0))
 written out, agrees where x - c > 0, and cut, a segment's principal gap,
 on the segments and shares the builds split.
 """
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from cantordyn import _dd
 from cantordyn.model_cantor import _BLOCK
-from conftest import reference_interp, reference_v_sqrt
+from conftest import reference_v_sqrt
 
 VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
           1e-20, -2.5e-17, 0.5, 1.0, -1.0, 1.0000000000000002, -3.0,
@@ -207,6 +208,12 @@ def test_interp_is_its_composition_on_pieces():
     assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
 
 
+def knot_long(xh, xl, ah, al, bh, bl, ch, cl, dh, dl):
+    """The piece from (a, c) to (b, d) at x as the composition of the
+    kernels, its width and height taken with sub."""
+    return interp_long(*with_steps(xh, xl, ah, al, bh, bl, ch, cl, dh, dl))
+
+
 def same_dd(got, want):
     """Two dd values, hi and lo, equal as int64 bit patterns."""
     return all(np.array_equal(np.float64(g).view(np.int64),
@@ -216,18 +223,18 @@ def same_dd(got, want):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_interp_matches_the_knot_kernel_on_pieces(seed):
-    """Widths and heights from sub give the frozen kernel's bits, on
-    Python floats, numpy scalars and arrays."""
+    """Widths and heights from sub give the bits of the composition on
+    the two knots, on Python floats, numpy scalars and arrays."""
     rows = knot_rows(3000, seed)
     for r in rows[:1500]:
-        want = reference_interp(*r)
+        want = knot_long(*r)
         assert isinstance(want[0], float)
         assert same_dd(_dd.interp(*with_steps(*r)), want)
         r = [np.float64(v) for v in r]
         got = _dd.interp(*with_steps(*r))
         assert isinstance(got[0], np.float64) and same_dd(got, want)
     cols = np.array(rows).T.copy()
-    got, want = _dd.interp(*with_steps(*cols)), reference_interp(*cols)
+    got, want = _dd.interp(*with_steps(*cols)), knot_long(*cols)
     assert got[0].shape == (len(rows),) and same_dd(got, want)
 
 
@@ -235,14 +242,14 @@ def test_interp_matches_the_knot_kernel_on_the_special_values():
     cols = np.array(special_tuples(10, 30000, 25)).T.copy()
     with np.errstate(all="ignore"):
         got = _dd.interp(*with_steps(*cols))
-        want = reference_interp(*cols)
+        want = knot_long(*cols)
         assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
         for args in cols.T[:3000].tolist():
             assert same_outcome(lambda *a: _dd.interp(*with_steps(*a)),
-                                reference_interp, *args)
+                                knot_long, *args)
             args = [np.float64(v) for v in args]
             assert same_outcome(lambda *a: _dd.interp(*with_steps(*a)),
-                                reference_interp, *args)
+                                knot_long, *args)
 
 
 @settings(max_examples=300, deadline=None)

@@ -297,6 +297,33 @@ def test_constructor_interleaves_its_arrays_once():
         model_cantor.IntervalSystem(*(np.zeros(3) for _ in range(4)))
 
 
+def test_constructor_refuses_empty_arrays():
+    # the depth came out of 0's bit length: "negative shift count"
+    with pytest.raises(DomainError, match="2\\^N endpoints, got 0"):
+        model_cantor.IntervalSystem(*(np.empty(0) for _ in range(4)))
+    with pytest.raises(DomainError, match="2\\^N endpoints, got 0"):
+        target_cantor.TargetSystem(middle_thirds(), "strict",
+                                   *(np.empty(0) for _ in range(4)))
+
+
+@pytest.mark.parametrize("sizes", [(2, 1, 2, 2), (2, 2, 4, 2), (1, 2, 2, 2),
+                                   (4, 4, 4, 2)])
+def test_constructor_refuses_arrays_of_different_sizes(sizes):
+    # a size-1 b_N was broadcast: a_N = [0, 1] and b_N = [0.5] made the
+    # knots [0, 0.5, 1, 0.5]
+    arrays = [np.arange(float(n)) for n in sizes]
+    with pytest.raises(DomainError, match="four 1-D arrays of one size"):
+        model_cantor.IntervalSystem(*arrays)
+    with pytest.raises(DomainError, match="four 1-D arrays of one size"):
+        target_cantor.TargetSystem(middle_thirds(), "strict", *arrays)
+
+
+def test_constructor_refuses_arrays_that_are_not_1d():
+    for shape in ((2, 2), (1, 4), ()):
+        with pytest.raises(DomainError, match="four 1-D arrays of one size"):
+            model_cantor.IntervalSystem(*(np.zeros(shape) for _ in range(4)))
+
+
 def test_writes_through_views_alias_the_stored_level():
     # the pattern the builders and two_pass_model fill a system with: every
     # view writes into the one stored level, where every other view reads

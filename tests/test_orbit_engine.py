@@ -7,7 +7,6 @@ to binary64, escapes after a handful of steps once the local slope 2p ~ 4.6
 amplifies the half-ulp rounding error past the drift budget.
 """
 
-import bisect
 import math
 import time
 import tracemalloc
@@ -36,11 +35,10 @@ from cantordyn import (
     mandelbrot_grid,
     middle_thirds,
 )
-from cantordyn import _dd, orbit_engine
+from cantordyn import orbit_engine
 from cantordyn.conjugacy import _fstar_step
 from cantordyn.fileio import PALETTE, export_escape_image
-from conftest import (reference_eval_dd_array, reference_eval_double_array,
-                      reference_interp)
+from conftest import ORBIT_STEPS, reference_iterate_target_array, same_lanes
 
 
 class TestIterateModel:
@@ -193,28 +191,7 @@ class TestIterateTarget:
 
 
 class TestIterateTargetBatched:
-    """An ndarray y0 gives, lane by lane, the scalar call's verdict."""
-
-    def starts(self, thirds12):
-        mids = np.concatenate([0.5 * (thirds12.gap_c[n] + thirds12.gap_d[n])
-                               for n in range(1, 6)])
-        ends = np.concatenate([np.concatenate([thirds12.level_a[n],
-                                               thirds12.level_b[n]])
-                               for n in range(6)])
-        outside = np.array([-3.0, -0.5, -1e-9, 1.0 + 1e-9, 1.5, 2.0])
-        return np.concatenate([mids, ends, outside])
-
-    def test_lanes_match_scalar(self, phi12, params3, thirds12):
-        y0 = self.starts(thirds12)
-        for max_iter in (1, 3, 25, 200):
-            res = iterate_target(phi12, params3, y0, max_iter)
-            assert res.escaped.dtype == bool
-            assert res.iteration.dtype == np.int64
-            assert res.trajectory is None
-            for k, y in enumerate(y0):
-                ref = iterate_target(phi12, params3, float(y), max_iter)
-                assert (bool(res.escaped[k]), int(res.iteration[k])) == \
-                    (ref.escaped, ref.iteration), (y, max_iter)
+    """An ndarray y0 iterates every lane at once."""
 
     def test_mixed_verdicts(self, phi12, params3):
         res = iterate_target(phi12, params3, np.array([0.5, 1 / 3, 2.0]), 100)
@@ -239,66 +216,28 @@ class TestIterateTargetBatched:
             iterate_target(phi12, params3, np.array([0.5, np.nan]), 10)
 
 
-def reference_iterate_target_array(pl, params, y0, max_iter, threshold):
-    """_iterate_target_array as it was when it iterated every live lane,
-    frozen as the oracle of the version that iterates distinct states, on
-    the frozen array evaluators."""
-    xs, xs_lo, ys, ys_lo = pl.xs, pl.xs_lo, pl.ys, pl.ys_lo
-    escaped = np.zeros(y0.shape, dtype=bool)
-    iteration = np.full(y0.shape, max_iter, dtype=np.int64)
-    alive = np.arange(y0.size)
-    y = y0.ravel()
-    for n in range(max_iter + 1):
-        xh, xl, _ = reference_eval_double_array(ys, ys_lo, xs, xs_lo, y)
-        esc = np.abs(xh + xl) > threshold
-        if esc.any():
-            escaped.flat[alive[esc]] = True
-            iteration.flat[alive[esc]] = n
-            alive, xh, xl = alive[~esc], xh[~esc], xl[~esc]
-        if n == max_iter or alive.size == 0:
-            break
-        fh, fl = _dd.add(*_dd.sqr(xh, xl), params.c, 0.0)
-        yh, yl = reference_eval_dd_array(xs, xs_lo, ys, ys_lo, fh, fl)
-        y = yh + yl
-    return OrbitResult(escaped, iteration)
-
-
-def orbit_starts(target):
-    """Start points: endpoints of every level (their orbits merge, F*
-    being 2-to-1 on the set), gap midpoints, points outside the hull, and
-    duplicates with 0.0 beside -0.0, shuffled into one array."""
-    ends = np.concatenate([np.concatenate([target.level_a[n],
-                                           target.level_b[n]])
-                           for n in range(target.depth + 1)])
-    mids = np.concatenate([np.empty(0)] + [
-        0.5 * (target.gap_c[n] + target.gap_d[n])
-        for n in range(1, target.depth + 1)])
-    a, b = target.hull
-    rng = np.random.default_rng(target.depth)
-    return rng.permutation(np.concatenate([
-        ends, ends[:9], mids, mids[:5], rng.uniform(a - 0.5, b + 0.5, 64),
-        [a - 1.0, b + 1.0, 0.0, -0.0, -0.0, 0.0]]))
-
-
-def test_batched_iterate_matches_frozen_oracle(oracle_cases):
-    # each array also as a 2-D block of its first lanes, and once empty
-    for pl, params, target in oracle_cases:
-        threshold = params.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
-        y0 = orbit_starts(target)
+def test_batched_iterate_matches_frozen_oracle(reference_cases):
+    """The batch lanes (every start and every knot) beside the same lanes
+    in reverse order (each state twice, so lanes merge at once), as one
+    array at 2 and ORBIT_STEPS steps and as a 2-D block at 2, and an
+    empty array: the verdicts are the reference orbits' cut at that
+    step."""
+    for case in reference_cases:
+        pl, params = case.pl, case.params
+        y0 = np.concatenate([case.batch, case.batch[::-1]])
+        escaped, iteration = (np.concatenate([v, v[::-1]])
+                              for v in case.orbit[:2])
         block = y0[:y0.size // 4 * 4].reshape(-1, 4)
-        for max_iter in (2, 25):
-            want = reference_iterate_target_array(pl, params, y0, max_iter,
-                                                  threshold)
-            got = iterate_target(pl, params, y0, max_iter)
-            assert np.array_equal(got.escaped, want.escaped)
-            assert np.array_equal(got.iteration, want.iteration)
+        for q, max_iter in ((y0, 2), (block, 2), (y0, ORBIT_STEPS)):
+            want = escaped[:q.size] & (iteration[:q.size] <= max_iter)
+            steps = np.where(want, iteration[:q.size], max_iter)
+            got = iterate_target(pl, params, q, max_iter)
+            assert got.escaped.dtype == bool
             assert got.iteration.dtype == np.int64
-            got = iterate_target(pl, params, block, max_iter)
-            assert got.escaped.shape == block.shape
-            assert np.array_equal(got.escaped.ravel(),
-                                  want.escaped[:block.size])
-            assert np.array_equal(got.iteration.ravel(),
-                                  want.iteration[:block.size])
+            assert got.trajectory is None
+            assert got.escaped.shape == got.iteration.shape == q.shape
+            assert np.array_equal(got.escaped.ravel(), want), max_iter
+            assert np.array_equal(got.iteration.ravel(), steps), max_iter
         got = iterate_target(pl, params, np.empty(0), 25)
         assert got.escaped.shape == got.iteration.shape == (0,)
 
@@ -306,41 +245,22 @@ def test_batched_iterate_matches_frozen_oracle(oracle_cases):
 def test_endpoint_orbits_merge_and_match_oracle(params3, model12, thirds12):
     # the level <= 8 endpoints of the dichotomy suite: 1022 lanes holding
     # 512 distinct values that halve every step
-    ends = np.concatenate([np.concatenate([thirds12.level_a[n],
-                                           thirds12.level_b[n]])
-                           for n in range(9)])
+    ends = level_endpoints(thirds12, 8)
     pl = build_phi(model12, thirds12, 8)
     assert np.unique(ends).size == 512
     images = eval_fstar(pl, params3, np.unique(ends))
     assert np.unique(images).size == 256
-    threshold = params3.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
     for max_iter in (5, 25, 200):
-        got = iterate_target(pl, params3, ends, max_iter)
-        want = reference_iterate_target_array(pl, params3, ends, max_iter,
-                                              threshold)
-        assert np.array_equal(got.escaped, want.escaped)
-        assert np.array_equal(got.iteration, want.iteration)
+        got = assert_matches_oracle(pl, params3, ends, max_iter)
         assert not got.escaped.any()
 
 
-def test_merged_state_escapes_for_all_its_lanes(phi12, params3):
-    # lanes holding the same state (and states that merge after a step)
-    # escape together at the same n; -0.0 is its own state
-    y0 = np.array([0.5, 0.5, 0.4, 1 - 0.4, -0.0, 0.0, 0.5, 2.0, 2.0])
-    res = iterate_target(phi12, params3, y0, 50)
-    for k, y in enumerate(y0):
-        ref = iterate_target(phi12, params3, float(y), 50)
-        assert (bool(res.escaped[k]), int(res.iteration[k])) == \
-            (ref.escaped, ref.iteration)
-    assert res.iteration[0] == res.iteration[1] == res.iteration[6]
-
-
 def assert_matches_oracle(pl, params, y0, max_iter):
-    threshold = params.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
-    want = reference_iterate_target_array(pl, params, y0, max_iter, threshold)
+    escaped, iteration, _ = reference_iterate_target_array(pl, params, y0,
+                                                           max_iter)
     got = iterate_target(pl, params, y0, max_iter)
-    assert np.array_equal(got.escaped, want.escaped), max_iter
-    assert np.array_equal(got.iteration, want.iteration), max_iter
+    assert np.array_equal(got.escaped, escaped), max_iter
+    assert np.array_equal(got.iteration, iteration), max_iter
     return got
 
 
@@ -350,14 +270,15 @@ def level_endpoints(target, depth):
                            for n in range(depth + 1)])
 
 
-def test_early_exit_matches_oracle_at_one_and_200_steps(oracle_cases):
-    # the loop stops once its live states close under F*; a single step,
-    # and a long horizon on every seventh case, must still agree lane by lane
-    for k, (pl, params, target) in enumerate(oracle_cases):
-        y0 = orbit_starts(target)
-        assert_matches_oracle(pl, params, y0, 1)
-        if k % 7 == 0:
-            assert_matches_oracle(pl, params, y0, 200)
+def test_early_exit_matches_oracle_at_one_and_200_steps(reference_cases):
+    # the loop stops once its live states close under F*; a single step on
+    # every case, and a long horizon on every seventh and on the depth-14
+    # map, whose starts next to its table seams stay near knot orbits for
+    # tens of steps, must still agree lane by lane
+    for k, case in enumerate(reference_cases):
+        assert_matches_oracle(case.pl, case.params, case.batch, 1)
+        if k % 7 == 0 or case.pl.depth == 14:
+            assert_matches_oracle(case.pl, case.params, case.batch, 200)
 
 
 @pytest.mark.parametrize("c, spec", [(-4.0, AffineIFS2(0.3, 0.2)),
@@ -445,113 +366,26 @@ def test_dichotomy_endpoints_close_within_a_few_steps(monkeypatch, c, most):
     assert calls
 
 
-# iterate_target's scalar loop and scalar eval_fstar as they were when
-# _phi_inv_dd and _fstar_step dispatched on their argument's type, frozen
-# as the oracle of the loop over the scalar helpers.
-
-def reference_piece(d, j, xh, xl):
-    if j < 0:
-        return _dd.add(xh, xl, *d.left)
-    if j == d.last:
-        return _dd.add(xh, xl, *d.right)
-    x, x_lo, y, y_lo, k = d.xv, d.xv_lo, d.yv, d.yv_lo, j + 1
-    return reference_interp(xh, xl, x[j], x_lo[j], x[k], x_lo[k],
-                            y[j], y_lo[j], y[k], y_lo[k])
-
-
-def reference_eval_dd(d, xh, xl):
-    j = i = bisect.bisect_right(d.xv, xh) - 1
-    if d.xv[i] == xh:
-        lo = d.xv_lo[i]
-        if lo == xl:
-            return d.ys[i], d.ys_lo[i]
-        if xl < lo:
-            j = i - 1
-    return reference_piece(d, j, xh, xl)
-
-
-def reference_phi_inv_dd(pl, y):
-    d = pl._phi_inv
-    y = float(y)
-    i = bisect.bisect_right(d.xv, y) - 1
-    if d.xv[i] == y:
-        return d.ys[i], d.ys_lo[i]
-    return reference_piece(d, i, y, 0.0)
-
-
-def reference_fstar_step(pl, c, xh, xl):
-    fh, fl = _dd.quad(xh, xl, c)
-    if not math.isfinite(fh):
-        return math.inf
-    yh, yl = reference_eval_dd(pl._phi, fh, fl)
-    return np.float64(yh + yl)
-
-
-def reference_eval_fstar(pl, params, y):
-    xh, xl = reference_phi_inv_dd(pl, float(y))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return reference_fstar_step(pl, params.c, xh, xl)
-
-
-def reference_iterate_target_scalar(pl, params, y0, max_iter,
-                                    keep_trajectory=0):
-    threshold = params.escape_radius * (1.0 + ORBIT_DRIFT_BUDGET)
-    y = float(y0)
-    traj = [] if keep_trajectory else None
-    for n in range(max_iter + 1):
-        if traj is not None and len(traj) < keep_trajectory:
-            traj.append(y)
-        xh, xl = reference_phi_inv_dd(pl, y)
-        if abs(xh + xl) > threshold:
-            return OrbitResult(True, n, tuple(traj) if traj is not None else None)
-        if n == max_iter:
-            break
-        y = reference_fstar_step(pl, params.c, xh, xl)
-    return OrbitResult(False, max_iter, tuple(traj) if traj is not None else None)
-
-
-def same_scalar(a, b):
-    """The same type and the same bits."""
-    return type(a) is type(b) and (np.float64(a).view(np.int64)
-                                   == np.float64(b).view(np.int64))
-
-
-def assert_scalar_matches_frozen(pl, params, ys, max_iter):
-    for y in ys:
-        want = reference_iterate_target_scalar(pl, params, y, max_iter, 8)
-        got = iterate_target(pl, params, y, max_iter, keep_trajectory=8)
-        assert (got.escaped, got.iteration) == (want.escaped,
-                                                 want.iteration), y
-        assert len(got.trajectory) == len(want.trajectory), y
-        assert all(map(same_scalar, got.trajectory, want.trajectory)), y
-        got = iterate_target(pl, params, y, max_iter)
-        assert (got.escaped, got.iteration, got.trajectory) == (
-            want.escaped, want.iteration, None), y
-        assert same_scalar(eval_fstar(pl, params, y),
-                           reference_eval_fstar(pl, params, y)), y
-
-
-def scalar_orbit_starts(pl, target):
-    """Seeded hull points, every gap midpoint, knots (every one of a small
-    phi, about 64 of a larger one) with their neighbours an ulp away, both
-    tails and +-1e300, as Python floats."""
-    a, b = target.hull
-    rng = np.random.default_rng(pl.ys.size)
-    knots = pl.ys[np.unique(np.r_[0:pl.ys.size:max(1, pl.ys.size // 64),
-                                  pl.ys.size - 1])]
-    mids = [0.5 * (target.gap_c[n] + target.gap_d[n])
-            for n in range(1, target.depth + 1)]
-    return np.concatenate([
-        rng.uniform(a, b, 16), *mids, knots, np.nextafter(knots, np.inf),
-        np.nextafter(knots, -np.inf),
-        [a - 1.0, a - 1e-9, b + 1e-9, b + 2.5, 1e300, -1e300]]).tolist()
-
-
-def test_scalar_iterate_matches_frozen_loop(oracle_cases):
-    # 12 steps: past every gap midpoint's escape (level <= 8)
-    for pl, params, target in oracle_cases:
-        assert_scalar_matches_frozen(pl, params,
-                                     scalar_orbit_starts(pl, target), 12)
+def test_scalar_iterate_matches_frozen_loop(reference_cases):
+    """Scalar iterate_target from every start lane, 12 steps (past every
+    gap midpoint's escape, level <= 8) keeping 8 states: the reference
+    orbit's verdict, step and states, bit for bit; and, on every eighth
+    lane, the same verdict without a trajectory."""
+    for case in reference_cases:
+        pl, params = case.pl, case.params
+        m = case.starts.size
+        escaped, iteration, states = case.orbit
+        want = escaped[:m] & (iteration[:m] <= 12)
+        steps = np.where(want, iteration[:m], 12)
+        got = [iterate_target(pl, params, y, 12, keep_trajectory=8)
+               for y in case.starts.tolist()]
+        assert [r.escaped for r in got] == want.tolist()
+        assert [r.iteration for r in got] == steps.tolist()
+        for k, (r, n) in enumerate(zip(got, steps.tolist())):
+            assert same_lanes(r.trajectory, states[:min(8, n + 1), k]), k
+        for y, e, n in zip(case.starts[::8].tolist(), want[::8].tolist(),
+                           steps[::8].tolist()):
+            assert iterate_target(pl, params, y, 12) == OrbitResult(e, n)
 
 
 def test_scalar_target_loop_enters_no_errstate(monkeypatch, phi12, params3):
