@@ -9,7 +9,12 @@ IntervalSystem), so the writer renders the deepest level's ends once and
 slices every level and gap out of those strings.  A system symmetric about
 0 bit for bit (every model, and any target whose ends happen to mirror)
 has its left ends rendered alone: each right end is a left end negated, so
-its string is that one's with a leading "-" toggled.  The writer makes the
+its string is that one's with a leading "-" toggled.  Those strings are
+rendered once per system: a table private to this module, holding each
+system weakly, keeps them joined beside a copy of the knots they came
+from, and a later save of the same system splits them instead of calling
+repr while its knots still equal that copy bit for bit (a system whose
+knots were written into since is rendered again).  The writer makes the
 document as a sequence of pieces, the header and then each level and gap
 array in pieces of at most _BLOCK pairs, and save_system writes each piece
 as it is made, so the document's text is never held whole.  The loader
@@ -31,12 +36,15 @@ one the full comparison accepts, returning that same rebuild, since save
 returned and every error stay those of the full comparison.  When the
 builders refuse the parameters, the full parse still checks the counts
 first, and then raises the refusal already caught, if its own header
-reads the same, instead of building again.
+reads the same, instead of building again.  The byte comparison renders
+the rebuild through the table, so a system it returns carries its
+strings, and saving that system calls repr no more.
 """
 
 import csv
 import json
 import math
+import weakref
 
 import numpy as np
 
@@ -151,6 +159,11 @@ def _write_json(doc, path):
         f.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
+# system -> (its knots as last rendered, the ","-joined strings of their a
+# ends and of their b ends); an entry dies with its system
+_RENDERED = weakref.WeakKeyDictionary()
+
+
 def _system_pieces(system):
     """The cantor-system/1 text of a model or target system, in pieces.
 
@@ -172,16 +185,29 @@ def _system_pieces(system):
     in reverse order with a leading "-" toggled, since repr(-x) is
     "-" + repr(x) for every x with its sign bit clear, 0.0 and inf
     included.  NaN, whose repr carries no sign, takes the repr of both.
+
+    Once the last piece is taken, the strings go into _RENDERED, joined by
+    "," (a list of strings takes about four times the room), beside a copy
+    of the knots they were rendered from.  The next call for the same
+    system splits them instead of rendering while its knots still equal
+    that copy bit for bit; a system whose knots changed is rendered again,
+    and its entry replaced.
     """
     head = json.dumps(_system_header(system), separators=(",", ":"))
     yield f'{head[:-1]},"levels":['
-    a_N, b_N = system.a_N, system.b_N
-    a = list(map(repr, a_N.tolist()))
-    if (np.array_equal(a_N.view(np.int64), (-b_N[::-1]).view(np.int64))
-            and not np.isnan(a_N).any()):
-        b = [s[1:] if s[0] == "-" else "-" + s for s in reversed(a)]
+    knots = system.knots
+    kept = _RENDERED.get(system)
+    if kept is not None and np.array_equal(kept[0].view(np.int64),
+                                           knots.view(np.int64)):
+        rendered, a, b = None, kept[1].split(","), kept[2].split(",")
     else:
-        b = list(map(repr, b_N.tolist()))
+        rendered, a_N, b_N = knots.copy(), knots[0::2], knots[1::2]
+        a = list(map(repr, a_N.tolist()))
+        if (np.array_equal(a_N.view(np.int64), (-b_N[::-1]).view(np.int64))
+                and not np.isnan(a_N).any()):
+            b = [s[1:] if s[0] == "-" else "-" + s for s in reversed(a)]
+        else:
+            b = list(map(repr, b_N.tolist()))
     depth = system.depth
     for n in range(depth + 1):
         k = 1 << (depth - n)
@@ -192,6 +218,11 @@ def _system_pieces(system):
         k = 1 << (depth - n)
         yield from _pair_pieces(b[k - 1::2 * k], a[k::2 * k],
                                 "," if n < depth else "]}\n")
+    if rendered is not None:
+        # a's list goes before b's is joined, so at most one joined array
+        # lives beside both lists
+        a = ",".join(a)
+        _RENDERED[system] = rendered, a, ",".join(b)
 
 
 def save_system(system, path):
@@ -200,9 +231,12 @@ def save_system(system, path):
     The file holds the compact json.dumps of the document, written piece by
     piece as _system_pieces renders it, so the whole text is never held;
     load_system compares a file's text with the same pieces before parsing.
-    The header is built before the file is opened: a system that cannot be
-    serialized (a model without parameters, a spec of no known family)
-    raises DomainError and leaves no file.
+    A system saved before, or loaded from a file as this writer writes it,
+    keeps the strings of its ends from then, and while its knots stay
+    unchanged its next save calls no repr.  The header is built before the
+    file is opened: a system that cannot be serialized (a model without
+    parameters, a spec of no known family) raises DomainError and leaves no
+    file.
     """
     pieces = _system_pieces(system)
     head = next(pieces)
@@ -243,7 +277,9 @@ def _load_as_written(text, path):
     more text than there is is not built.  The rebuild's text is compared
     with the file's piece by piece as _system_pieces renders it, each piece
     in place at its offset in text, so neither is ever copied whole; the
-    first piece that differs ends the comparison.  Any other text leaves the
+    first piece that differs ends the comparison.  A rebuild whose pieces
+    all match keeps its strings in _system_pieces' table, so saving the
+    system returned calls repr no more.  Any other text leaves the
     file to load_system's full parse to refuse or accept.  When the checks or
     the builders refuse the parameters, refusal is (kind, parameters as
     json.dumps renders them, the error), so that the full parse raises that

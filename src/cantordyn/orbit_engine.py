@@ -145,6 +145,15 @@ def iterate_target(pl, params, y0, max_iter, keep_trajectory=0):
     _iterate_target_array.  The scalar loop runs every step, on the
     scalar helpers of conjugacy; the trajectory holds y0 as a float and
     the later iterates as np.float64.
+
+    The verdict is the double orbit's, which can disagree with the exact
+    orbit of y0 (ROADMAP item 4): a double up to about 1024 ulps inside a
+    target gap edge can read bounded although its exact orbit escapes.
+    For c = -3, the middle-thirds target and depth 12, y0 =
+    0.11111111111111112 lies 7.7e-18 inside the level-2 gap (1/9, 2/9), so
+    its exact orbit leaves at step 2; one F* step triples that offset to
+    less than half an ulp of 2/3, the double rounds onto the knot 2/3, and
+    the orbit reads bounded for 100 steps.
     """
     max_iter = int(max_iter)
     if max_iter < 1:

@@ -30,6 +30,17 @@ def test_fstar_fixes_right_endpoint(capsys):
     assert rc == 0 and out.strip() == "1"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_fstar_sends_a_knot_to_its_shifted_knot(capsys):
+    # 0.3333333333333333 is the public value of a level-1 knot of the
+    # depth-8 middle-thirds target; F* carries it to the knot 0, but the
+    # double-double F_c step misses that knot and prints
+    # -7.0874221953450279e-32
+    rc, out, _ = run(capsys, "fstar", "--c", "-8", "--target", "middle-thirds",
+                     "--depth", "8", "--eval", "0.3333333333333333")
+    assert rc == 0 and out.strip() == "0"
+
+
 def test_phi_eval_and_inverse(capsys):
     rc, out, _ = run(capsys, "phi", "--eval", "0")
     assert rc == 0 and out.strip() == "0.5"

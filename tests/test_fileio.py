@@ -8,12 +8,14 @@ differs.
 
 import csv
 import functools
+import gc
 import hashlib
 import json
 import math
 import pathlib
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -296,6 +298,98 @@ def test_writer_renders_mirror_pairs_once(name, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "build_model_system",
                             lambda params, depth: system)
     assert same_system(load_system(path), system)
+
+
+@pytest.fixture
+def repr_calls(monkeypatch):
+    """The floats the writer passes to repr, from now on."""
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(fileio, "repr", counting_repr, raising=False)
+    return calls
+
+
+# a mirrored model and an unmirrored target
+RENDERED_ONCE = ["model-3.0", "affine-strict"]
+
+
+@pytest.mark.parametrize("name", RENDERED_ONCE)
+def test_second_save_renders_nothing(name, tmp_path, repr_calls):
+    system = ORACLE_SYSTEMS[name](10)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_system(system, first)
+    assert len(repr_calls) == (1 if name in MIRRORED else 2) << 10
+    repr_calls.clear()
+    save_system(system, second)
+    assert repr_calls == []
+    assert second.read_bytes() == first.read_bytes()
+    assert first.read_text(encoding="utf-8") == reference_save_text(system)
+
+
+def test_written_knots_render_again(tmp_path, repr_calls):
+    """A save after the knots were written into renders the new knots: the
+    last left end one ulp up (as in nudged_model) unmirrors the model, so
+    both ends go through repr, and one ulp back mirrors it again."""
+    system = build_model_system(derive_params(-3.0), 10)
+    path = tmp_path / "s.json"
+    save_system(system, path)
+    end = system.knots[-2]
+    for value, calls in ((np.nextafter(end, np.inf), 2 << 10), (end, 1 << 10)):
+        system.knots[-2] = value
+        repr_calls.clear()
+        save_system(system, path)
+        assert len(repr_calls) == calls
+        assert path.read_text(encoding="utf-8") == reference_save_text(system)
+    repr_calls.clear()
+    save_system(system, path)
+    assert repr_calls == []
+
+
+@pytest.mark.parametrize("name", RENDERED_ONCE)
+def test_saving_a_loaded_system_renders_nothing(name, tmp_path, repr_calls):
+    """load_system renders the rebuild once, to compare it with the file;
+    the system it returns keeps those strings."""
+    path, again = tmp_path / "s.json", tmp_path / "again.json"
+    save_system(ORACLE_SYSTEMS[name](10), path)
+    loaded = load_system(path)
+    repr_calls.clear()
+    save_system(loaded, again)
+    assert repr_calls == []
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_saved_systems_are_held_weakly(tmp_path):
+    path = tmp_path / "s.json"
+    system = build_model_system(derive_params(-3.0), 8)
+    save_system(system, path)
+    loaded = load_system(path)
+    refs = [weakref.ref(system), weakref.ref(loaded)]
+    assert system in fileio._RENDERED and loaded in fileio._RENDERED
+    del system, loaded
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_saved_strings_take_under_half_the_file(tmp_path):
+    # memory guard, in bytes tracemalloc sees: what a save leaves allocated
+    # is the table's entry, the knots' copy and the joined strings of the
+    # ends.  For a depth-16 model (7.9 MB of text, 1 MB of knots) that
+    # measured 0.45 times the file's size; the lists of strings that a save
+    # works from take 1.25 times.
+    system = build_model_system(derive_params(-3.0), 16)
+    path = tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_system(system, path)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 0.5 * path.stat().st_size
 
 
 def test_nan_ends_render_as_repr(tmp_path):
