@@ -13,7 +13,6 @@ carries 17 significant digits so output round-trips to the exact double.
 """
 
 import argparse
-import csv
 import functools
 import re
 import sys
@@ -21,7 +20,7 @@ import sys
 from . import fileio, orbit_engine, quadratic_map, verification
 from .conjugacy import build_phi, eval_fstar, eval_phi, eval_phi_inverse
 from .errors import CantorDynError
-from .model_cantor import MAX_DEPTH, build_model_system
+from .model_cantor import MAX_DEPTH, _BLOCK, build_model_system
 from .target_cantor import (AffineIFS2, FatCantor, MiddleAlpha,
                             build_target_system, middle_thirds)
 
@@ -136,11 +135,16 @@ def _cmd_phi(args):
     if args.inverse is not None:
         print(_fmt(eval_phi_inverse(pl, args.inverse)))
     if args.knots_out:
+        # csv.writer's bytes, one write per block of rows: each knot's
+        # strings slice-assigned into a row template, as fileio's pieces are
+        xs, ys = pl.xs.tolist(), pl.ys.tolist()
         with open(args.knots_out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["x", "y"])
-            for x, y in zip(pl.xs, pl.ys):
-                w.writerow([repr(float(x)), repr(float(y))])
+            f.write("x,y\r\n")
+            for k in range(0, len(xs), _BLOCK):
+                parts = [None, ",", None, "\r\n"] * min(_BLOCK, len(xs) - k)
+                parts[0::4] = map(repr, xs[k:k + _BLOCK])
+                parts[2::4] = map(repr, ys[k:k + _BLOCK])
+                f.write("".join(parts))
     return 0
 
 
@@ -172,16 +176,19 @@ def _cmd_classify(args):
 
     rows = orbit_engine.classify_grid(classify, args.lo, args.hi,
                                       args.n_points, args.max_iter)
+    # one write per block of rows; x is a Python float, so {x:.17g} is
+    # _fmt(x), and the CSV rows are csv.writer's
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["x", "escaped", "iteration"])
-            for x, res in rows:
-                w.writerow([repr(x), int(res.escaped), res.iteration])
+            f.write("x,escaped,iteration\r\n")
+            for k in range(0, len(rows), _BLOCK):
+                f.write("".join([f"{x!r},{res.escaped:d},{res.iteration}\r\n"
+                                 for x, res in rows[k:k + _BLOCK]]))
     else:
-        for x, res in rows:
-            verdict = "escaped_at" if res.escaped else "bounded"
-            print(f"{_fmt(x)} {verdict} {res.iteration}")
+        for k in range(0, len(rows), _BLOCK):
+            sys.stdout.write("".join([
+                f"{x:.17g} {'escaped_at' if res.escaped else 'bounded'}"
+                f" {res.iteration}\n" for x, res in rows[k:k + _BLOCK]]))
     return 0
 
 

@@ -146,15 +146,23 @@ def _system_header(system):
 def _pair_pieces(xs, ys, end):
     """The compact JSON array of the pairs [x, y] that zip(xs, ys) makes,
     from rendered reals, and then end: in pieces of at most _BLOCK pairs,
-    end closing the last."""
+    end closing the last.
+
+    A piece of m pairs is one "".join over the template [x, ",", y, "],["]
+    repeated m times, its x strings slice-assigned into slots 0::4 and its
+    y strings into 2::4, and its last "],[" replaced by "]]" + end on the
+    last piece and by "" on any other: no call, tuple or string per pair.
+    """
     size = min(len(xs), len(ys))
     if not size:
         yield "[]" + end
     for k in range(0, size, _BLOCK):
-        pairs = map(",".join, zip(xs[k:k + _BLOCK], ys[k:k + _BLOCK]))
-        last = k + _BLOCK >= size
-        yield (("],[" if k else "[[") + "],[".join(pairs)
-               + ("]]" + end if last else ""))
+        stop = min(k + _BLOCK, size)
+        parts = [None, ",", None, "],["] * (stop - k)
+        parts[0::4] = xs[k:stop]
+        parts[2::4] = ys[k:stop]
+        parts[-1] = "]]" + end if stop == size else ""
+        yield ("],[" if k else "[[") + "".join(parts)
 
 
 def _write_json(doc, path):

@@ -5,11 +5,14 @@ asserted directly.  Exit convention: 0 success, 1 usage/IO trouble,
 2 domain/regime/format errors from the library.
 """
 
+import csv
+import io
 import json
 
 import pytest
 
-from cantordyn import cli, orbit_engine
+from cantordyn import (build_model_system, build_phi, build_target_system,
+                       cli, derive_params, middle_thirds, orbit_engine)
 from cantordyn.fileio import load_system
 
 
@@ -199,6 +202,41 @@ def test_classify_matches_iterate_model_per_point(capsys, tmp_path, c):
     assert rc == 0
     assert path.read_bytes() == ("x,escaped,iteration\r\n" + "".join(
         f"{x!r},{int(r.escaped)},{r.iteration}\r\n" for x, r in rows)).encode()
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_block_writers_match_per_row_writers(capsys, tmp_path, monkeypatch,
+                                             block):
+    """classify and phi --knots-out write a block of rows at a time; blocks
+    that split the rows anywhere keep the bytes of print and csv.writer
+    called once per row."""
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    rows = orbit_engine.classify_grid(
+        lambda x0, n: orbit_engine.iterate_model(-3.0, x0, n), -3.0, 3.0,
+        25, 40)
+    pl = build_phi(build_model_system(derive_params(-3.0), 3),
+                   build_target_system(middle_thirds(), 3), 3)
+
+    def csv_bytes(header, table):
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows([header, *table])
+        return buf.getvalue().encode()
+
+    grid = ("--lo", "-3", "--hi", "3", "--n-points", "25", "--max-iter", "40")
+    rc, out, _ = run(capsys, "classify", *grid)
+    assert rc == 0 and out == "".join(
+        f"{cli._fmt(x)} {'escaped_at' if r.escaped else 'bounded'} "
+        f"{r.iteration}\n" for x, r in rows)
+    path = tmp_path / "classify.csv"
+    assert run(capsys, "classify", *grid, "--out", str(path))[0] == 0
+    assert path.read_bytes() == csv_bytes(
+        ["x", "escaped", "iteration"],
+        [[repr(x), int(r.escaped), r.iteration] for x, r in rows])
+    path = tmp_path / "knots.csv"
+    assert run(capsys, "phi", "--depth", "3", "--knots-out", str(path))[0] == 0
+    assert path.read_bytes() == csv_bytes(
+        ["x", "y"],
+        [[repr(float(x)), repr(float(y))] for x, y in zip(pl.xs, pl.ys)])
 
 
 def test_classify_derives_the_parameters_once(capsys, monkeypatch):
